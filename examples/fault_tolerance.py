@@ -79,8 +79,7 @@ def main() -> None:
 
     # 3. Power cut: a budgeted device dies mid-write; after revive and
     # reopen, every acknowledged batch is fully present.
-    wal_options = options.with_changes(enable_wal=True,
-                                       enable_manifest=True)
+    wal_options = options.with_changes(enable_wal=True)
     cut = FaultyBlockDevice(
         MemoryBlockDevice(block_size=options.block_size),
         FaultPlan(seed=11, power_cut_after_bytes=48 * 1024))

@@ -97,7 +97,7 @@ def _write_text(path: str, text: str) -> None:
             sink.write(text)
 
 
-def _attach_observability(result, registry) -> None:
+def attach_observability(result, registry) -> None:
     """Append the registry's percentiles and waterfall to a report."""
     if registry.ops():
         result.add_section("Latency percentiles (simulated us, per op)",
@@ -126,7 +126,7 @@ def _run_one(experiment_id: str, scale: str, dataset: Optional[str],
     started = time.time()
     result = run(scale=scale, **kwargs)
     elapsed = time.time() - started
-    _attach_observability(result, registry)
+    attach_observability(result, registry)
     if csv:
         for caption, table in result.tables:
             print(f"# {result.experiment_id}: {caption}")

@@ -249,7 +249,7 @@ def _run_power_cut_arm(scale, result, kind, boundary,
         plan = FaultPlan(seed=scale.seed + 3, power_cut_after_bytes=budget)
         db, faulty, options = _build_faulty(
             scale, kind, boundary, Granularity.FILE, plan,
-            enable_wal=True, enable_manifest=True)
+            enable_wal=True)
         acked: List[List[int]] = []
         torn: Optional[List[int]] = None
         key = 0

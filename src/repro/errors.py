@@ -30,7 +30,7 @@ class CorruptionError(ReproError):
 
 
 class ChecksumError(CorruptionError):
-    """A CRC32C mismatch (or undecodable payload) in one table region.
+    """A checksum mismatch (or undecodable payload) in one table region.
 
     Carries enough context to name the damage: the file, the region
     (``header``, ``data``, ``block_index``, ``index``, ``bloom`` or

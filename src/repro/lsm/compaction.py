@@ -80,8 +80,8 @@ class Compactor:
                  cost: CostModel, index_factory: IndexFactory,
                  next_file_name: Callable[[], str],
                  next_file_number: Callable[[], int],
+                 manifest: Manifest,
                  level_models: Optional[LevelModelManager] = None,
-                 manifest: Optional[Manifest] = None,
                  data_cache: Optional[DataBlockCache] = None) -> None:
         self.device = device
         self.options = options
@@ -266,25 +266,21 @@ class Compactor:
         pointers: Dict[int, str] = {}
         if self.level_models is not None:
             for level in {task.target_level, task.level} - {0}:
-                pointer = self.level_models.rebuild(level,
-                                                    version.levels[level])
-                if pointer is not None:
-                    pointers[level] = pointer
-        if self.manifest is not None:
-            edit = VersionEdit(kind="compaction")
-            for meta in task.inputs:
-                edit.delete_file(task.level, meta.number, meta.name)
-            for meta in task.overlaps:
-                edit.delete_file(task.target_level, meta.number, meta.name)
-            for meta in outputs:
-                edit.add_file(task.target_level, meta.number, meta.name,
-                              meta.table.format_version)
-            for level, pointer in pointers.items():
-                edit.point_model(level, pointer)
-            if outputs:
-                edit.next_file_number = max(meta.number for meta in outputs)
-            self.manifest.append(edit)
-            self.stats.charge(Stage.COMPACT_WRITE, self.cost.wal_commit_us)
+                pointers[level] = self.level_models.rebuild(
+                    level, version.levels[level])
+        edit = VersionEdit(kind="compaction")
+        for meta in task.inputs:
+            edit.delete_file(task.level, meta.number, meta.name)
+        for meta in task.overlaps:
+            edit.delete_file(task.target_level, meta.number, meta.name)
+        for meta in outputs:
+            edit.add_file(task.target_level, meta.number, meta.name)
+        for level, pointer in pointers.items():
+            edit.point_model(level, pointer)
+        if outputs:
+            edit.next_file_number = max(meta.number for meta in outputs)
+        self.manifest.append(edit)
+        self.stats.charge(Stage.COMPACT_WRITE, self.cost.wal_commit_us)
         for meta in task.all_inputs():
             meta.table.close()
         if self.level_models is not None:

@@ -56,7 +56,6 @@ from repro.lsm.write_batch import WriteBatch
 from repro.errors import CorruptionError
 from repro.indexes.registry import deserialize_index
 from repro.persist.manifest import (
-    MANIFEST_NAME,
     MANIFEST_TMP_NAME,
     Manifest,
     VersionEdit,
@@ -120,25 +119,19 @@ class LSMTree:
             device = CachedBlockDevice(device, self.options.cache_bytes)
         device.stats = self.stats
         self.device = device
-        # Second cache tier: decompressed data blocks (block format v2).
+        # Second cache tier: decompressed data blocks.
         self.data_cache: Optional[DataBlockCache] = (
             DataBlockCache(self.options.data_cache_bytes)
             if self.options.data_cache_bytes > 0 else None)
         self.cost = self.options.cost_model
         self.index_factory = self.options.make_index_factory()
-        self.manifest: Optional[Manifest] = None
-        self.model_store: Optional[ModelStore] = None
-        if self.options.enable_manifest:
-            self.manifest = Manifest(self.device, stats=self.stats,
-                                     cost=self.cost)
-            if self.options.granularity is Granularity.LEVEL:
-                self.model_store = ModelStore(self.device, stats=self.stats,
-                                              cost=self.cost)
+        self.manifest = Manifest(self.device, stats=self.stats,
+                                 cost=self.cost)
         self.level_models: Optional[LevelModelManager] = None
         if self.options.granularity is Granularity.LEVEL:
             self.level_models = LevelModelManager(
                 self.index_factory, self.stats, self.cost,
-                model_store=self.model_store)
+                ModelStore(self.device, stats=self.stats, cost=self.cost))
         self.version = Version(
             max_levels=self.options.max_levels,
             overlapping_levels=(self.options.compaction_policy
@@ -187,22 +180,22 @@ class LSMTree:
 
         Two recovery paths:
 
-        * **Manifest-driven** (the default when a manifest is present
-          and ``options.enable_manifest``): replay the version-edit log
-          — O(manifest), no directory scan — open exactly the files it
+        * **Manifest-driven** (the default when a manifest is
+          present): replay the version-edit log — O(manifest), no
+          directory scan — open exactly the files it
           names, restore the sequence/file counters it recorded, and
           deserialize persisted level models from their ``mdl-*``
           sidecars instead of retraining them.  Files a crash left
           unreferenced (compaction outputs whose commit never landed,
           superseded model sidecars) are garbage-collected.
-        * **Directory scan** (the seed behaviour; forced with
-          ``use_manifest=False`` or when no manifest exists): tables
-          are self-describing (their footers record level and max
-          sequence number), so every ``sst-*`` file is opened and
-          placed back at its level; level models are retrained from
-          reloaded keys.  When a manifest is enabled the scan result is
-          then snapshotted, migrating the database to manifest-driven
-          recovery.
+        * **Directory scan** (the fallback when no manifest exists;
+          forced with ``use_manifest=False``, the ``recovery``
+          experiment's baseline arm): tables are self-describing (their
+          footers record level and max sequence number), so every
+          ``sst-*`` file is opened and placed back at its level; level
+          models are retrained from reloaded keys.  The scan result is
+          then snapshotted into a fresh manifest, so the next reopen is
+          manifest-driven.
 
         Either way, when a WAL is enabled its surviving records land
         back in the memtable on construction, completing crash
@@ -210,30 +203,14 @@ class LSMTree:
         """
         span = tracer.begin(OpType.RECOVERY) if tracer is not None else None
         try:
-            manifest_present = device.exists(MANIFEST_NAME)
             db = cls(options, device=device, tracer=tracer, stats=stats)
-            if (db.manifest is not None and manifest_present
-                    and use_manifest is not False):
+            if db.manifest.exists() and use_manifest is not False:
                 db._recover_from_manifest(db.manifest.replay())
                 db.stats.add(RECOVERY_MANIFEST_OPENS)
             else:
                 db._recover_by_scan()
                 db.stats.add(RECOVERY_SCANS)
-                if db.manifest is not None:
-                    db.manifest.rewrite(db._snapshot_edit("migrate"))
-                elif manifest_present:
-                    # Persistence opt-out on a device that carries a
-                    # manifest: this session will not log edits, so the
-                    # log would go stale — and a *later* manifest-enabled
-                    # reopen would replay it and garbage-collect every
-                    # file written in between.  A missing manifest (clean
-                    # scan + migrate next time) is strictly safer than a
-                    # stale one; the orphaned sidecars go with it.
-                    device.delete(MANIFEST_NAME)
-                    for name in list(device.list_files()):
-                        if (name.startswith(MODEL_FILE_PREFIX)
-                                or name == MANIFEST_TMP_NAME):
-                            device.delete(name)
+                db.manifest.rewrite(db._snapshot_edit("migrate"))
             return db
         finally:
             if tracer is not None:
@@ -243,13 +220,12 @@ class LSMTree:
         """Materialise the replayed :class:`ManifestState`."""
         # Oldest first so overlapping levels end up newest-first.
         for number in sorted(state.files):
-            level, name, format_version = state.files[number]
+            level, name = state.files[number]
             if not self.device.exists(name):
                 raise CorruptionError(
                     f"manifest references missing file {name} (#{number})")
             table = Table.open(self.device, name, self.options, self.stats,
-                               self.cost, data_cache=self.data_cache,
-                               expected_format=format_version)
+                               self.cost, data_cache=self.data_cache)
             self.version.add_file(level, FileMetaData(number=number,
                                                       table=table))
         self._seq = max(self._seq, state.last_seq)  # WAL may be ahead
@@ -261,17 +237,15 @@ class LSMTree:
                 if not files:
                     continue
                 sidecar = state.model_pointers.get(level)
-                payload = (self.model_store.load(sidecar)
-                           if self.model_store is not None else None)
+                payload = self.level_models.model_store.load(sidecar)
                 if payload is not None:
                     self.level_models.install(
                         level, files, deserialize_index(payload), sidecar)
                 else:
                     # Missing/corrupt sidecar: retrain this one level
                     # and re-point the manifest at the fresh model.
-                    pointer = self.level_models.rebuild(level, files)
-                    if pointer:
-                        recovered_pointers[level] = pointer
+                    recovered_pointers[level] = self.level_models.rebuild(
+                        level, files)
         if state.torn:
             # Truncate the unreplayable tail *before* anything else is
             # appended: a frame written after torn bytes would be
@@ -357,12 +331,7 @@ class LSMTree:
         edit = VersionEdit(kind=kind, next_file_number=self._file_counter,
                            last_seq=self._seq)
         for level, meta in self.version.all_files():
-            # Record the table's *actual* on-disk format — the scan
-            # fallback may have opened legacy flat-format files, and a
-            # snapshot that assumed the current format would make every
-            # future manifest-driven open misread them.
-            edit.add_file(level, meta.number, meta.name,
-                          meta.table.format_version)
+            edit.add_file(level, meta.number, meta.name)
         if self.level_models is not None:
             for level in range(1, self.options.max_levels):
                 pointer = self.level_models.persisted_pointer(level)
@@ -380,16 +349,13 @@ class LSMTree:
         """
         self._check_open()
         self.flush()
-        summary: Dict[str, float] = {
-            "files": float(self.version.file_count()),
-            "manifest_bytes": 0.0,
-            "models_persisted": 0.0,
-        }
-        if self.manifest is None:
-            return summary
         self.manifest.rewrite(self._snapshot_edit())
         self.stats.charge(Stage.WRITE_PATH, self.cost.wal_commit_us)
-        summary["manifest_bytes"] = float(self.manifest.size_bytes())
+        summary: Dict[str, float] = {
+            "files": float(self.version.file_count()),
+            "manifest_bytes": float(self.manifest.size_bytes()),
+            "models_persisted": 0.0,
+        }
         if self.level_models is not None:
             summary["models_persisted"] = float(sum(
                 1 for level in range(1, self.options.max_levels)
@@ -614,16 +580,15 @@ class LSMTree:
         else:
             table.release_keys()
         self.version.add_file(0, meta)
-        if self.manifest is not None:
-            # Commit the flush before the WAL resets: once the log is
-            # truncated, the manifest is the only durable record that
-            # this table exists.
-            edit = VersionEdit(kind="flush",
-                               next_file_number=self._file_counter,
-                               last_seq=self._seq)
-            edit.add_file(0, meta.number, meta.name, table.format_version)
-            self.manifest.append(edit)
-            self.stats.charge(Stage.WRITE_PATH, self.cost.wal_commit_us)
+        # Commit the flush before the WAL resets: once the log is
+        # truncated, the manifest is the only durable record that this
+        # table exists.
+        edit = VersionEdit(kind="flush",
+                           next_file_number=self._file_counter,
+                           last_seq=self._seq)
+        edit.add_file(0, meta.number, meta.name)
+        self.manifest.append(edit)
+        self.stats.charge(Stage.WRITE_PATH, self.cost.wal_commit_us)
         self.memtable = MemTable(self.options.entry_bytes)
         if self.wal is not None:
             self.wal.reset()
@@ -724,19 +689,17 @@ class LSMTree:
         if self.level_models is not None and level >= 1:
             pointer = self.level_models.rebuild(level,
                                                 self.version.levels[level])
-        if self.manifest is not None:
-            edit = VersionEdit(kind="ingest",
-                               next_file_number=self._file_counter,
-                               last_seq=self._seq)
-            for meta in added:
-                edit.add_file(level, meta.number, meta.name,
-                              meta.table.format_version)
-            if pointer is not None:
-                edit.point_model(level, pointer)
-            self.manifest.append(edit)
-            self.stats.charge(Stage.WRITE_PATH, self.cost.wal_commit_us)
-            if self.level_models is not None:
-                self.level_models.drop_stale()
+        edit = VersionEdit(kind="ingest",
+                           next_file_number=self._file_counter,
+                           last_seq=self._seq)
+        for meta in added:
+            edit.add_file(level, meta.number, meta.name)
+        if pointer is not None:
+            edit.point_model(level, pointer)
+        self.manifest.append(edit)
+        self.stats.charge(Stage.WRITE_PATH, self.cost.wal_commit_us)
+        if self.level_models is not None:
+            self.level_models.drop_stale()
 
     # -- read path ----------------------------------------------------------
 

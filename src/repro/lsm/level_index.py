@@ -103,8 +103,8 @@ class LevelModelManager:
     Training cost is still charged through the normal stages, making
     level-model retraining visible in Figure 9's breakdown.
 
-    With a :class:`~repro.persist.models.ModelStore`, every freshly
-    trained model is also serialized to an ``mdl-*`` sidecar; the
+    Every freshly trained model is also serialized to an ``mdl-*``
+    sidecar through the :class:`~repro.persist.models.ModelStore`; the
     returned sidecar name goes into the manifest edit that commits the
     retrain, and the superseded sidecar is retired only after that edit
     is durable (:meth:`drop_stale`), keeping every replayable manifest
@@ -112,15 +112,14 @@ class LevelModelManager:
     """
 
     def __init__(self, factory: IndexFactory, stats: Stats,
-                 cost: CostModel,
-                 model_store: Optional[ModelStore] = None) -> None:
+                 cost: CostModel, model_store: ModelStore) -> None:
         self.factory = factory
         self.stats = stats
         self.cost = cost
         self.model_store = model_store
         self._models: Dict[int, LevelModel] = {}
         self._keys: Dict[str, Sequence[int]] = {}
-        #: level -> live sidecar name (only with a model store).
+        #: level -> live sidecar name.
         self._persisted: Dict[int, str] = {}
         #: superseded sidecars awaiting deletion after the next commit.
         self._stale: List[str] = []
@@ -144,19 +143,15 @@ class LevelModelManager:
 
     # -- model lifecycle -----------------------------------------------------
 
-    def rebuild(self, level: int,
-                files: List[FileMetaData]) -> Optional[str]:
+    def rebuild(self, level: int, files: List[FileMetaData]) -> str:
         """Retrain the model for ``level`` over its current files.
 
         Returns the manifest model-pointer value for the level: the new
-        sidecar's name, ``""`` when the level emptied (invalidating any
-        persisted model), or ``None`` when no model store is attached
-        (nothing to record).
+        sidecar's name, or ``""`` when the level emptied (invalidating
+        any persisted model).
         """
         if not files:
             self._models.pop(level, None)
-            if self.model_store is None:
-                return None
             self._retire(level)
             return ""
         ordered = sorted(files, key=lambda meta: meta.min_key)
@@ -172,8 +167,6 @@ class LevelModelManager:
         self.stats.charge(Stage.COMPACT_WRITE_MODEL,
                           self.cost.model_write_us(len(payload)))
         self._models[level] = LevelModel(ordered, index)
-        if self.model_store is None:
-            return None
         self._retire(level)
         name = self.model_store.save(level, payload)
         self._persisted[level] = name
@@ -201,9 +194,6 @@ class LevelModelManager:
 
     def drop_stale(self) -> None:
         """Delete superseded sidecars (call after the edit committed)."""
-        if self.model_store is None:
-            self._stale.clear()
-            return
         for name in self._stale:
             self.model_store.delete(name)
         self._stale.clear()

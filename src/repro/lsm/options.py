@@ -83,7 +83,7 @@ class Options:
     #: Target *uncompressed* size of one SSTable data block.  Entries
     #: are grouped into blocks of ``max(1, data_block_bytes //
     #: entry_bytes)`` entries; each block is independently compressed
-    #: and checksummed (format v2).
+    #: and checksummed.
     data_block_bytes: int = 4096
     #: Per-block codec by name (``none``, ``zlib-1``, ``zlib-6``,
     #: ``zlib-9`` — see :mod:`repro.storage.compression`).  Advisory:
@@ -108,13 +108,6 @@ class Options:
     #: Write-ahead logging (off by default: benchmarks measure the
     #: paper's pipeline, which does not fsync a WAL per write).
     enable_wal: bool = False
-    #: Maintain the MANIFEST version-edit log (see :mod:`repro.persist`).
-    #: On: every flush/compaction/ingest commits an atomic version edit,
-    #: level-granularity models persist to ``mdl-*`` sidecars, and
-    #: ``reopen`` replays the manifest instead of scanning the device —
-    #: zero index training on restart.  Off: the seed behaviour (recover
-    #: by directory scan, retrain level models).
-    enable_manifest: bool = True
     #: LRU block-cache capacity in bytes (0 disables caching).  When
     #: positive the database wraps its device in a
     #: :class:`~repro.storage.block_cache.CachedBlockDevice`, so hot

@@ -34,7 +34,6 @@ from repro.lsm.sstable import (
     BLOCK_TRAILER_BYTES,
     FOOTER_BYTES,
     HEADER_BYTES,
-    FORMAT_BLOCKED,
     Table,
     TableBuilder,
 )
@@ -259,17 +258,15 @@ def _commit_replacement(db: "LSMTree", level: int, meta: FileMetaData,
     pointer = None
     if db.level_models is not None and level >= 1:
         pointer = db.level_models.rebuild(level, db.version.levels[level])
-    if db.manifest is not None:
-        edit = VersionEdit(kind="scrub")
-        edit.delete_file(level, meta.number, meta.name)
-        if replacement is not None:
-            edit.add_file(level, replacement.number, replacement.name,
-                          replacement.table.format_version)
-            edit.next_file_number = replacement.number
-        if pointer is not None:
-            edit.point_model(level, pointer)
-        db.manifest.append(edit)
-        db.stats.charge(Stage.COMPACT_WRITE, db.cost.wal_commit_us)
+    edit = VersionEdit(kind="scrub")
+    edit.delete_file(level, meta.number, meta.name)
+    if replacement is not None:
+        edit.add_file(level, replacement.number, replacement.name)
+        edit.next_file_number = replacement.number
+    if pointer is not None:
+        edit.point_model(level, pointer)
+    db.manifest.append(edit)
+    db.stats.charge(Stage.COMPACT_WRITE, db.cost.wal_commit_us)
     if db.level_models is not None:
         db.level_models.drop_stale()
 
@@ -279,9 +276,6 @@ def _scrub_table(db: "LSMTree", level: int,
     table = meta.table
     result = TableScrubResult(name=table.name, level=level)
     db.stats.add(SCRUB_TABLES_CHECKED)
-    if table.format_version != FORMAT_BLOCKED:
-        # Legacy flat tables carry no checksums; nothing to verify.
-        return result
     _verify_regions(db, table, result)
     bad = _verify_blocks(db, table, result)
     result.blocks_bad = len(bad)

@@ -1,28 +1,28 @@
-"""SSTables: block-based format v2 with a flat-format v1 compatibility path.
+"""SSTables: the one on-disk table format (v3, ``LIT_LSM3``).
 
-Format v1 (the paper's ``LearnedIndexTable``) serialised the sorted
-entry array flat, followed by the learned-index payload, the bloom
-filter and a fixed footer.  That matches Section 4.2 of the paper but
-no production LSM ships it: LevelDB and RocksDB store block-structured
-tables with per-block compression and checksums.  Format v2 closes the
-gap while keeping the paper's read algorithm intact:
+The paper's ``LearnedIndexTable`` (Section 4.2) keeps a sorted entry
+array, a learned-index payload and a bloom filter in one file.  This is
+that table in the block-structured shape LevelDB and RocksDB ship —
+per-block compression and checksums — with the paper's read algorithm
+intact:
 
 ::
 
-    [ header: magic, format version, entry size, CRC32C ]
-    [ data block 0: codec(entries) + (codec id, CRC32C) trailer ]
+    [ header: magic, format version, entry size, CRC-32 ]
+    [ data block 0: codec(entries) + (codec id, CRC-32) trailer ]
     [ ... data block k ...                                      ]
     [ sparse block index: (first_key, offset, stored, raw) rows ]
     [ learned index payload (absent under level granularity)    ]
     [ bloom filter payload                                      ]
-    [ footer v2: counts, region offsets + CRC32Cs, key range,   ]
-    [            compression totals, self-CRC32C                ]
+    [ footer: counts, region offsets + CRC-32s, key range,      ]
+    [         compression totals, self-CRC-32                   ]
 
 Entries are grouped into fixed-target-size blocks of
 ``entries_per_block = max(1, data_block_bytes // entry_bytes)``
 entries; each block is independently compressed (see
-:mod:`repro.storage.compression`) and protected by a CRC32C over its
-stored payload.  Point lookups still follow the paper's
+:mod:`repro.storage.compression`) and protected by a CRC-32
+(:mod:`repro.storage.checksum`) over its stored payload and codec
+byte.  Point lookups still follow the paper's
 ``InternalGet`` — predict a position bound, fetch, binary-search — but
 the bound is first widened to whole blocks (the I/O unit), and fetched
 blocks are verified, decoded, and optionally admitted to a
@@ -33,11 +33,8 @@ Checksums are verified on a block's *first* fetch by each open table
 cost per read — the same trade RocksDB's ``verify_checksums`` block
 cache makes.  Any mismatch raises a typed
 :class:`~repro.errors.ChecksumError` naming the file, region and block.
-
-v1 files (written by earlier versions, or by
-:func:`write_legacy_table`) are detected by their footer magic and read
-through the original flat byte-offset path; compactions rewrite them in
-v2, so mixed-version databases converge to the current format.
+A file in any other format version is refused at open with a
+:class:`~repro.errors.CorruptionError`, never reinterpreted.
 """
 
 from __future__ import annotations
@@ -57,6 +54,7 @@ from repro.lsm.bloom import BloomFilter
 from repro.lsm.iterators import KVIterator
 from repro.lsm.options import Options
 from repro.lsm.record import Record, decode_entry, decode_key, encode_entry
+from repro.persist.manifest import TABLE_FORMAT
 from repro.storage.block_cache import DataBlockCache
 from repro.storage.block_device import BlockDevice
 from repro.storage.checksum import crc32c
@@ -83,45 +81,34 @@ from repro.storage.stats import (
     Stats,
 )
 
-#: On-disk format versions (also recorded in Manifest file records).
-FORMAT_FLAT = 1
-FORMAT_BLOCKED = 2
-CURRENT_FORMAT = FORMAT_BLOCKED
+_MAGIC = 0x4C49545F4C534D33  # "LIT_LSM3"
 
-_MAGIC_V1 = 0x4C49545F4C534D31  # "LIT_LSM1"
-_MAGIC_V2 = 0x4C49545F4C534D32  # "LIT_LSM2"
-
-#: File header: magic, format_version, entry_bytes, CRC32C of the rest.
+#: File header: magic, format_version, entry_bytes, CRC-32 of the rest.
 _HEADER = struct.Struct("<QIII")
 HEADER_BYTES = _HEADER.size
 
-#: Per data block trailer: codec id, CRC32C over payload + codec byte.
+#: Per data block trailer: codec id, CRC-32 over payload + codec byte.
 _BLOCK_TRAILER = struct.Struct("<BI")
 BLOCK_TRAILER_BYTES = _BLOCK_TRAILER.size
 
 #: One sparse-index row: first_key, file offset, stored len, raw len.
 _BLOCK_INDEX_ENTRY = struct.Struct("<QQII")
 
-_FOOTER_V1 = struct.Struct("<QIQIIQQQQQQIQ")
-FOOTER_V1_BYTES = _FOOTER_V1.size
-
 # magic, format_version, entry_count, entry_bytes, value_capacity,
 # entries_per_block, block_count, block_index (offset, len, crc),
 # learned index (offset, len, crc), bloom (offset, len, crc),
 # data_raw_bytes, data_stored_bytes, min_key, max_key, level, max_seq,
 # footer self-crc.
-_FOOTER_V2 = struct.Struct("<QIQIIIIQQIQQIQQIQQQQIQI")
-FOOTER_BYTES = _FOOTER_V2.size
+_FOOTER = struct.Struct("<QIQIIIIQQIQQIQQIQQQQIQI")
+FOOTER_BYTES = _FOOTER.size
 
 
 @dataclass(frozen=True)
 class TableFooter:
-    """Decoded footer of one table file (either format version).
+    """Decoded footer of one table file.
 
     ``level`` and ``max_seq`` make files self-describing, so a database
     can be reopened from the device alone (see ``LSMTree.reopen``).
-    For v1 files the block fields are zero and the compression totals
-    degenerate to the flat data-segment size.
     """
 
     entry_count: int
@@ -135,7 +122,6 @@ class TableFooter:
     max_key: int
     level: int = 0
     max_seq: int = 0
-    format_version: int = CURRENT_FORMAT
     entries_per_block: int = 0
     block_count: int = 0
     block_index_offset: int = 0
@@ -147,9 +133,9 @@ class TableFooter:
     data_stored_bytes: int = 0
 
     def pack(self) -> bytes:
-        """Serialise as a v2 footer (self-checksummed)."""
-        head = _FOOTER_V2.pack(
-            _MAGIC_V2, self.format_version, self.entry_count,
+        """Serialise (self-checksummed)."""
+        head = _FOOTER.pack(
+            _MAGIC, TABLE_FORMAT, self.entry_count,
             self.entry_bytes, self.value_capacity, self.entries_per_block,
             self.block_count, self.block_index_offset, self.block_index_len,
             self.block_index_crc, self.index_offset, self.index_len,
@@ -160,29 +146,29 @@ class TableFooter:
 
     @classmethod
     def unpack(cls, data: bytes, name: str = "?") -> "TableFooter":
-        """Decode a v2 footer, verifying magic, version and self-CRC."""
+        """Decode a footer: self-CRC first, then magic and version."""
         if len(data) != FOOTER_BYTES:
             raise CorruptionError(
-                f"footer must be {FOOTER_BYTES} bytes, got {len(data)}")
+                f"table {name}: footer must be {FOOTER_BYTES} bytes, "
+                f"got {len(data)}")
         (magic, format_version, entry_count, entry_bytes, value_capacity,
          entries_per_block, block_count, block_index_offset,
          block_index_len, block_index_crc, index_offset, index_len,
          index_crc, bloom_offset, bloom_len, bloom_crc, data_raw_bytes,
          data_stored_bytes, min_key, max_key, level, max_seq,
-         footer_crc) = _FOOTER_V2.unpack(data)
-        if magic != _MAGIC_V2:
-            raise CorruptionError(f"bad table magic: {magic:#x}")
+         footer_crc) = _FOOTER.unpack(data)
         if crc32c(data[:-4]) != footer_crc:
             raise ChecksumError(name, "footer")
-        if format_version != FORMAT_BLOCKED:
+        if magic != _MAGIC or format_version != TABLE_FORMAT:
             raise CorruptionError(
-                f"unsupported table version: {format_version}")
+                f"table {name}: unsupported format version "
+                f"{format_version} (magic {magic:#x}); only version "
+                f"{TABLE_FORMAT} is readable")
         return cls(entry_count=entry_count, entry_bytes=entry_bytes,
                    value_capacity=value_capacity, index_offset=index_offset,
                    index_len=index_len, bloom_offset=bloom_offset,
                    bloom_len=bloom_len, min_key=min_key, max_key=max_key,
                    level=level, max_seq=max_seq,
-                   format_version=format_version,
                    entries_per_block=entries_per_block,
                    block_count=block_count,
                    block_index_offset=block_index_offset,
@@ -190,33 +176,6 @@ class TableFooter:
                    block_index_crc=block_index_crc, index_crc=index_crc,
                    bloom_crc=bloom_crc, data_raw_bytes=data_raw_bytes,
                    data_stored_bytes=data_stored_bytes)
-
-    def pack_v1(self) -> bytes:
-        """Serialise as a legacy v1 footer (flat format, no checksums)."""
-        return _FOOTER_V1.pack(
-            _MAGIC_V1, 1, self.entry_count, self.entry_bytes,
-            self.value_capacity, self.index_offset, self.index_len,
-            self.bloom_offset, self.bloom_len, self.min_key, self.max_key,
-            self.level, self.max_seq)
-
-    @classmethod
-    def unpack_v1(cls, data: bytes) -> "TableFooter":
-        """Decode a legacy v1 footer."""
-        if len(data) != FOOTER_V1_BYTES:
-            raise CorruptionError(
-                f"v1 footer must be {FOOTER_V1_BYTES} bytes, got {len(data)}")
-        (magic, version, entry_count, entry_bytes, value_capacity,
-         index_offset, index_len, bloom_offset, bloom_len,
-         min_key, max_key, level, max_seq) = _FOOTER_V1.unpack(data)
-        if magic != _MAGIC_V1:
-            raise CorruptionError(f"bad table magic: {magic:#x}")
-        if version != 1:
-            raise CorruptionError(f"unsupported table version: {version}")
-        size = entry_count * entry_bytes
-        return cls(entry_count, entry_bytes, value_capacity, index_offset,
-                   index_len, bloom_offset, bloom_len, min_key, max_key,
-                   level, max_seq, format_version=FORMAT_FLAT,
-                   data_raw_bytes=size, data_stored_bytes=size)
 
 
 def entries_per_block_for(options: Options) -> int:
@@ -316,7 +275,7 @@ class TableBuilder:
         stats = self.stats
 
         blocks, handles, raw_total, stored_total = self._encode_data_blocks()
-        header_head = _HEADER.pack(_MAGIC_V2, FORMAT_BLOCKED,
+        header_head = _HEADER.pack(_MAGIC, TABLE_FORMAT,
                                    self.options.entry_bytes, 0)[:-4]
         header = header_head + struct.pack("<I", crc32c(header_head))
 
@@ -366,7 +325,6 @@ class TableBuilder:
             max_key=self._keys[-1],
             level=self.level,
             max_seq=self._max_seq,
-            format_version=FORMAT_BLOCKED,
             entries_per_block=entries_per_block_for(self.options),
             block_count=len(handles),
             block_index_offset=block_index_offset,
@@ -389,52 +347,6 @@ class TableBuilder:
                      data_cache=self.data_cache)
 
 
-def write_legacy_table(device: BlockDevice, name: str, options: Options,
-                       records: Sequence[Record],
-                       index_factory: Optional[IndexFactory] = None,
-                       level: int = 0) -> None:
-    """Write a v1 flat-format table file (migration and oracle tests).
-
-    This is the exact pre-block layout: the entry array at offset 0,
-    then the index payload, bloom and v1 footer — no headers, no
-    checksums.  Production code never writes v1; compactions upgrade
-    such files to the current format.
-    """
-    keys = [record.key for record in records]
-    if not keys:
-        raise CorruptionError("cannot write an empty table")
-    if any(b <= a for a, b in zip(keys, keys[1:])):
-        raise CorruptionError("legacy table keys must strictly increase")
-    data = b"".join(encode_entry(record, options.value_capacity)
-                    for record in records)
-    index_payload = b""
-    if index_factory is not None:
-        index = index_factory.create()
-        index.build(keys)
-        index_payload = index.serialize()
-    bloom_payload = BloomFilter.build(
-        keys, options.bloom_bits_for(level)).serialize()
-    footer = TableFooter(
-        entry_count=len(keys),
-        entry_bytes=options.entry_bytes,
-        value_capacity=options.value_capacity,
-        index_offset=len(data),
-        index_len=len(index_payload),
-        bloom_offset=len(data) + len(index_payload),
-        bloom_len=len(bloom_payload),
-        min_key=keys[0],
-        max_key=keys[-1],
-        level=level,
-        max_seq=max(record.seq for record in records),
-        format_version=FORMAT_FLAT,
-        data_raw_bytes=len(data),
-        data_stored_bytes=len(data),
-    )
-    device.create(name)
-    device.append(name, data + index_payload + bloom_payload
-                  + footer.pack_v1())
-
-
 class Table:
     """An open, immutable table: the paper's ``LearnedIndexTable``.
 
@@ -447,8 +359,8 @@ class Table:
     def __init__(self, device: BlockDevice, name: str, options: Options,
                  stats: Stats, cost: CostModel, footer: TableFooter,
                  index: Optional[ClusteredIndex], bloom: BloomFilter,
+                 handles: List[Tuple[int, int, int, int]],
                  keys: Optional[List[int]] = None,
-                 handles: Optional[List[Tuple[int, int, int, int]]] = None,
                  data_cache: Optional[DataBlockCache] = None) -> None:
         self.device = device
         self.name = name
@@ -459,7 +371,7 @@ class Table:
         self.index = index
         self.bloom = bloom
         self.data_cache = data_cache
-        #: Sparse block index rows (v2 only): one
+        #: Sparse block index rows: one
         #: ``(first_key, offset, stored_len, raw_len)`` per data block.
         self.handles = handles
         #: Data blocks whose stored checksum has been verified by this
@@ -480,23 +392,22 @@ class Table:
     @classmethod
     def open(cls, device: BlockDevice, name: str, options: Options,
              stats: Stats, cost: CostModel,
-             data_cache: Optional[DataBlockCache] = None,
-             expected_format: Optional[int] = None) -> "Table":
+             data_cache: Optional[DataBlockCache] = None) -> "Table":
         """Open a table from the device (recovery path).
 
-        The footer magic decides the format: v2 footers are
-        self-checksummed and followed by header, block-index, index and
-        bloom verification; v1 files take the legacy flat path.  When
-        the caller knows the format the Manifest recorded,
-        ``expected_format`` cross-checks it against the file itself.
-        The embedded index payload is *deserialized*, never retrained —
-        per-table models pay their training cost exactly once, at build
-        time.  All open reads are charged to the RECOVERY stage so
-        cold-open experiments can report them.
+        The self-checksummed footer is verified first, then its magic
+        and format version, then header, block index, learned index and
+        bloom against the CRCs the footer records.  The embedded index
+        payload is *deserialized*, never retrained — per-table models
+        pay their training cost exactly once, at build time.  All open
+        reads are charged to the RECOVERY stage so cold-open
+        experiments can report them.
         """
         size = device.size(name)
-        if size < FOOTER_V1_BYTES:
-            raise CorruptionError(f"table {name} too small for a footer")
+        if size < HEADER_BYTES + FOOTER_BYTES:
+            raise CorruptionError(
+                f"table {name}: {size} bytes is too small for a header "
+                f"and a footer ({HEADER_BYTES + FOOTER_BYTES})")
         retry = options.retry
 
         def pread(offset: int, length: int) -> bytes:
@@ -506,69 +417,48 @@ class Table:
             return retry.call(lambda: device.pread(name, offset, length),
                               stats, Stage.RECOVERY)
 
-        footer: Optional[TableFooter] = None
-        if size >= FOOTER_BYTES:
-            tail = pread(size - FOOTER_BYTES, FOOTER_BYTES)
-            if struct.unpack_from("<Q", tail)[0] == _MAGIC_V2:
-                footer = TableFooter.unpack(tail, name)
-                stats.charge(Stage.RECOVERY, cost.read_us(
-                    cost.blocks_spanned(size - FOOTER_BYTES, FOOTER_BYTES)))
-        if footer is None:
-            tail = pread(size - FOOTER_V1_BYTES, FOOTER_V1_BYTES)
-            footer = TableFooter.unpack_v1(tail)
+        def charge(offset: int, length: int) -> None:
             stats.charge(Stage.RECOVERY, cost.read_us(
-                cost.blocks_spanned(size - FOOTER_V1_BYTES, FOOTER_V1_BYTES)))
-        if (expected_format is not None
-                and footer.format_version != expected_format):
-            raise CorruptionError(
-                f"table {name}: manifest records format "
-                f"{expected_format}, file footer says "
-                f"{footer.format_version}")
+                cost.blocks_spanned(offset, length)))
 
-        handles: Optional[List[Tuple[int, int, int, int]]] = None
-        if footer.format_version == FORMAT_BLOCKED:
-            header = pread(0, HEADER_BYTES)
-            if (len(header) != HEADER_BYTES
-                    or crc32c(header[:-4])
-                    != struct.unpack("<I", header[-4:])[0]):
-                raise ChecksumError(name, "header")
-            magic, format_version, entry_bytes, _ = _HEADER.unpack(header)
-            if (magic != _MAGIC_V2 or format_version != FORMAT_BLOCKED
-                    or entry_bytes != footer.entry_bytes):
-                raise ChecksumError(name, "header",
-                                    detail="header disagrees with footer")
-            payload = pread(footer.block_index_offset,
-                           footer.block_index_len)
-            if crc32c(payload) != footer.block_index_crc:
-                raise ChecksumError(name, "block_index")
-            handles = list(_BLOCK_INDEX_ENTRY.iter_unpack(payload))
-            if len(handles) != footer.block_count:
-                raise ChecksumError(
-                    name, "block_index",
-                    detail=f"{len(handles)} rows, footer says "
-                           f"{footer.block_count}")
-            stats.charge(Stage.RECOVERY, cost.read_us(
-                cost.blocks_spanned(0, HEADER_BYTES)))
-            stats.charge(Stage.RECOVERY, cost.read_us(
-                cost.blocks_spanned(footer.block_index_offset,
-                                    footer.block_index_len)))
+        footer = TableFooter.unpack(
+            pread(size - FOOTER_BYTES, FOOTER_BYTES), name)
+        charge(size - FOOTER_BYTES, FOOTER_BYTES)
+
+        header = pread(0, HEADER_BYTES)
+        if (len(header) != HEADER_BYTES
+                or crc32c(header[:-4])
+                != struct.unpack("<I", header[-4:])[0]):
+            raise ChecksumError(name, "header")
+        magic, format_version, entry_bytes, _ = _HEADER.unpack(header)
+        if (magic != _MAGIC or format_version != TABLE_FORMAT
+                or entry_bytes != footer.entry_bytes):
+            raise ChecksumError(name, "header",
+                                detail="header disagrees with footer")
+        payload = pread(footer.block_index_offset, footer.block_index_len)
+        if crc32c(payload) != footer.block_index_crc:
+            raise ChecksumError(name, "block_index")
+        handles = list(_BLOCK_INDEX_ENTRY.iter_unpack(payload))
+        if len(handles) != footer.block_count:
+            raise ChecksumError(
+                name, "block_index",
+                detail=f"{len(handles)} rows, footer says "
+                       f"{footer.block_count}")
+        charge(0, HEADER_BYTES)
+        charge(footer.block_index_offset, footer.block_index_len)
 
         index = None
         if footer.index_len:
             payload = pread(footer.index_offset, footer.index_len)
-            if (footer.format_version == FORMAT_BLOCKED
-                    and crc32c(payload) != footer.index_crc):
+            if crc32c(payload) != footer.index_crc:
                 raise ChecksumError(name, "index")
             index = deserialize_index(payload)
-            stats.charge(Stage.RECOVERY, cost.read_us(
-                cost.blocks_spanned(footer.index_offset, footer.index_len)))
+            charge(footer.index_offset, footer.index_len)
         bloom_payload = pread(footer.bloom_offset, footer.bloom_len)
-        if (footer.format_version == FORMAT_BLOCKED
-                and crc32c(bloom_payload) != footer.bloom_crc):
+        if crc32c(bloom_payload) != footer.bloom_crc:
             raise ChecksumError(name, "bloom")
         bloom = BloomFilter.deserialize(bloom_payload)
-        stats.charge(Stage.RECOVERY, cost.read_us(
-            cost.blocks_spanned(footer.bloom_offset, footer.bloom_len)))
+        charge(footer.bloom_offset, footer.bloom_len)
         return cls(device=device, name=name, options=options, stats=stats,
                    cost=cost, footer=footer, index=index, bloom=bloom,
                    handles=handles, data_cache=data_cache)
@@ -612,11 +502,6 @@ class Table:
         return self.footer.entry_count
 
     @property
-    def format_version(self) -> int:
-        """On-disk format of the backing file (1 flat, 2 blocked)."""
-        return self.footer.format_version
-
-    @property
     def min_key(self) -> int:
         """Smallest user key."""
         return self.footer.min_key
@@ -656,13 +541,10 @@ class Table:
 
         Learned-index predictions are entry-granular; fetches are
         block-granular, so the effective bound is the predicted one
-        rounded out to block boundaries.  v1 tables fetch at byte
-        offsets and keep the entry-granular bound.
+        rounded out to block boundaries.
         """
-        per = self.footer.entries_per_block
-        if not per:
-            return bound
-        return bound.block_aligned(per, self.footer.entry_count)
+        return bound.block_aligned(self.footer.entries_per_block,
+                                   self.footer.entry_count)
 
     @property
     def quarantined_blocks(self) -> Set[int]:
@@ -688,7 +570,7 @@ class Table:
             if self.data_cache is not None:
                 self.data_cache.quarantine(self.name, block_no)
             device_quarantine = getattr(self.device, "quarantine", None)
-            if (device_quarantine is not None and self.handles is not None
+            if (device_quarantine is not None
                     and block_no < len(self.handles)):
                 _, offset, stored_len, _ = self.handles[block_no]
                 block_size = self.device.block_size
@@ -746,9 +628,8 @@ class Table:
         per-data-block pread would charge a device transfer several
         times for the same device block.  Reading the covering byte
         span in one call charges exactly the device blocks the run
-        spans — the same transfer volume the flat format's single
-        segment fetch pays — then verifies and decodes each data block
-        out of the buffer.
+        spans, then verifies and decodes each data block out of the
+        buffer.
         """
         first_no, last_no = block_nos[0], block_nos[-1]
         offset = self.handles[first_no][1]
@@ -782,46 +663,19 @@ class Table:
                                                stage))
         return decoded
 
-    def _read_entries_flat(self, lo: int, hi: int, stage: Stage,
-                           *, seeks: int) -> bytes:
-        """The v1 byte-offset read path (entries live flat at offset 0)."""
-        entry_bytes = self.footer.entry_bytes
-        offset = lo * entry_bytes
-        length = (hi - lo) * entry_bytes
-        data, hit_frac = self.options.retry.call(
-            lambda: self.device.pread_cached(self.name, offset, length),
-            self.stats, stage)
-        nblocks = self.cost.blocks_spanned(offset, length)
-        if hit_frac > 0.0:
-            hit_blocks = nblocks * hit_frac
-            miss_blocks = nblocks - hit_blocks
-            charged_seeks = seeks if miss_blocks else 0
-            us = self.cost.read_us(miss_blocks, seeks=charged_seeks)
-            us += hit_blocks * self.cost.cache_block_us
-        else:
-            charged_seeks = seeks
-            us = self.cost.read_us(nblocks, seeks=seeks)
-        if charged_seeks:
-            self.stats.add(SEEKS, charged_seeks)
-        self.stats.charge(stage, us)
-        return data
-
     def read_entries(self, lo: int, hi: int, stage: Stage,
                      *, seeks: int = 1) -> bytes:
         """Fetch entries [lo, hi) from the device, charging ``stage``.
 
-        On v2 tables this resolves to whole data blocks — data cache,
-        then device (verify + decode on miss) — and slices the request
-        out of the covering span.  At most ``seeks`` seeks are charged
-        per call: one pread covers a contiguous block run, exactly like
-        the flat format's single segment fetch.  Blocks served by a
+        This resolves to whole data blocks — data cache, then device
+        (verify + decode on miss) — and slices the request out of the
+        covering span.  At most ``seeks`` seeks are charged per call:
+        one pread covers a contiguous block run.  Blocks served by a
         cache tier are charged at memory-copy cost instead of seek +
         transfer.
         """
         if hi <= lo:
             return b""
-        if self.footer.format_version == FORMAT_FLAT:
-            return self._read_entries_flat(lo, hi, stage, seeks=seeks)
         per = self.footer.entries_per_block
         first = lo // per
         last = (hi - 1) // per
@@ -956,10 +810,10 @@ class Table:
         coalesced into maximal runs: a bound that overlaps, adjoins, or
         sits within a cheaper-than-a-seek gap of the current run (see
         :meth:`_coalesce_gap_entries`) extends it instead of opening a
-        new pread — on the block format runs therefore cover whole-block
-        spans.  Each run costs **one seek plus its sequential blocks**;
-        every key is then binary-searched inside its own bound within
-        the shared buffer.  With ``coalesce=False`` every bound is its
+        new pread, so runs cover whole-block spans.  Each run costs
+        **one seek plus its sequential blocks**; every key is then
+        binary-searched inside its own bound within the shared
+        buffer.  With ``coalesce=False`` every bound is its
         own run (the per-key cost shape, batched only in control flow) —
         the knob the ``multiget`` experiment sweeps.
 
@@ -1051,10 +905,9 @@ class TableIterator(KVIterator):
 
     The initial positioning of :meth:`seek` uses the learned index and
     charges the point-lookup stages; subsequent :meth:`advance` calls
-    stream forward one data block (v2) or device block (v1) at a time
-    charging ``refill_stage`` (SCAN for range queries, COMPACT_READ for
-    compaction inputs), mirroring the paper's range-lookup
-    implementation.
+    stream forward one data block at a time charging ``refill_stage``
+    (SCAN for range queries, COMPACT_READ for compaction inputs),
+    mirroring the paper's range-lookup implementation.
     """
 
     def __init__(self, table: Table, refill_stage: Stage) -> None:
@@ -1067,13 +920,6 @@ class TableIterator(KVIterator):
 
     # -- buffer management ----------------------------------------------
 
-    def _entries_per_refill(self) -> int:
-        per = self.table.footer.entries_per_block
-        if per:
-            return per
-        entry_bytes = self.table.footer.entry_bytes
-        return max(1, self.table.device.block_size // entry_bytes)
-
     def _fetch(self, lo: int, hi: int, stage: Stage, seeks: int) -> None:
         hi = min(hi, self.table.entry_count)
         self._buf = self.table.read_entries(lo, hi, stage, seeks=seeks)
@@ -1083,16 +929,10 @@ class TableIterator(KVIterator):
     def _ensure_buffered(self, pos: int) -> None:
         if self._buf_lo <= pos < self._buf_hi:
             return
-        per = self._entries_per_refill()
-        # Align refills to blocks (data blocks on v2; device blocks on
-        # v1 when entries pack evenly) so sequential scans read each
+        per = self.table.footer.entries_per_block
+        # Align refills to data blocks so sequential scans read each
         # block exactly once regardless of where the initial seek landed.
-        entry_bytes = self.table.footer.entry_bytes
-        if (self.table.footer.entries_per_block
-                or self.table.device.block_size % entry_bytes == 0):
-            lo = pos - (pos % per)
-        else:
-            lo = pos
+        lo = pos - (pos % per)
         self._fetch(lo, lo + per, self.refill_stage, seeks=0)
 
     # -- KVIterator ---------------------------------------------------------
@@ -1100,8 +940,8 @@ class TableIterator(KVIterator):
     def seek_to_first(self) -> None:
         self._pos = 0
         if self.table.entry_count:
-            self._fetch(0, self._entries_per_refill(), self.refill_stage,
-                        seeks=1)
+            self._fetch(0, self.table.footer.entries_per_block,
+                        self.refill_stage, seeks=1)
 
     def seek(self, key: int) -> None:
         table = self.table

@@ -52,30 +52,23 @@ MANIFEST_TMP_NAME = "manifest.tmp"
 _TAG_KIND = 1
 _TAG_NEXT_FILE_NUMBER = 2
 _TAG_LAST_SEQ = 3
-_TAG_ADD_FILE = 4          # legacy: flat-format (v1) files, no format field
 _TAG_DELETE_FILE = 5
 _TAG_MODEL_POINTER = 6
-_TAG_ADD_FILE_V2 = 7       # carries the table format_version
+_TAG_ADD_FILE = 7          # 4 is retired (flat-format adds): never reuse
 
-#: Table format versions; these mirror ``repro.lsm.sstable.FORMAT_*``
-#: (duplicated here because persist sits below lsm in the layering —
-#: a structural test asserts the two stay equal).  Legacy ``ADD_FILE``
-#: records predate the block format, so they decode as FLAT: that is
-#: how a manifest written before this change correctly labels its
-#: files, and why the scan-fallback snapshot must record each table's
-#: *actual* footer format rather than assuming the current one.
-TABLE_FORMAT_FLAT = 1
-TABLE_FORMAT_BLOCKED = 2
+#: The one SSTable format version.  Table headers and footers and every
+#: add-file record carry it; :mod:`repro.lsm.sstable` imports it from
+#: here because persist sits below lsm in the layering.  A record or a
+#: file naming any other version is refused, never reinterpreted.
+TABLE_FORMAT = 3
 
 
 @dataclass
 class VersionEdit:
     """One atomic change to the version: the unit of manifest commit.
 
-    ``adds`` holds ``(level, number, name, format_version)`` tuples —
-    the format field lets recovery detect legacy flat-format files
-    without probing footers; ``deletes`` hold ``(level, number, name)``
-    triples; ``model_pointers`` maps a level to the ``mdl-*`` sidecar
+    ``adds`` and ``deletes`` hold ``(level, number, name)`` triples;
+    ``model_pointers`` maps a level to the ``mdl-*`` sidecar
     holding its current learned model (the empty string clears the
     pointer, i.e. invalidates any previously persisted model for that
     level).
@@ -84,16 +77,15 @@ class VersionEdit:
     kind: str = ""
     next_file_number: Optional[int] = None
     last_seq: Optional[int] = None
-    adds: List[Tuple[int, int, str, int]] = field(default_factory=list)
+    adds: List[Tuple[int, int, str]] = field(default_factory=list)
     deletes: List[Tuple[int, int, str]] = field(default_factory=list)
     model_pointers: Dict[int, str] = field(default_factory=dict)
 
     # -- construction helpers ------------------------------------------
 
-    def add_file(self, level: int, number: int, name: str,
-                 format_version: int = TABLE_FORMAT_BLOCKED) -> None:
+    def add_file(self, level: int, number: int, name: str) -> None:
         """Record that ``name`` (file ``number``) joined ``level``."""
-        self.adds.append((level, number, name, format_version))
+        self.adds.append((level, number, name))
 
     def delete_file(self, level: int, number: int, name: str) -> None:
         """Record that ``name`` (file ``number``) left ``level``."""
@@ -125,11 +117,11 @@ class VersionEdit:
         if self.last_seq is not None:
             writer.put_u8(_TAG_LAST_SEQ)
             writer.put_u64(self.last_seq)
-        for level, number, name, format_version in self.adds:
-            writer.put_u8(_TAG_ADD_FILE_V2)
+        for level, number, name in self.adds:
+            writer.put_u8(_TAG_ADD_FILE)
             writer.put_u32(level)
             writer.put_u64(number)
-            writer.put_u32(format_version)
+            writer.put_u32(TABLE_FORMAT)
             writer.put_bytes(name.encode("utf-8"))
         for level, number, name in self.deletes:
             writer.put_u8(_TAG_DELETE_FILE)
@@ -156,20 +148,16 @@ class VersionEdit:
             elif tag == _TAG_LAST_SEQ:
                 edit.last_seq = reader.get_u64()
             elif tag == _TAG_ADD_FILE:
-                # Legacy record: written before tables carried a format
-                # field, i.e. while the flat format was current.
-                level = reader.get_u32()
-                number = reader.get_u64()
-                edit.adds.append(
-                    (level, number, reader.get_bytes().decode("utf-8"),
-                     TABLE_FORMAT_FLAT))
-            elif tag == _TAG_ADD_FILE_V2:
                 level = reader.get_u32()
                 number = reader.get_u64()
                 format_version = reader.get_u32()
-                edit.adds.append(
-                    (level, number, reader.get_bytes().decode("utf-8"),
-                     format_version))
+                name = reader.get_bytes().decode("utf-8")
+                if format_version != TABLE_FORMAT:
+                    raise CorruptionError(
+                        f"manifest names {name} (#{number}) in table "
+                        f"format {format_version}; only format "
+                        f"{TABLE_FORMAT} is readable")
+                edit.adds.append((level, number, name))
             elif tag == _TAG_DELETE_FILE:
                 level = reader.get_u32()
                 number = reader.get_u64()
@@ -188,9 +176,8 @@ class VersionEdit:
 class ManifestState:
     """The accumulated result of replaying a manifest prefix."""
 
-    #: file number -> (level, device file name, table format_version)
-    #: for every live file.
-    files: Dict[int, Tuple[int, str, int]] = field(default_factory=dict)
+    #: file number -> (level, device file name) for every live file.
+    files: Dict[int, Tuple[int, str]] = field(default_factory=dict)
     #: level -> live ``mdl-*`` sidecar name.
     model_pointers: Dict[int, str] = field(default_factory=dict)
     next_file_number: int = 0
@@ -209,11 +196,11 @@ class ManifestState:
                 raise CorruptionError(
                     f"manifest deletes unknown file {name} (#{number})")
             self.files.pop(number)
-        for level, number, name, format_version in edit.adds:
+        for level, number, name in edit.adds:
             if number in self.files:
                 raise CorruptionError(
                     f"manifest adds duplicate file {name} (#{number})")
-            self.files[number] = (level, name, format_version)
+            self.files[number] = (level, name)
         for level, sidecar in edit.model_pointers.items():
             if sidecar:
                 self.model_pointers[level] = sidecar
@@ -236,7 +223,7 @@ class ManifestState:
 
     def live_names(self) -> set:
         """Every device file name the state references (data + models)."""
-        names = {name for _, name, _ in self.files.values()}
+        names = {name for _, name in self.files.values()}
         names.update(sidecar for sidecar in self.model_pointers.values())
         return names
 

@@ -1,6 +1,6 @@
 """Corruption-injection suite for the block SSTable format.
 
-Every byte region of a v2 table file — header, each data block, sparse
+Every byte region of a table file — header, each data block, sparse
 block index, learned index, bloom filter, footer — is flipped and the
 reader must fail with a *typed* error naming the file (and, for data
 blocks, the block number).  The invariant under test: a corrupted table
@@ -9,6 +9,7 @@ only itself — every other block keeps serving reads.
 """
 
 import struct
+import zlib
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.lsm.sstable import (
 from repro.storage.block_cache import CachedBlockDevice, DataBlockCache
 from repro.storage.block_device import MemoryBlockDevice
 from repro.storage.cost_model import CostModel
-from repro.storage.stats import (CHECKSUM_FAILURES,
+from repro.storage.stats import (BYTES_READ, CHECKSUM_FAILURES,
                                  QUARANTINED_BLOCKS, Stats)
 
 NAME = "sst-000001"
@@ -88,27 +89,51 @@ def test_metadata_corruption_detected_at_open(region):
     for offset in (start, start + length // 2, start + length - 1):
         fresh_table, fresh_device, _, _, _, _ = _build()
         _flip(fresh_device, offset)
-        with pytest.raises(CorruptionError) as excinfo:
+        with pytest.raises(ChecksumError) as excinfo:
             _reopen(fresh_device, options, cost)
-        if isinstance(excinfo.value, ChecksumError):
-            assert excinfo.value.file == NAME
-            # The reported region is the flipped one, except that a
-            # header flip may first surface as a footer/header
-            # disagreement and a footer flip that hits the magic
-            # falls back to (and fails) the legacy v1 path.
-            assert excinfo.value.region in (region, "header")
+        assert excinfo.value.file == NAME
+        assert excinfo.value.region == region
 
 
 def test_footer_crc_flip_names_the_footer():
     table, device, _, options, cost, _ = _build()
     size = device.size(NAME)
-    # Flip inside the footer body but past the magic, so the v2 probe
-    # still engages and the footer's own CRC must catch it.
+    # Flip inside the footer body: the footer's own CRC must catch it.
     _flip(device, size - FOOTER_BYTES + 16)
     with pytest.raises(ChecksumError) as excinfo:
         _reopen(device, options, cost)
     assert excinfo.value.file == NAME
     assert excinfo.value.region == "footer"
+
+
+def test_sealed_footer_of_another_version_is_refused_by_name():
+    table, device, _, options, cost, _ = _build()
+    size = device.size(NAME)
+    raw = bytearray(device.pread(NAME, 0, size))
+    # Footer: magic u64, then the format version u32; reseal it so only
+    # the version check can object.
+    struct.pack_into("<I", raw, size - FOOTER_BYTES + 8, 2)
+    struct.pack_into("<I", raw, size - 4,
+                     zlib.crc32(bytes(raw[size - FOOTER_BYTES:size - 4])))
+    device.create(NAME)
+    device.append(NAME, bytes(raw))
+    with pytest.raises(CorruptionError) as excinfo:
+        _reopen(device, options, cost)
+    assert not isinstance(excinfo.value, ChecksumError)
+    assert NAME in str(excinfo.value)
+    assert "version 2" in str(excinfo.value)
+
+
+def test_file_too_short_for_header_and_footer_is_refused_unread():
+    _, device, stats, options, cost, _ = _build()
+    raw = device.pread(NAME, 0, device.size(NAME))
+    device.create(NAME)
+    device.append(NAME, raw[-(HEADER_BYTES + FOOTER_BYTES - 1):])
+    read_before = stats.get(BYTES_READ)
+    with pytest.raises(CorruptionError) as excinfo:
+        _reopen(device, options, cost)
+    assert NAME in str(excinfo.value)
+    assert stats.get(BYTES_READ) == read_before
 
 
 # -- data blocks: detected at first read, named by number --------------

@@ -8,9 +8,9 @@ every registered codec, asserting:
   through get, multi_get, read_entries and the iterator;
 * **sparse-index invariants** — block first-keys and offsets strictly
   increase, raw lengths tile the entry array exactly;
-* **flat-vs-block oracle equality** — a v1 flat table over the same
-  records answers every probe identically (hits, misses, scans),
-  with and without the cache tiers.
+* **oracle equality** — every probe (hits, misses, scans) answers
+  exactly what the generated records say, with and without the cache
+  tiers.
 """
 
 from hypothesis import given, settings
@@ -18,15 +18,12 @@ from hypothesis import strategies as st
 
 from repro.indexes.registry import IndexFactory, IndexKind
 from repro.lsm.options import small_test_options
-from repro.lsm.record import make_value
+from repro.lsm.record import encode_entry, make_value
 from repro.lsm.sstable import (
-    FORMAT_BLOCKED,
-    FORMAT_FLAT,
     HEADER_BYTES,
     Table,
     TableBuilder,
     entries_per_block_for,
-    write_legacy_table,
 )
 from repro.storage.block_cache import CachedBlockDevice, DataBlockCache
 from repro.storage.block_device import MemoryBlockDevice
@@ -71,17 +68,6 @@ def _build_blocked(records, data_block_bytes, codec, data_cache=None,
     return builder.finish(), device, options, cost, stats
 
 
-def _build_flat(records):
-    options = small_test_options(index_kind=IndexKind.PGM,
-                                 position_boundary=8)
-    stats = Stats()
-    device = MemoryBlockDevice(block_size=options.block_size, stats=stats)
-    cost = CostModel(block_size=options.block_size)
-    write_legacy_table(device, "sst-000001", options, records,
-                       index_factory=IndexFactory(IndexKind.PGM, 8))
-    return Table.open(device, "sst-000001", options, stats, cost)
-
-
 def _probe_keys(keys):
     """Present keys plus misses between, below and above them."""
     probes = list(keys)
@@ -98,40 +84,36 @@ def test_roundtrip_and_oracle_equality(keys, block_bytes, codec):
     sorted_keys = [record.key for record in records]
     table, device, options, cost, stats = _build_blocked(
         records, block_bytes, codec)
-    oracle = _build_flat(records)
-    assert table.format_version == FORMAT_BLOCKED
-    assert oracle.format_version == FORMAT_FLAT
-    assert table.entry_count == oracle.entry_count == len(records)
+    oracle = {record.key: record for record in records}
+    assert table.entry_count == len(records)
 
-    # Full-array read-back is byte-identical to the flat layout.
+    # Full-array read-back is byte-identical to the encoded entries.
     assert (table.read_entries(0, len(records), Stage.IO)
-            == oracle.read_entries(0, len(records), Stage.IO))
+            == b"".join(encode_entry(record, options.value_capacity)
+                        for record in records))
 
     probes = _probe_keys(sorted_keys)
     for key in probes:
-        got = table.get(key)
-        want = oracle.get(key)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got.key == want.key
-            assert got.value == want.value
-            assert got.seq == want.seq
+        assert table.get(key) == oracle.get(key)
 
+    present = {key: oracle[key] for key in probes if key in oracle}
     for coalesce in (True, False):
-        batched = table.multi_get(probes, coalesce=coalesce)
-        assert batched == oracle.multi_get(probes)
+        assert table.multi_get(probes, coalesce=coalesce) == present
 
     # Iterator equality: full scan and a mid-table seek.
-    for seek_key in (None, sorted_keys[len(sorted_keys) // 2]):
-        a, b = table.iterator(), oracle.iterator()
+    middle = len(records) // 2
+    for seek_key, expected in ((None, records),
+                               (sorted_keys[middle], records[middle:])):
+        cursor = table.iterator()
         if seek_key is None:
-            a.seek_to_first(), b.seek_to_first()
+            cursor.seek_to_first()
         else:
-            a.seek(seek_key), b.seek(seek_key)
-        while a.valid() or b.valid():
-            assert a.valid() and b.valid()
-            assert a.record() == b.record()
-            a.advance(), b.advance()
+            cursor.seek(seek_key)
+        for want in expected:
+            assert cursor.valid()
+            assert cursor.record() == want
+            cursor.advance()
+        assert not cursor.valid()
 
     # Clean runs verify blocks and never count a failure.
     assert stats.get(CHECKSUM_FAILURES) == 0
@@ -189,16 +171,11 @@ def test_cache_tiers_never_change_results(keys, block_bytes, codec,
     table, device, options, cost, stats = _build_blocked(
         records, block_bytes, codec, data_cache=data_cache,
         cache_bytes=(1 << 20) if raw_cache else 0)
-    oracle = _build_flat(records)
+    oracle = {record.key: record for record in records}
     probes = _probe_keys(sorted_keys)
     for repeat in range(2):  # second pass runs hot through the caches
         for key in probes:
-            got = table.get(key)
-            want = oracle.get(key)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert (got.key, got.seq, got.value) == \
-                    (want.key, want.seq, want.value)
+            assert table.get(key) == oracle.get(key)
     assert stats.get(CHECKSUM_FAILURES) == 0
 
 
@@ -211,6 +188,16 @@ def test_single_entry_table_single_block():
     assert table.get(8) is None
     reopened = Table.open(device, "sst-000001", options, Stats(), cost)
     assert reopened.get(7).value == b"val-7"
+
+
+def test_stored_widths_match_the_previous_format():
+    # v3 changed the checksum function and nothing else: same header,
+    # trailer and footer widths.  The lengths are those of the same
+    # tables written as format v2 at commit ea17965.
+    records = _records(set(range(100, 200)))
+    for codec, file_bytes in (("none", 7481), ("zlib-1", 2604)):
+        _, device, _, _, _ = _build_blocked(records, 256, codec)
+        assert device.size("sst-000001") == file_bytes
 
 
 def test_compression_ratio_reported_per_table():

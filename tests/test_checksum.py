@@ -1,4 +1,4 @@
-"""Tests for the CRC32C (Castagnoli) implementation and block codecs."""
+"""Tests for the table checksum (CRC-32 via zlib) and block codecs."""
 
 import zlib
 
@@ -18,12 +18,12 @@ from repro.storage.compression import (
 )
 
 
-# -- CRC32C --------------------------------------------------------------
+# -- CRC-32 --------------------------------------------------------------
 
 
 def test_known_check_value():
-    # The CRC-32C check value from the iSCSI spec (RFC 3720).
-    assert crc32c(b"123456789") == 0xE3069283
+    # The CRC-32 (IEEE 802.3) check value.
+    assert crc32c(b"123456789") == 0xCBF43926
 
 
 def test_empty_and_trivial_inputs():
@@ -38,15 +38,6 @@ def test_chaining_equals_whole():
     assert crc32c(data[split:], crc32c(data[:split])) == crc32c(data)
 
 
-def test_scalar_and_vector_backends_agree():
-    # Bulk inputs take the numpy path (when present), short inputs the
-    # scalar path; both must produce identical digests.
-    for n in (0, 1, 255, 256, 257, 4096, 70000):
-        data = bytes((i * 131 + 17) % 256 for i in range(n))
-        scalar = checksum._crc_scalar(data, 0xFFFFFFFF) ^ 0xFFFFFFFF
-        assert scalar == crc32c(data), n
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.binary(max_size=2048), st.integers(0, 2047))
 def test_single_bit_flip_always_detected(data, position):
@@ -59,7 +50,7 @@ def test_single_bit_flip_always_detected(data, position):
 
 
 def test_backend_reported():
-    assert checksum.backend() in ("numpy", "scalar")
+    assert checksum.backend() == "zlib"
 
 
 # -- block codecs --------------------------------------------------------

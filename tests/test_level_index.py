@@ -6,6 +6,7 @@ from repro.lsm.options import small_test_options
 from repro.lsm.record import make_value
 from repro.lsm.sstable import TableBuilder
 from repro.lsm.version import FileMetaData
+from repro.persist.models import ModelStore
 from repro.storage.block_device import MemoryBlockDevice
 from repro.storage.cost_model import CostModel
 from repro.storage.stats import BLOCKS_READ, Stage, Stats
@@ -16,7 +17,8 @@ def _make_files(chunks):
     stats = Stats()
     device = MemoryBlockDevice(block_size=options.block_size, stats=stats)
     cost = CostModel(block_size=options.block_size)
-    manager = LevelModelManager(IndexFactory(IndexKind.PGM, 8), stats, cost)
+    manager = LevelModelManager(IndexFactory(IndexKind.PGM, 8), stats, cost,
+                                ModelStore(device))
     files = []
     for number, keys in enumerate(chunks, start=1):
         builder = TableBuilder(device, f"f{number}", options, None, stats,

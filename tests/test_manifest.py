@@ -5,10 +5,9 @@ import struct
 import pytest
 
 from repro.errors import CorruptionError
+from repro.indexes import codec
 from repro.persist.manifest import (
     MANIFEST_NAME,
-    TABLE_FORMAT_BLOCKED,
-    TABLE_FORMAT_FLAT,
     Manifest,
     ManifestState,
     VersionEdit,
@@ -60,31 +59,39 @@ def test_unknown_tag_raises():
         VersionEdit.decode(b"\xff")
 
 
-def test_legacy_add_file_tag_decodes_as_flat_format():
-    # Hand-build a payload using the pre-block-format ADD_FILE tag (4):
-    # tag u8 | level u32 | number u64 | name bytes — no format field.
-    from repro.indexes import codec
+def _add_file_payload(tag, format_version=None):
+    """A hand-built add-file record: tag u8 | level u32 | number u64 |
+    [format u32] | name bytes."""
     writer = codec.Writer()
-    writer.put_u8(4)
+    writer.put_u8(tag)
     writer.put_u32(1)
     writer.put_u64(7)
+    if format_version is not None:
+        writer.put_u32(format_version)
     writer.put_bytes(b"sst-000007")
-    decoded = VersionEdit.decode(writer.getvalue())
-    assert decoded.adds == [(1, 7, "sst-000007", TABLE_FORMAT_FLAT)]
-    # Re-encoding upgrades the record to the format-carrying tag, and
-    # the FLAT label survives the round trip.
-    assert VersionEdit.decode(decoded.encode()) == decoded
+    return writer.getvalue()
+
+
+def test_legacy_and_foreign_format_add_records_are_refused():
+    # Tag 4 was the flat-format add (no format field); tag 7 carries a
+    # format slot that must name the one readable format.
+    with pytest.raises(CorruptionError):
+        VersionEdit.decode(_add_file_payload(4))
+    for foreign in (1, 2, 4):
+        with pytest.raises(CorruptionError) as excinfo:
+            VersionEdit.decode(_add_file_payload(7, foreign))
+        assert "sst-000007" in str(excinfo.value)
+    decoded = VersionEdit.decode(_add_file_payload(7, 3))
+    assert decoded.adds == [(1, 7, "sst-000007")]
 
 
 def test_add_file_format_version_roundtrip():
+    # Same tag and same widths as before the format became v3 (so
+    # manifest bytes and write_amp did not move); the slot is always 3.
     edit = VersionEdit()
-    edit.add_file(0, 1, "sst-000001", TABLE_FORMAT_FLAT)
-    edit.add_file(0, 2, "sst-000002", TABLE_FORMAT_BLOCKED)
-    edit.add_file(0, 3, "sst-000003")  # defaults to current (blocked)
-    decoded = VersionEdit.decode(edit.encode())
-    assert decoded.adds == [(0, 1, "sst-000001", TABLE_FORMAT_FLAT),
-                            (0, 2, "sst-000002", TABLE_FORMAT_BLOCKED),
-                            (0, 3, "sst-000003", TABLE_FORMAT_BLOCKED)]
+    edit.add_file(1, 7, "sst-000007")
+    assert edit.encode() == _add_file_payload(7, 3)
+    assert VersionEdit.decode(edit.encode()) == edit
 
 
 # -- state accumulation --------------------------------------------------
@@ -99,7 +106,7 @@ def test_state_applies_adds_deletes_and_pointers():
                                (0, 2, "sst-000002")],
                       adds=[(1, 3, "sst-000003")],
                       pointers={1: "mdl-L01-000001"}))
-    assert state.files == {3: (1, "sst-000003", TABLE_FORMAT_BLOCKED)}
+    assert state.files == {3: (1, "sst-000003")}
     assert state.model_pointers == {1: "mdl-L01-000001"}
     assert state.last_seq == 20
     assert state.next_file_number == 3  # tracks the max file number seen
@@ -128,8 +135,8 @@ def test_append_and_replay():
     manifest.append(_edit(adds=[(0, 1, "sst-000001")], last_seq=5))
     manifest.append(_edit(adds=[(0, 2, "sst-000002")], last_seq=9))
     state = manifest.replay()
-    assert state.files == {1: (0, "sst-000001", TABLE_FORMAT_BLOCKED),
-                           2: (0, "sst-000002", TABLE_FORMAT_BLOCKED)}
+    assert state.files == {1: (0, "sst-000001"),
+                           2: (0, "sst-000002")}
     assert state.last_seq == 9
     assert state.edits_applied == 2
     assert stats.get(MANIFEST_EDITS) == 2
@@ -168,7 +175,7 @@ def test_replay_stops_at_crc_corruption():
     device.create(MANIFEST_NAME)
     device.append(MANIFEST_NAME, bytes(raw))
     state = manifest.replay()
-    assert state.files == {1: (0, "sst-000001", TABLE_FORMAT_BLOCKED)}
+    assert state.files == {1: (0, "sst-000001")}
     assert stats.get(MANIFEST_TORN_TAILS) == 1
 
 
@@ -183,8 +190,8 @@ def test_rewrite_compacts_log_and_preserves_state():
     long_size = manifest.size_bytes()
     snapshot = VersionEdit(kind="checkpoint", last_seq=before.last_seq,
                            next_file_number=before.next_file_number)
-    for number, (level, name, fmt) in before.files.items():
-        snapshot.add_file(level, number, name, fmt)
+    for number, (level, name) in before.files.items():
+        snapshot.add_file(level, number, name)
     manifest.rewrite(snapshot)
     after = manifest.replay()
     assert after.files == before.files

@@ -416,7 +416,7 @@ def test_sharded_observe_off_attaches_nothing():
 
 
 def test_sharded_reopen_traces_recovery_per_shard():
-    options = small_test_options(enable_manifest=True)
+    options = small_test_options()
     db = ShardedDB(num_shards=2, options=options,
                    metrics_sink=MetricsRegistry())
     for key in range(200):

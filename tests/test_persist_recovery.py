@@ -16,12 +16,15 @@ Covers the acceptance bar of the persistence subsystem:
 """
 
 import random
+import struct
+import zlib
 
 import pytest
 
 from repro.indexes.registry import IndexKind
 from repro.lsm.db import LSMTree
 from repro.lsm.options import Granularity, small_test_options
+from repro.lsm.sstable import FOOTER_BYTES
 from repro.persist.manifest import MANIFEST_NAME, MANIFEST_TMP_NAME
 from repro.persist.models import MODEL_FILE_PREFIX
 from repro.service.sharded import ShardedDB
@@ -30,6 +33,7 @@ from repro.storage.stats import (
     RECOVERY_FILES_GCED,
     RECOVERY_MANIFEST_OPENS,
     RECOVERY_SCANS,
+    RECOVERY_TORN_TABLES,
     TRAIN_KEY_VISITS,
     Stage,
 )
@@ -268,30 +272,6 @@ def test_torn_tail_is_truncated_so_later_commits_survive():
     third.close()
 
 
-def test_manifest_opt_out_reopen_invalidates_stale_log():
-    """Scanning a manifest-carrying device with the manifest disabled
-    must drop the log: it will go stale this session, and replaying it
-    later would garbage-collect everything written in between."""
-    options = small_test_options()
-    device = MemoryBlockDevice(block_size=options.block_size)
-    db = LSMTree(options, device=device)
-    reference = _fill(db, n=300)
-    db.flush()
-
-    legacy = options.with_changes(enable_manifest=False)
-    second = LSMTree.reopen(legacy, device)
-    assert not device.exists(MANIFEST_NAME)  # stale log dropped
-    for i in range(200):
-        second.put(20_000_000 + i, b"unlogged-%d" % i)
-        reference[20_000_000 + i] = b"unlogged-%d" % i
-    second.flush()
-
-    third = LSMTree.reopen(options, device)  # manifest back on
-    assert third.stats.get(RECOVERY_SCANS) == 1  # no stale replay
-    assert _all_items(third) == sorted(reference.items())
-    third.close()
-
-
 def test_wal_tail_sequences_survive_reopen():
     """A key rewritten in the WAL tail (seq beyond any table footer)
     must stay supersedable after reopen: the replayed sequence floor
@@ -335,14 +315,13 @@ def test_reopen_collects_uncommitted_garbage():
 
 
 def test_scan_fallback_migrates_legacy_device_to_manifest():
-    legacy = small_test_options(enable_manifest=False)
-    device = MemoryBlockDevice(block_size=legacy.block_size)
-    db = LSMTree(legacy, device=device)
+    options = small_test_options()
+    device = MemoryBlockDevice(block_size=options.block_size)
+    db = LSMTree(options, device=device)
     reference = _fill(db, n=400)
     db.flush()
-    assert not device.exists(MANIFEST_NAME)
+    device.delete(MANIFEST_NAME)
 
-    options = legacy.with_changes(enable_manifest=True)
     first = LSMTree.reopen(options, device)
     assert first.stats.get(RECOVERY_SCANS) == 1
     assert device.exists(MANIFEST_NAME)  # migrated
@@ -352,6 +331,37 @@ def test_scan_fallback_migrates_legacy_device_to_manifest():
     assert second.stats.get(TRAIN_KEY_VISITS) == 0
     assert _all_items(second) == sorted(reference.items())
     second.close()
+
+
+def test_scan_quarantines_a_table_sealed_in_another_format():
+    """Old data is refused, never misread: a table whose intact footer
+    names format 2 is set aside like a torn one, and the rest of the
+    device still recovers."""
+    options = small_test_options()
+    device = MemoryBlockDevice(block_size=options.block_size)
+    db = LSMTree(options, device=device)
+    _fill(db, n=400)
+    db.flush()
+    tables = sorted(name for name in device.list_files()
+                    if name.startswith("sst-"))
+    assert len(tables) > 1
+    victim = tables[0]
+    size = device.size(victim)
+    raw = bytearray(device.pread(victim, 0, size))
+    struct.pack_into("<I", raw, size - FOOTER_BYTES + 8, 2)
+    struct.pack_into("<I", raw, size - 4,
+                     zlib.crc32(bytes(raw[size - FOOTER_BYTES:size - 4])))
+    device.create(victim)
+    device.append(victim, bytes(raw))
+    device.delete(MANIFEST_NAME)
+
+    recovered = LSMTree.reopen(options, device)
+    assert recovered.stats.get(RECOVERY_SCANS) == 1
+    assert recovered.stats.get(RECOVERY_TORN_TABLES) == 1
+    assert device.exists("quar-" + victim)
+    assert not device.exists(victim)
+    assert recovered.version.file_count() == len(tables) - 1
+    recovered.close()
 
 
 # -- sharded recovery ----------------------------------------------------

@@ -22,8 +22,7 @@ from repro.storage.stats import (
 def _build(n=2000, granularity=Granularity.FILE, **changes):
     options = small_test_options(index_kind=IndexKind.PGM,
                                  granularity=granularity,
-                                 enable_wal=True, enable_manifest=True,
-                                 **changes)
+                                 enable_wal=True, **changes)
     inner = MemoryBlockDevice(block_size=options.block_size)
     faulty = FaultyBlockDevice(inner, FaultPlan(seed=9))
     db = LSMTree(options, device=faulty)
@@ -178,20 +177,3 @@ def test_scrub_detects_metadata_rot():
     assert damaged[0].action == "rewritten"
     assert damaged[0].entries_lost == 0  # data blocks were all fine
     assert db.scrub().clean
-
-
-def test_v1_tables_are_skipped_not_failed():
-    from repro.lsm.sstable import write_legacy_table
-    from repro.lsm.record import make_value
-
-    options = small_test_options(index_kind=IndexKind.PGM)
-    db = LSMTree(options)
-    records = [make_value(key, key + 1, b"v%d" % key)
-               for key in range(100)]
-    write_legacy_table(db.device, "sst-000001", options, records,
-                       db.index_factory)
-    reopened = LSMTree.reopen(options, db.device, use_manifest=False)
-    report = reopened.scrub()
-    assert report.clean
-    v1 = [t for t in report.tables if t.blocks_checked == 0]
-    assert v1  # the flat table was listed but had nothing to verify

@@ -97,7 +97,7 @@ def test_truncated_wal_reopens_with_acknowledged_prefix():
 @pytest.mark.parametrize("budget", [64, 257, 800, 1501, 3000])
 def test_power_cut_fuzz_never_loses_acknowledged_batches(budget):
     options = small_test_options(index_kind=IndexKind.PGM,
-                                 enable_wal=True, enable_manifest=True)
+                                 enable_wal=True)
     inner = MemoryBlockDevice(block_size=options.block_size)
     faulty = FaultyBlockDevice(
         inner, FaultPlan(seed=budget, power_cut_after_bytes=budget))
