@@ -161,6 +161,9 @@ class LSMTree:
             self._replay_wal()
         self._level_read_us: Dict[int, float] = {}
         self._level_read_ops: Dict[int, int] = {}
+        #: ``cost.binary_search_us`` by file count: the file-range charge
+        #: of a level only changes when a version edit does.
+        self._file_range_us: Dict[int, float] = {}
         self.compactor = Compactor(
             device=self.device, options=self.options, stats=self.stats,
             cost=self.cost, index_factory=self.index_factory,
@@ -782,6 +785,9 @@ class LSMTree:
                 self.cost.index_compare_us * self.memtable.comparison_depth())
             resolved.update(self.memtable.get_many(unique))
         remaining = [key for key in unique if key not in resolved]
+        # One reading per level boundary: nothing is charged between one
+        # level's end and the next one's start.
+        before = self.stats.read_time()
         for level in range(self.options.max_levels):
             if not remaining:
                 break
@@ -803,10 +809,10 @@ class LSMTree:
                     errors[key] = overdue
                 remaining = []
                 break
-            before = self.stats.read_time()
             found = self._search_level_batch(level, remaining, coalesce,
                                              errors)
-            elapsed = self.stats.read_time() - before
+            after = self.stats.read_time()
+            elapsed, before = after - before, after
             self._level_read_us[level] = (
                 self._level_read_us.get(level, 0.0) + elapsed)
             self._level_read_ops[level] = (
@@ -845,8 +851,7 @@ class LSMTree:
             if level >= 1:
                 self.stats.charge(
                     Stage.TABLE_LOOKUP,
-                    self.cost.binary_search_us(
-                        max(1, self.version.file_count(level)))
+                    self._file_range_search_us(level)
                     + self.cost.index_compare_us * max(0, len(keys) - 1))
             unresolved = keys
             for meta in self.version.levels[level]:
@@ -868,7 +873,7 @@ class LSMTree:
         files = self.version.levels[level]
         self.stats.charge(
             Stage.TABLE_LOOKUP,
-            self.cost.binary_search_us(max(1, len(files)))
+            self._file_range_search_us(level)
             + self.cost.index_compare_us * max(0, len(keys) - 1))
         file_idx = 0
         grouped: Dict[int, List[int]] = {}
@@ -941,6 +946,9 @@ class LSMTree:
             hit = self.memtable.get(key)
             if hit is not None:
                 return hit
+        # One reading per level boundary: nothing is charged between one
+        # level's end and the next one's start.
+        before = self.stats.read_time()
         for level in range(self.options.max_levels):
             if not self.version.levels[level]:
                 continue
@@ -949,9 +957,9 @@ class LSMTree:
             # instead of walking the rest of the tree for a dead client.
             if self.deadline is not None:
                 self.deadline.check(where=f"get level {level}")
-            before = self.stats.read_time()
             record = self._search_level(level, key)
-            elapsed = self.stats.read_time() - before
+            after = self.stats.read_time()
+            elapsed, before = after - before, after
             self._level_read_us[level] = (
                 self._level_read_us.get(level, 0.0) + elapsed)
             self._level_read_ops[level] = (
@@ -967,10 +975,8 @@ class LSMTree:
         candidates = self.version.files_for_key(level, key)
         if level >= 1:
             # Charge the binary search over the level's file ranges.
-            self.stats.charge(
-                Stage.TABLE_LOOKUP,
-                self.cost.binary_search_us(
-                    max(1, self.version.file_count(level))))
+            self.stats.charge(Stage.TABLE_LOOKUP,
+                              self._file_range_search_us(level))
         for meta in candidates:
             if not self._bloom_admits(meta.table, key):
                 continue
@@ -994,12 +1000,22 @@ class LSMTree:
             self.stats.add(BLOOM_FALSE_POSITIVES)
         return None
 
+    def _file_range_search_us(self, level: int) -> float:
+        """Charge for binary-searching ``level``'s file ranges."""
+        count = len(self.version.levels[level])
+        us = self._file_range_us.get(count)
+        if us is None:
+            us = self._file_range_us[count] = self.cost.binary_search_us(
+                max(1, count))
+        return us
+
     def _bloom_admits(self, table: Table, key: int) -> bool:
-        self.stats.add(BLOOM_PROBES)
-        self.stats.charge(Stage.TABLE_LOOKUP, self.cost.bloom_probe_us)
+        stats = self.stats
+        stats.add(BLOOM_PROBES)
+        stats.charge(Stage.TABLE_LOOKUP, self.cost.bloom_probe_us)
         if table.bloom.may_contain(key):
             return True
-        self.stats.add(BLOOM_NEGATIVES)
+        stats.add(BLOOM_NEGATIVES)
         return False
 
     # -- range lookups -------------------------------------------------------

@@ -29,9 +29,11 @@ blocks are verified, decoded, and optionally admitted to a
 decompressed-block cache keyed by ``(file, block_no)``.
 
 Checksums are verified on a block's *first* fetch by each open table
-(memoised per block number), so hot blocks do not pay the verification
-cost per read — the same trade RocksDB's ``verify_checksums`` block
-cache makes.  Any mismatch raises a typed
+(memoised in one state byte per block), so hot blocks do not pay the
+verification cost per read — the same trade RocksDB's
+``verify_checksums`` block cache makes.  The memo covers the whole
+authenticated trailer: a block verified as stored raw is afterwards
+sliced straight out of the read buffer.  Any mismatch raises a typed
 :class:`~repro.errors.ChecksumError` naming the file, region and block.
 A file in any other format version is refused at open with a
 :class:`~repro.errors.CorruptionError`, never reinterpreted.
@@ -90,6 +92,12 @@ HEADER_BYTES = _HEADER.size
 #: Per data block trailer: codec id, CRC-32 over payload + codec byte.
 _BLOCK_TRAILER = struct.Struct("<BI")
 BLOCK_TRAILER_BYTES = _BLOCK_TRAILER.size
+
+#: Per-block read state of an open table (one byte each).  Both
+#: verified states mean "CRC matched on first fetch"; ``_VERIFIED_RAW``
+#: also records what the CRC-covered trailer and index row said — codec
+#: 0, stored payload length == raw length — so the payload *is* the slice.
+_UNVERIFIED, _VERIFIED_RAW, _VERIFIED_CODED, _QUARANTINED = range(4)
 
 #: One sparse-index row: first_key, file offset, stored len, raw len.
 _BLOCK_INDEX_ENTRY = struct.Struct("<QQII")
@@ -374,15 +382,17 @@ class Table:
         #: Sparse block index rows: one
         #: ``(first_key, offset, stored_len, raw_len)`` per data block.
         self.handles = handles
-        #: Data blocks whose stored checksum has been verified by this
-        #: table object; verification is memoised per open table, so a
-        #: hot block pays CRC work once.
-        self._verified: Set[int] = set()
-        #: Data blocks that failed verification: evicted from every
-        #: cache tier and never read again — lookups touching one fail
-        #: fast with :class:`~repro.errors.QuarantinedBlockError` while
-        #: the rest of the table keeps serving.
-        self._quarantined: Set[int] = set()
+        #: One state byte per data block.  Verification is memoised per
+        #: open table, so a hot block pays CRC work once; a block that
+        #: failed it is quarantined — evicted from every cache tier and
+        #: never read again: lookups touching one fail fast with
+        #: :class:`~repro.errors.QuarantinedBlockError` while the rest
+        #: of the table keeps serving.
+        self._block_state = bytearray(len(handles))
+        #: PREDICTION charge of one lookup: a pure function of the built
+        #: index and the cost model, both fixed for this object's life.
+        self._prediction_us = (index.expected_lookup_cost_us(cost)
+                               if index is not None else 0.0)
         #: Kept only while needed by level-model rebuilds; dropped via
         #: :meth:`release_keys` otherwise.
         self.cached_keys = keys
@@ -549,7 +559,10 @@ class Table:
     @property
     def quarantined_blocks(self) -> Set[int]:
         """Data-block numbers currently quarantined (read-only view)."""
-        return set(self._quarantined)
+        if _QUARANTINED not in self._block_state:  # the common case, C speed
+            return set()
+        return {block_no for block_no, state in enumerate(self._block_state)
+                if state == _QUARANTINED}
 
     def _quarantine_block(self, exc: ChecksumError) -> QuarantinedBlockError:
         """Quarantine the block a :class:`ChecksumError` names.
@@ -563,15 +576,13 @@ class Table:
         or retires the table.
         """
         block_no = max(exc.block, 0)
-        if block_no not in self._quarantined:
-            self._quarantined.add(block_no)
-            self._verified.discard(block_no)
+        if self._block_state[block_no] != _QUARANTINED:
+            self._block_state[block_no] = _QUARANTINED
             self.stats.add(QUARANTINED_BLOCKS)
             if self.data_cache is not None:
                 self.data_cache.quarantine(self.name, block_no)
             device_quarantine = getattr(self.device, "quarantine", None)
-            if (device_quarantine is not None
-                    and block_no < len(self.handles)):
+            if device_quarantine is not None:
                 _, offset, stored_len, _ = self.handles[block_no]
                 block_size = self.device.block_size
                 for index in range(offset // block_size,
@@ -591,11 +602,13 @@ class Table:
         payload = data[:-BLOCK_TRAILER_BYTES]
         codec_id, stored_crc = _BLOCK_TRAILER.unpack(
             data[-BLOCK_TRAILER_BYTES:])
-        if block_no not in self._verified:
+        if self._block_state[block_no] == _UNVERIFIED:
             if crc32c(data[:-4]) != stored_crc:
                 self.stats.add(CHECKSUM_FAILURES)
                 raise ChecksumError(self.name, "data", block=block_no)
-            self._verified.add(block_no)
+            self._block_state[block_no] = (
+                _VERIFIED_RAW if codec_id == 0 and len(payload) == raw_len
+                else _VERIFIED_CODED)
             self.stats.add(BLOCKS_VERIFIED)
             self.stats.charge(stage, self.cost.checksum_us(len(data)))
         if codec_id == 0:
@@ -620,18 +633,19 @@ class Table:
                 self.stats.add(DATA_CACHE_EVICTIONS, evicted)
         return raw
 
-    def _fetch_run(self, block_nos: Sequence[int], stage: Stage,
+    def _fetch_run(self, first_no: int, last_no: int, stage: Stage,
                    *, seeks: int) -> List[bytes]:
-        """Fetch a contiguous run of data blocks with ONE pread.
+        """Fetch the contiguous run of data blocks [first_no, last_no]
+        with ONE pread.
 
         Data blocks are usually smaller than the device block, so a
         per-data-block pread would charge a device transfer several
         times for the same device block.  Reading the covering byte
         span in one call charges exactly the device blocks the run
         spans, then verifies and decodes each data block out of the
-        buffer.
+        buffer — or, when every block of the run is already verified
+        raw and no data cache wants the payloads, just slices them.
         """
-        first_no, last_no = block_nos[0], block_nos[-1]
         offset = self.handles[first_no][1]
         _, last_off, last_len, _ = self.handles[last_no]
         length = last_off + last_len - offset
@@ -655,13 +669,17 @@ class Table:
         if charged_seeks:
             self.stats.add(SEEKS, charged_seeks)
         self.stats.charge(stage, us)
-        decoded = []
-        for block_no in block_nos:
-            _, blk_off, stored_len, raw_len = self.handles[block_no]
-            stored = data[blk_off - offset:blk_off - offset + stored_len]
-            decoded.append(self._decode_stored(block_no, stored, raw_len,
-                                               stage))
-        return decoded
+        run = self.handles[first_no:last_no + 1]
+        if (self.data_cache is None and len(run) == self._block_state.count(
+                _VERIFIED_RAW, first_no, last_no + 1)):
+            return [data[blk_off - offset:blk_off - offset + raw_len]
+                    for _, blk_off, _, raw_len in run]
+        return [self._decode_stored(
+                    block_no, data[blk_off - offset:
+                                   blk_off - offset + stored_len],
+                    raw_len, stage)
+                for block_no, (_, blk_off, stored_len, raw_len)
+                in enumerate(run, first_no)]
 
     def read_entries(self, lo: int, hi: int, stage: Stage,
                      *, seeks: int = 1) -> bytes:
@@ -679,42 +697,45 @@ class Table:
         per = self.footer.entries_per_block
         first = lo // per
         last = (hi - 1) // per
-        if self._quarantined:
+        if _QUARANTINED in self._block_state:
             # Fail fast before touching the device: a quarantined block
             # is known-poisoned and must never be re-read or re-served.
-            for block_no in range(first, last + 1):
-                if block_no in self._quarantined:
-                    raise QuarantinedBlockError(self.name, block_no)
-        payloads: List[Optional[bytes]] = [None] * (last - first + 1)
+            poisoned = self._block_state.find(_QUARANTINED, first, last + 1)
+            if poisoned >= 0:
+                raise QuarantinedBlockError(self.name, poisoned)
         cache = self.data_cache
-        pending: List[int] = []
-        for block_no in range(first, last + 1):
-            if cache is not None:
-                payload = cache.get(self.name, block_no)
-                if payload is not None:
-                    self.stats.add(DATA_CACHE_HITS)
-                    self.stats.charge(stage, self.cost.cache_block_us * max(
-                        1, self.cost.blocks_spanned(0, len(payload))))
-                    payloads[block_no - first] = payload
-                    continue
-                self.stats.add(DATA_CACHE_MISSES)
-            pending.append(block_no)
-        # Misses coalesce into contiguous runs, one pread (and at most
-        # ``seeks`` total seek charges) each.
-        seek_budget = seeks
-        run: List[int] = []
-        for block_no in pending + [-1]:
-            if run and block_no != run[-1] + 1:
-                try:
-                    fetched = self._fetch_run(run, stage, seeks=seek_budget)
-                except ChecksumError as exc:
-                    raise self._quarantine_block(exc) from exc
-                for no, raw in zip(run, fetched):
-                    payloads[no - first] = raw
-                seek_budget = 0
-                run = []
-            if block_no >= 0:
-                run.append(block_no)
+        try:
+            if cache is None:
+                payloads = self._fetch_run(first, last, stage, seeks=seeks)
+            else:
+                payloads = [None] * (last - first + 1)
+                pending: List[int] = []
+                for block_no in range(first, last + 1):
+                    payload = cache.get(self.name, block_no)
+                    if payload is not None:
+                        self.stats.add(DATA_CACHE_HITS)
+                        self.stats.charge(
+                            stage, self.cost.cache_block_us * max(
+                                1, self.cost.blocks_spanned(0, len(payload))))
+                        payloads[block_no - first] = payload
+                        continue
+                    self.stats.add(DATA_CACHE_MISSES)
+                    pending.append(block_no)
+                # Misses coalesce into contiguous runs, one pread (and at
+                # most ``seeks`` total seek charges) each.
+                seek_budget = seeks
+                run: List[int] = []
+                for block_no in pending + [-1]:
+                    if run and block_no != run[-1] + 1:
+                        payloads[run[0] - first:run[-1] - first + 1] = (
+                            self._fetch_run(run[0], run[-1], stage,
+                                            seeks=seek_budget))
+                        seek_budget = 0
+                        run = []
+                    if block_no >= 0:
+                        run.append(block_no)
+        except ChecksumError as exc:
+            raise self._quarantine_block(exc) from exc
         data = payloads[0] if len(payloads) == 1 else b"".join(payloads)
         entry_bytes = self.footer.entry_bytes
         start = (lo - first * per) * entry_bytes
@@ -726,8 +747,7 @@ class Table:
                 f"table {self.name} has no per-table index; lookups must "
                 "go through the level model")
         bound = self.index.lookup(key)
-        self.stats.charge(Stage.PREDICTION,
-                          self.index.expected_lookup_cost_us(self.cost))
+        self.stats.charge(Stage.PREDICTION, self._prediction_us)
         return bound
 
     def get(self, key: int) -> Optional[Record]:
@@ -737,19 +757,25 @@ class Table:
 
     def get_in_bound(self, key: int, bound: SearchBound) -> Optional[Record]:
         """Point lookup when a bound is already known (level model path)."""
-        bound = bound.clamped(self.footer.entry_count)
-        if bound.width <= 0:
+        # ``bound.clamped(n)`` then ``block_bound`` on plain integers.
+        footer = self.footer
+        n = footer.entry_count
+        lo = max(0, min(bound.lo, n))
+        hi = min(bound.hi, n)
+        if hi <= lo:
             return None
-        bound = self.block_bound(bound)
-        data = self.read_entries(bound.lo, bound.hi, Stage.IO)
+        per = footer.entries_per_block
+        lo -= lo % per
+        hi = min(-(-hi // per) * per, n)
+        data = self.read_entries(lo, hi, Stage.IO)
         self.stats.add(SEGMENTS_FETCHED)
-        idx = self._binary_search(data, bound.width, key)
+        idx = self._binary_search(data, hi - lo, key)
         self.stats.charge(Stage.SEARCH,
-                          self.cost.segment_search_us(bound.width))
+                          self.cost.segment_search_us(hi - lo))
         if idx is None:
             return None
-        return decode_entry(data, idx * self.footer.entry_bytes,
-                            self.footer.value_capacity)
+        return decode_entry(data, idx * footer.entry_bytes,
+                            footer.value_capacity)
 
     def _binary_search(self, data: bytes, count: int,
                        key: int) -> Optional[int]:
@@ -944,16 +970,12 @@ class TableIterator(KVIterator):
                         self.refill_stage, seeks=1)
 
     def seek(self, key: int) -> None:
-        table = self.table
-        if table.index is None:
+        if self.table.index is None:
             # Level-model tables: the caller narrows with seek_to_bound.
             self.seek_to_first()
             self._skip_until(key)
             return
-        bound = table.index.lookup(key)
-        table.stats.charge(Stage.PREDICTION,
-                           table.index.expected_lookup_cost_us(table.cost))
-        self.seek_to_bound(key, bound)
+        self.seek_to_bound(key, self.table._bound_for(key))
 
     def seek_to_bound(self, key: int, bound: SearchBound) -> None:
         """Seek using an externally supplied position bound."""

@@ -3,9 +3,15 @@
 A :class:`Version` tracks the file layout: level 0 holds possibly
 overlapping tables ordered newest-first (each flush adds one); levels
 1+ are single sorted runs partitioned into non-overlapping SSTables
-ordered by key.  This mirrors LevelDB's manifest state, minus the
-on-disk manifest (the simulated device makes recovery-by-scan cheap
-and the benchmarks never need it).
+ordered by key.  This is the in-memory half of LevelDB's manifest
+state; the on-disk half — the version-edit log that ``LSMTree.reopen``
+replays — is :mod:`repro.persist.manifest`.
+
+``levels`` is mutated only through :meth:`Version.add_file` and
+:meth:`Version.remove_files`: everything derived from a level's file
+list (the ``min_key`` fence array point lookups bisect) is cached per
+level and dropped by those two methods, so a caller that edits
+``levels`` in place would read stale fences.
 """
 
 from __future__ import annotations
@@ -68,9 +74,19 @@ class Version:
     def __post_init__(self) -> None:
         if not self.levels:
             self.levels = [[] for _ in range(self.max_levels)]
+        #: Per level, the ``min_key`` of each file in order (None = stale).
+        self._fences: List[Optional[List[int]]] = [None] * self.max_levels
 
     def _level_overlaps(self, level: int) -> bool:
         return level == 0 or self.overlapping_levels
+
+    def _min_keys(self, level: int) -> List[int]:
+        """Fence array of a sorted level, rebuilt after a version edit."""
+        fences = self._fences[level]
+        if fences is None:
+            fences = self._fences[level] = [
+                meta.min_key for meta in self.levels[level]]
+        return fences
 
     # -- mutation ----------------------------------------------------------
 
@@ -81,8 +97,7 @@ class Version:
         if self._level_overlaps(level):
             files.insert(0, meta)  # newest first
             return
-        keys = [existing.min_key for existing in files]
-        pos = bisect_right(keys, meta.min_key)
+        pos = bisect_right(self._min_keys(level), meta.min_key)
         if pos > 0 and files[pos - 1].max_key >= meta.min_key:
             raise StorageError(
                 f"overlap adding file {meta.name} to level {level}")
@@ -90,6 +105,7 @@ class Version:
             raise StorageError(
                 f"overlap adding file {meta.name} to level {level}")
         files.insert(pos, meta)
+        self._fences[level] = None
 
     def remove_files(self, level: int, metas: Iterable[FileMetaData]) -> None:
         """Drop the given files from ``level``."""
@@ -97,6 +113,7 @@ class Version:
         numbers = {meta.number for meta in metas}
         self.levels[level] = [meta for meta in self.levels[level]
                               if meta.number not in numbers]
+        self._fences[level] = None
 
     # -- queries -----------------------------------------------------------
 
@@ -112,7 +129,7 @@ class Version:
         if self._level_overlaps(level):
             return [meta for meta in files
                     if meta.min_key <= key <= meta.max_key]
-        idx = bisect_right([meta.min_key for meta in files], key) - 1
+        idx = bisect_right(self._min_keys(level), key) - 1
         if idx >= 0 and files[idx].max_key >= key:
             return [files[idx]]
         return []

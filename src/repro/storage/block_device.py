@@ -188,7 +188,8 @@ class MemoryBlockDevice(BlockDevice):
         if offset < 0 or length < 0:
             raise StorageError(
                 f"invalid pread range offset={offset} length={length}")
-        data = bytes(buf[offset:offset + length])
+        # One copy: slicing the bytearray itself would make a second.
+        data = bytes(memoryview(buf)[offset:offset + length])
         self.record_read(offset, len(data))
         return data
 

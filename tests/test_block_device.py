@@ -30,6 +30,19 @@ def test_short_read_past_eof(device):
     assert device.pread("f", 50, 10) == b""
 
 
+def test_read_spanning_eof_records_its_real_length(device):
+    device.create("f")
+    device.append("f", b"x" * 300)
+    bytes_before = device.stats.get(BYTES_READ)
+    blocks_before = device.stats.get(BLOCKS_READ)
+    assert device.pread("f", 250, 100) == b"x" * 50
+    # The counters describe the 50 bytes returned (blocks 0 and 1), not
+    # the 100 requested.
+    assert device.stats.get(BYTES_READ) - bytes_before == 50
+    assert device.stats.get(BLOCKS_READ) - blocks_before == 2
+    assert isinstance(device.pread("f", 0, 10), bytes)
+
+
 def test_missing_file_raises(device):
     with pytest.raises(FileNotFoundInDeviceError):
         device.pread("nope", 0, 1)

@@ -178,3 +178,136 @@ def test_training_stats_recorded(sample_keys):
     assert stats.get(TRAIN_KEY_VISITS) >= len(sample_keys)
     assert stats.stage_time(Stage.COMPACT_TRAIN) > 0
     assert stats.stage_time(Stage.COMPACT_WRITE_MODEL) > 0
+
+
+# -- the per-block state map (verify-once memo + quarantine) --------------
+
+_CODECS = ["none", "zlib-1"]
+_CACHED = [False, True]
+
+
+def _small_table(codec, cached, faulty=False):
+    """A 40-entry, 10-block table reopened cold (nothing verified yet).
+
+    Returns it with its device, stats, records and their encoded entries.
+    """
+    from repro.lsm.record import encode_entry
+    from repro.storage.block_cache import DataBlockCache
+    from repro.storage.faults import FaultPlan, FaultyBlockDevice
+
+    options = small_test_options(block_codec=codec)
+    stats = Stats()
+    device = MemoryBlockDevice(block_size=options.block_size, stats=stats)
+    if faulty:
+        device = FaultyBlockDevice(device, FaultPlan(seed=9))
+    cost = CostModel(block_size=options.block_size)
+    records = [make_value(1000 + 7 * i, i + 1, b"v%d" % i) for i in range(40)]
+    builder = TableBuilder(device, "t1", options,
+                           IndexFactory(IndexKind.FP, 8), stats, cost)
+    for record in records:
+        builder.add(record)
+    built = builder.finish()
+    coded = [stored - 5 != raw for _, _, stored, raw in built.handles]
+    assert all(coded) if codec != "none" else not any(coded)
+    table = Table.open(device, "t1", options, stats, cost,
+                       data_cache=DataBlockCache(1 << 12) if cached else None)
+    assert table.footer.block_count == 10
+    entries = [encode_entry(record, options.value_capacity)
+               for record in records]
+    return table, device, stats, records, entries
+
+
+@pytest.mark.parametrize("cached", _CACHED)
+@pytest.mark.parametrize("codec", _CODECS)
+def test_read_entries_every_range_in_random_order(codec, cached):
+    import random
+
+    from repro.storage.stats import BLOCKS_VERIFIED
+
+    table, _, stats, _, entries = _small_table(codec, cached)
+    per = table.footer.entries_per_block
+    ranges = [(lo, hi) for lo in range(40) for hi in range(lo + 1, 41)]
+    random.Random(22).shuffle(ranges)
+    touched = set()
+    for lo, hi in ranges:
+        assert table.read_entries(lo, hi, Stage.IO) == b"".join(
+            entries[lo:hi])
+        touched.update(range(lo // per, (hi - 1) // per + 1))
+        # Verified exactly once each, however often it is re-read,
+        # evicted from the data cache or re-fetched inside a longer run.
+        assert stats.get(BLOCKS_VERIFIED) == len(touched)
+    assert len(touched) == 10
+
+
+@pytest.mark.parametrize("cached", _CACHED)
+@pytest.mark.parametrize("codec", _CODECS)
+def test_rot_before_first_touch_quarantines_inside_a_verified_run(codec,
+                                                                  cached):
+    from repro.errors import QuarantinedBlockError
+    from repro.storage.stats import CHECKSUM_FAILURES, QUARANTINED_BLOCKS
+
+    table, faulty, stats, _, entries = _small_table(codec, cached,
+                                                    faulty=True)
+    per = table.footer.entries_per_block
+    # Rot one device block, then find the data block the flipped bit hit.
+    faulty.inject_rot("t1", table.handles[5][1] // faulty.block_size)
+    size = faulty.size("t1")
+    clean, rotten = faulty.inner.pread("t1", 0, size), faulty.pread("t1", 0,
+                                                                   size)
+    (flipped,) = [i for i in range(size) if clean[i] != rotten[i]]
+    (victim,) = [no for no, (_, offset, stored, _) in enumerate(table.handles)
+                 if offset <= flipped < offset + stored]
+    assert 0 < victim < 9
+    # Both neighbours are read (and verified) first ...
+    for block_no in (victim - 1, victim + 1):
+        assert table.read_entries(block_no * per, (block_no + 1) * per,
+                                  Stage.IO) == b"".join(
+            entries[block_no * per:(block_no + 1) * per])
+    # ... so the run below is verified at both ends and rotten in the
+    # middle: it must be checked block by block, never sliced through.
+    with pytest.raises(QuarantinedBlockError) as excinfo:
+        table.read_entries((victim - 1) * per, (victim + 2) * per, Stage.IO)
+    assert excinfo.value.block == victim
+    assert table.quarantined_blocks == {victim}
+    assert stats.get(CHECKSUM_FAILURES) == 1
+    assert stats.get(QUARANTINED_BLOCKS) == 1
+    # Fail-fast replays name the same block and re-verify nothing; the
+    # neighbours keep serving.
+    with pytest.raises(QuarantinedBlockError):
+        table.read_entries(0, 40, Stage.IO)
+    assert stats.get(CHECKSUM_FAILURES) == 1
+    assert table.read_entries((victim + 1) * per, 40, Stage.IO) == b"".join(
+        entries[(victim + 1) * per:])
+
+
+@pytest.mark.parametrize("codec", _CODECS)
+def test_get_in_bound_clamps_and_aligns_like_search_bound(codec):
+    from repro.indexes.base import SearchBound
+    from repro.storage.stats import BYTES_READ
+
+    table, _, stats, records, _ = _small_table(codec, cached=False)
+    n = table.entry_count
+    per = table.footer.entries_per_block
+    position = 17
+    key = records[position].key
+    for lo in range(-6, n + 7):  # starts below 0 ... ends past the table
+        for hi in range(-6, n + 7):
+            before = stats.snapshot()
+            got = table.get_in_bound(key, SearchBound(lo, hi))
+            delta = before.delta(stats)
+            want = SearchBound(lo, hi).clamped(n)
+            if want.width <= 0:  # empty after clamping: nothing fetched
+                assert got is None
+                assert delta.counters == {} and delta.stage_us == {}
+                continue
+            want = table.block_bound(want)
+            assert got == (records[position] if want.contains(position)
+                           else None)
+            # Exactly the blocks of the aligned bound were fetched and
+            # exactly its width was charged for the search.
+            _, first_off, _, _ = table.handles[want.lo // per]
+            _, last_off, last_len, _ = table.handles[(want.hi - 1) // per]
+            assert delta.counter(BYTES_READ) == last_off + last_len - first_off
+            assert delta.counter(SEGMENTS_FETCHED) == 1
+            assert delta.stage_time(Stage.SEARCH) == pytest.approx(
+                table.cost.segment_search_us(want.width), rel=1e-9)

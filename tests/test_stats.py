@@ -1,6 +1,8 @@
 """Unit tests for the stats registry (counters, stages, snapshots)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.stats import (
     BLOCKS_READ,
@@ -40,6 +42,57 @@ def test_read_time_covers_only_read_stages():
         stats.charge(stage, 1.0)
     stats.charge(Stage.COMPACT_WRITE, 100.0)
     assert stats.read_time() == pytest.approx(len(READ_STAGES))
+
+
+class _NullTracer:
+    """Observes and never writes back, like ``repro.obs.trace.Tracer``."""
+
+    def on_charge(self, stage, us):
+        pass
+
+    def on_count(self, name, amount):
+        pass
+
+
+def _summed_read_time(stats):
+    # ``sum(stage_us.get(s, 0.0) for s in READ_STAGES)`` spelled as the
+    # plain left-to-right additions it was up to Python 3.11; 3.12's
+    # ``sum`` compensates and may round the last bit differently.
+    total = 0
+    for stage in READ_STAGES:
+        total = total + stats.stage_us.get(stage, 0.0)
+    return total
+
+
+_CHARGES = st.lists(
+    st.tuples(st.sampled_from(list(Stage)),
+              st.floats(min_value=0.0, max_value=1e7, allow_nan=False)),
+    max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.just("charge"), _CHARGES),
+    st.tuples(st.just("merge"), _CHARGES),
+    st.tuples(st.just("reset"), st.just([]))), max_size=12))
+def test_read_time_is_the_exact_sum_over_read_stages(ops):
+    untraced = Stats()
+    traced = Stats()
+    traced.attach_tracer(_NullTracer())
+    for op, charges in ops:
+        for stats in (untraced, traced):
+            if op == "reset":
+                stats.reset()
+                continue
+            target = stats if op == "charge" else Stats()
+            for stage, us in charges:
+                target.charge(stage, us)
+            if op == "merge":
+                stats.merge(target)
+        # Bit for bit, not approx: reports print these floats in full.
+        assert untraced.read_time() == _summed_read_time(untraced)
+        assert traced.read_time() == untraced.read_time()
+        assert traced == untraced
 
 
 def test_compaction_time_covers_only_compaction_stages():

@@ -1,6 +1,10 @@
 """Tests for level metadata bookkeeping."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.indexes.registry import IndexFactory, IndexKind
@@ -62,6 +66,68 @@ def test_files_for_key_deep_level(version):
     assert version.files_for_key(1, 250) == []
     assert version.files_for_key(1, 50) == []
     assert [m.number for m in version.files_for_key(1, 399)] == [2]
+
+
+def _range_meta(number, min_key, max_key):
+    """A file that is only a key range: all ``Version`` looks at."""
+    return FileMetaData(number=number, table=SimpleNamespace(
+        name=f"sst-{number}", min_key=min_key, max_key=max_key))
+
+
+#: Slot -> key range.  Disjoint for sorted runs; every neighbour
+#: overlaps for level 0 / tiering.
+_DISJOINT = [(slot * 10 + 2, slot * 10 + 7) for slot in range(8)]
+_OVERLAPPING = [(slot * 5, slot * 5 + 12) for slot in range(8)]
+_EDITS = st.lists(st.tuples(st.sampled_from(["add", "remove", "clear"]),
+                            st.integers(0, 7)), max_size=30)
+
+
+def _check_files_for_key(version, level, ranges):
+    files = version.levels[level]
+    probes = {-1, 0, 100}
+    for lo, hi in ranges:  # at, between and outside every fence
+        probes.update((lo - 1, lo, (lo + hi) // 2, hi, hi + 1))
+    for key in sorted(probes):
+        assert version.files_for_key(level, key) == [
+            meta for meta in files if meta.min_key <= key <= meta.max_key]
+
+
+def _apply_edits(version, level, ranges, edits):
+    live = {}
+    number = 0
+    for op, slot in edits:
+        if op == "add" and slot not in live:
+            number += 1
+            live[slot] = _range_meta(number, *ranges[slot])
+            version.add_file(level, live[slot])
+        elif op == "remove" and slot in live:
+            version.remove_files(level, [live.pop(slot)])
+        elif op == "clear":
+            version.remove_files(level, list(live.values()))
+            live.clear()
+        assert len(version.levels[level]) == len(live)
+        _check_files_for_key(version, level, ranges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_EDITS)
+def test_files_for_key_matches_brute_force_on_a_sorted_level(edits):
+    _apply_edits(Version(max_levels=3), 1, _DISJOINT, edits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_EDITS, st.sampled_from([(False, 0), (True, 0), (True, 2)]))
+def test_files_for_key_matches_brute_force_on_overlapping_levels(edits, shape):
+    tiering, level = shape
+    _apply_edits(Version(max_levels=3, overlapping_levels=tiering), level,
+                 _OVERLAPPING, edits)
+
+
+def test_files_for_key_after_a_level_is_emptied_and_refilled(version):
+    _apply_edits(version, 1, _DISJOINT,
+                 [("add", 1), ("add", 5), ("add", 3), ("clear", 0),
+                  ("add", 6), ("add", 0), ("remove", 6), ("add", 4)])
+    assert [meta.min_key for meta in version.levels[1]] == [2, 42]
 
 
 def test_overlapping_files(version):
