@@ -87,26 +87,14 @@ def greedy_corridor_segments(
 # Optimal PLA (PGM-index)
 # ---------------------------------------------------------------------------
 
-def _cross(ox: float, oy: float, ax: float, ay: float,
-           bx: float, by: float) -> float:
-    """2D cross product of (a - o) x (b - o)."""
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
-def _slope_to(px: float, py: float, qx: float, qy: float) -> float:
-    """Slope of the line from (px, py) to (qx, qy).
-
-    Distinct 64-bit keys can collapse to the same float; treat such
-    pairs as vertical: an upward vertical constraint is unsatisfiable
-    (+inf forces the segment closed), a downward one is vacuous (-inf).
-    """
-    if qx == px:
-        if qy > py:
-            return _INF
-        if qy < py:
-            return -_INF
-        return 0.0
-    return (qy - py) / (qx - px)
+# The three hull helpers below run once per key with a few slope or
+# cross-product evaluations each, so the arithmetic is written out on
+# unpacked vertices instead of going through per-evaluation calls.
+#
+# Slope from a hull vertex (hx, hy) to the point (px, py): distinct
+# 64-bit keys can collapse to the same float; treat such pairs as
+# vertical — an upward vertical constraint is unsatisfiable (+inf forces
+# the segment closed), a downward one is vacuous (-inf).
 
 
 def _tangent_extreme(hull: List[Tuple[float, float]], px: float, py: float,
@@ -121,32 +109,44 @@ def _tangent_extreme(hull: List[Tuple[float, float]], px: float, py: float,
     hi = len(hull) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        s_mid = _slope_to(hull[mid][0], hull[mid][1], px, py)
-        s_next = _slope_to(hull[mid + 1][0], hull[mid + 1][1], px, py)
-        if want_max:
-            better_right = s_next > s_mid
-        else:
-            better_right = s_next < s_mid
-        if better_right:
+        hx, hy = hull[mid]
+        s_mid = ((py - hy) / (px - hx) if px != hx
+                 else _INF if py > hy else -_INF if py < hy else 0.0)
+        hx, hy = hull[mid + 1]
+        s_next = ((py - hy) / (px - hx) if px != hx
+                  else _INF if py > hy else -_INF if py < hy else 0.0)
+        if (s_next > s_mid) if want_max else (s_next < s_mid):
             lo = mid + 1
         else:
             hi = mid
-    return _slope_to(hull[lo][0], hull[lo][1], px, py)
+    hx, hy = hull[lo]
+    return ((py - hy) / (px - hx) if px != hx
+            else _INF if py > hy else -_INF if py < hy else 0.0)
 
 
 def _push_upper(hull: List[Tuple[float, float]], x: float, y: float) -> None:
-    """Append to an upper hull (clockwise turns), popping dominated points."""
-    while len(hull) >= 2 and _cross(hull[-2][0], hull[-2][1],
-                                    hull[-1][0], hull[-1][1], x, y) >= 0:
-        hull.pop()
+    """Append to an upper hull (clockwise turns), popping dominated points.
+
+    The test is the 2D cross product (a - o) x (b - o) of the last two
+    vertices o, a and the new point b.
+    """
+    while len(hull) >= 2:
+        (ox, oy), (ax, ay) = hull[-2], hull[-1]
+        if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) >= 0:
+            hull.pop()
+        else:
+            break
     hull.append((x, y))
 
 
 def _push_lower(hull: List[Tuple[float, float]], x: float, y: float) -> None:
     """Append to a lower hull (counter-clockwise turns)."""
-    while len(hull) >= 2 and _cross(hull[-2][0], hull[-2][1],
-                                    hull[-1][0], hull[-1][1], x, y) <= 0:
-        hull.pop()
+    while len(hull) >= 2:
+        (ox, oy), (ax, ay) = hull[-2], hull[-1]
+        if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) <= 0:
+            hull.pop()
+        else:
+            break
     hull.append((x, y))
 
 

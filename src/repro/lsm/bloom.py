@@ -6,6 +6,16 @@ Kirsch-Mitzenmacher construction: two independent 32-bit hashes are
 derived from one 64-bit mix of the key, and probe ``k = bits_per_key *
 ln 2`` slots.  No false negatives, ever — a property the test suite
 checks with hypothesis.
+
+Two ways in, one bit layout.  :meth:`BloomFilter.add` is the
+incremental API: one key, ``nprobes`` interpreted probes.
+:meth:`BloomFilter.build` — what every table build calls — is a numpy
+kernel: it mixes all keys at once as ``uint64`` arrays (the wrap-around
+multiply is SplitMix64's ``& 2**64 - 1``), walks the same probe sequence
+one vectorised step per probe, and packs the touched slots little-endian
+into the exact ``bytearray`` a loop of ``add`` calls produces.  The tests
+hold the two byte-for-byte equal, so ``may_contain`` and the on-disk
+payload cannot tell them apart.
 """
 
 from __future__ import annotations
@@ -14,9 +24,12 @@ import math
 import struct
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import CorruptionError
 
 _MASK64 = (1 << 64) - 1
+_U64 = np.uint64
 
 
 def _splitmix64(value: int) -> int:
@@ -48,16 +61,29 @@ class BloomFilter:
         (bloom disabled), matching LevelDB's behaviour when the filter
         policy is absent.
         """
-        key_list = list(keys)
         if bits_per_key <= 0:
             empty = cls(8, 1)
             empty._bits = bytearray(b"\xff")  # always "maybe"
             return empty
-        nbits = max(64, bits_per_key * len(key_list))
+        if not isinstance(keys, (Sequence, np.ndarray)):
+            keys = list(keys)
+        nbits = max(64, bits_per_key * len(keys))
         nprobes = max(1, int(round(bits_per_key * math.log(2))))
         bloom = cls(nbits, nprobes)
-        for key in key_list:
-            bloom.add(key)
+        # ``add`` for every key at once: same mix, same probe walk.
+        mixed = np.asarray(keys, dtype=_U64)
+        with np.errstate(over="ignore"):
+            mixed = mixed + _U64(0x9E3779B97F4A7C15)
+            mixed = (mixed ^ (mixed >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+            mixed = (mixed ^ (mixed >> _U64(27))) * _U64(0x94D049BB133111EB)
+        mixed ^= mixed >> _U64(31)
+        h1 = mixed & _U64(0xFFFFFFFF)
+        h2 = (mixed >> _U64(32)) | _U64(1)
+        flags = np.zeros(len(bloom._bits) * 8, dtype=np.uint8)
+        for _ in range(bloom.nprobes):
+            flags[h1 % _U64(bloom.nbits)] = 1
+            h1 = (h1 + h2) & _U64(0xFFFFFFFF)
+        bloom._bits = bytearray(np.packbits(flags, bitorder="little"))
         return bloom
 
     def add(self, key: int) -> None:
@@ -102,6 +128,12 @@ class BloomFilter:
         if len(data) < 5:
             raise CorruptionError("bloom filter payload too short")
         nbits, nprobes = struct.unpack_from("<IB", data, 0)
+        # ``__init__`` clamps; a header it would clamp was never written
+        # by ``serialize`` and must not load as a different filter.
+        if nbits < 8 or not 1 <= nprobes <= 30:
+            raise CorruptionError(
+                f"bloom filter header out of range: nbits {nbits}, "
+                f"nprobes {nprobes}")
         bloom = cls(nbits, nprobes)
         expected = (nbits + 7) // 8
         body = data[5:]

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional
 from repro.lsm.iterators import MergingIterator
 from repro.lsm.options import CompactionPolicy, Granularity, Options
 from repro.obs.trace import OpType
-from repro.lsm.record import Record
+from repro.lsm.record import KIND_TOMBSTONE, encode_entry
 from repro.lsm.sstable import TableBuilder
 from repro.lsm.version import FileMetaData, Version
 from repro.lsm.level_index import LevelModelManager
@@ -190,40 +190,68 @@ class Compactor:
         factory = self.index_factory if per_file_index else None
         target_level = task.target_level
 
+        options = self.options
+        capacity = options.value_capacity
+        # Inputs laid out like the output hand their stored entry bytes
+        # straight to the builder; any other layout is re-encoded.
+        same_layout = all(
+            meta.table.footer.entry_bytes == options.entry_bytes
+            and meta.table.footer.value_capacity == capacity
+            for meta in all_inputs)
+        # Tiering keeps each merge output as one run (one file) so run
+        # counting stays trivial; leveling chops at the SSTable size
+        # (the granularity axis).
+        cut = (0 if self._tiering
+               else max(1, -(-options.sstable_bytes // options.entry_bytes)))
         last_key: Optional[int] = None
         merge_cost = self.cost.merge_entry_us
+        charge = self.stats.charge
+        entries_in = entries_out = superseded = dropped = 0
         while merged.valid():
-            record = merged.record()
+            # Headers only, and everything read before the child moves
+            # on.  The first entry of a key is its newest version; older
+            # ones and droppable tombstones are never copied.
+            key = merged.key()
+            newest = key != last_key
+            if newest:
+                seq = merged.seq()
+                top = merged.top()
+                keep = not (drop_tombstones and top.kind() == KIND_TOMBSTONE)
+                if keep:
+                    entry = (top.entry() if same_layout
+                             else encode_entry(top.record(), capacity))
             merged.advance()
-            outcome.entries_in += 1
-            self.stats.charge(Stage.COMPACT_MERGE, merge_cost)
-            if record.key == last_key:
-                outcome.superseded += 1
-                continue  # an older version of a key already emitted
-            last_key = record.key
-            if record.is_tombstone and drop_tombstones:
-                outcome.dropped_tombstones += 1
+            entries_in += 1
+            # One call per entry, after the advance: the tracer adds every
+            # charge into the open span across stages, in call order.
+            charge(Stage.COMPACT_MERGE, merge_cost)
+            if not newest:
+                superseded += 1
+                continue
+            last_key = key
+            if not keep:
+                dropped += 1
                 continue
             if builder is None:
                 builder = self._new_builder(factory, target_level)
-            builder.add(record)
-            outcome.entries_out += 1
-            # Tiering keeps each merge output as one run (one file) so
-            # run counting stays trivial; leveling chops at the SSTable
-            # size (the granularity axis).
-            if (not self._tiering
-                    and builder.payload_bytes >= self.options.sstable_bytes):
+            builder.add_entry(key, seq, entry)
+            entries_out += 1
+            # Every finished output holds exactly ``cut`` entries.
+            if cut and entries_out % cut == 0:
                 outputs.append(self._finish_builder(builder))
                 builder = None
-        if builder is not None and builder.entry_count:
+        if builder is not None:
             outputs.append(self._finish_builder(builder))
 
         self._install(version, task, outputs)
         outcome.outputs = outputs
-        entry_bytes = self.options.entry_bytes
+        outcome.entries_in = entries_in
+        outcome.entries_out = entries_out
+        outcome.superseded = superseded
+        outcome.dropped_tombstones = dropped
         self.stats.add(COMPACTIONS)
-        self.stats.add(COMPACT_BYTES_IN, outcome.entries_in * entry_bytes)
-        self.stats.add(COMPACT_BYTES_OUT, outcome.entries_out * entry_bytes)
+        self.stats.add(COMPACT_BYTES_IN, entries_in * options.entry_bytes)
+        self.stats.add(COMPACT_BYTES_OUT, entries_out * options.entry_bytes)
         return outcome
 
     def _new_builder(self, factory: Optional[IndexFactory],

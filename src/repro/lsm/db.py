@@ -1204,6 +1204,10 @@ class LevelIterator(KVIterator):
         assert self._iter is not None
         return self._iter.key()
 
+    def seq(self) -> int:
+        assert self._iter is not None
+        return self._iter.seq()
+
     def record(self) -> Record:
         assert self._iter is not None
         return self._iter.record()

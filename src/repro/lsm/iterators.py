@@ -12,6 +12,16 @@ LSM reads are iterator compositions (the paper's ``NewIter``):
 Compaction reuses exactly the same stack (with a different I/O stage
 label), which is how the paper's testbed implements ``BuildTable``'s
 sort-merge input.
+
+The protocol separates *reading a header* from *materialising a
+record*.  ``key()`` and ``seq()`` (and, on a table iterator, ``kind()``
+and ``entry()`` — the stored bytes) are header reads: an SSTable
+iterator serves them from the ``<QQI`` column it decodes once per
+fetched block, without touching a value.  ``record()`` is the only call
+that builds a :class:`~repro.lsm.record.Record` and copies a value.
+The merge orders its heap on ``(key(), -seq(), rank)`` alone, so a
+range scan materialises one record per key it inspects and a compaction
+none at all: it copies ``entry()`` bytes from ``top()`` into the output.
 """
 
 from __future__ import annotations
@@ -42,9 +52,14 @@ class KVIterator(ABC):
     def key(self) -> int:
         """User key at the current position (requires ``valid()``)."""
 
+    def seq(self) -> int:
+        """Sequence number at the current position (a header read)."""
+        return self.record().seq
+
     @abstractmethod
     def record(self) -> Record:
-        """Record at the current position (requires ``valid()``)."""
+        """Record at the current position (requires ``valid()``); the
+        one call that materialises a value."""
 
     @abstractmethod
     def advance(self) -> None:
@@ -83,6 +98,9 @@ class ListIterator(KVIterator):
     def key(self) -> int:
         return self._records[self._pos].key
 
+    def seq(self) -> int:
+        return self._records[self._pos].seq
+
     def record(self) -> Record:
         return self._records[self._pos]
 
@@ -116,6 +134,9 @@ class MemTableIterator(KVIterator):
     def key(self) -> int:
         return self._current.key
 
+    def seq(self) -> int:
+        return self._current.seq
+
     def record(self) -> Record:
         return self._current
 
@@ -138,8 +159,7 @@ class MergingIterator(KVIterator):
     def _push(self, rank: int) -> None:
         child = self._children[rank]
         if child.valid():
-            record = child.record()
-            heapq.heappush(self._heap, (record.key, -record.seq, rank))
+            heapq.heappush(self._heap, (child.key(), -child.seq(), rank))
 
     def _rebuild(self) -> None:
         self._heap = []
@@ -162,9 +182,15 @@ class MergingIterator(KVIterator):
     def key(self) -> int:
         return self._heap[0][0]
 
+    def seq(self) -> int:
+        return -self._heap[0][1]
+
+    def top(self) -> KVIterator:
+        """The child standing on the current entry."""
+        return self._children[self._heap[0][2]]
+
     def record(self) -> Record:
-        rank = self._heap[0][2]
-        return self._children[rank].record()
+        return self.top().record()
 
     def advance(self) -> None:
         _, _, rank = heapq.heappop(self._heap)

@@ -42,6 +42,7 @@ A file in any other format version is refused at open with a
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -55,7 +56,13 @@ from repro.indexes.registry import IndexFactory, deserialize_index
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.iterators import KVIterator
 from repro.lsm.options import Options
-from repro.lsm.record import Record, decode_entry, decode_key, encode_entry
+from repro.lsm.record import (
+    ENTRY_HEADER_BYTES,
+    Record,
+    decode_entry,
+    decode_key,
+    encode_entry,
+)
 from repro.persist.manifest import TABLE_FORMAT
 from repro.storage.block_cache import DataBlockCache
 from repro.storage.block_device import BlockDevice
@@ -220,24 +227,29 @@ class TableBuilder:
 
     def add(self, record: Record) -> None:
         """Append one record; keys must strictly increase."""
-        if self._keys and record.key <= self._keys[-1]:
+        self.add_entry(record.key, record.seq,
+                       encode_entry(record, self.options.value_capacity))
+
+    def add_entry(self, key: int, seq: int, entry: bytes) -> None:
+        """Append one already-encoded entry (``key``/``seq`` are its
+        header fields); keys must strictly increase."""
+        if self._keys and key <= self._keys[-1]:
             raise CorruptionError(
                 f"table builder keys must strictly increase: "
-                f"{self._keys[-1]} then {record.key}")
-        self._keys.append(record.key)
-        if record.seq > self._max_seq:
-            self._max_seq = record.seq
-        self._chunks.append(encode_entry(record, self.options.value_capacity))
+                f"{self._keys[-1]} then {key}")
+        if len(entry) != self.options.entry_bytes:
+            raise CorruptionError(
+                f"table builder entry is {len(entry)} bytes, the table's "
+                f"entries are {self.options.entry_bytes}")
+        self._keys.append(key)
+        if seq > self._max_seq:
+            self._max_seq = seq
+        self._chunks.append(entry)
 
     @property
     def entry_count(self) -> int:
         """Records added so far."""
         return len(self._keys)
-
-    @property
-    def payload_bytes(self) -> int:
-        """Raw data bytes added so far (used for SSTable size targeting)."""
-        return len(self._keys) * self.options.entry_bytes
 
     def _encode_data_blocks(self) -> Tuple[List[bytes],
                                            List[Tuple[int, int, int, int]],
@@ -934,32 +946,62 @@ class TableIterator(KVIterator):
     stream forward one data block at a time charging ``refill_stage``
     (SCAN for range queries, COMPACT_READ for compaction inputs),
     mirroring the paper's range-lookup implementation.
+
+    Every fetched buffer's ``<QQI`` headers are decoded in one strided
+    pass into key / meta columns; :meth:`key`, :meth:`seq`, :meth:`kind`
+    and :meth:`entry` read those, and only :meth:`record` builds a
+    :class:`Record` (and copies a value).  The checks ``decode_entry``
+    makes — whole entries, value length within capacity — are made on
+    the whole buffer at fetch time, so a header or an entry handed out
+    has always passed them.
     """
 
     def __init__(self, table: Table, refill_stage: Stage) -> None:
         self.table = table
         self.refill_stage = refill_stage
+        self._entry_bytes = table.footer.entry_bytes
+        self._headers = struct.Struct(
+            f"<QQI{self._entry_bytes - ENTRY_HEADER_BYTES}x")
         self._pos = table.entry_count  # invalid
         self._buf = b""
+        self._keys: Tuple[int, ...] = ()
+        self._metas: Tuple[int, ...] = ()
         self._buf_lo = 0
         self._buf_hi = 0
 
     # -- buffer management ----------------------------------------------
 
     def _fetch(self, lo: int, hi: int, stage: Stage, seeks: int) -> None:
-        hi = min(hi, self.table.entry_count)
-        self._buf = self.table.read_entries(lo, hi, stage, seeks=seeks)
+        table = self.table
+        hi = min(hi, table.entry_count)
+        buf = table.read_entries(lo, hi, stage, seeks=seeks)
+        capacity = table.footer.value_capacity
+        try:
+            keys, metas, lengths = zip(*self._headers.iter_unpack(buf))
+        except (struct.error, ValueError):  # ragged or empty
+            keys = ()
+        if len(keys) != hi - lo or max(lengths) > capacity:
+            raise CorruptionError(
+                f"table {table.name}: {len(buf)} bytes fetched for entries "
+                f"[{lo}, {hi}) are not {hi - lo} whole {self._entry_bytes}"
+                f"-byte entries with values within capacity {capacity}")
+        self._buf = buf
+        self._keys = keys
+        self._metas = metas
         self._buf_lo = lo
         self._buf_hi = hi
 
-    def _ensure_buffered(self, pos: int) -> None:
-        if self._buf_lo <= pos < self._buf_hi:
-            return
-        per = self.table.footer.entries_per_block
-        # Align refills to data blocks so sequential scans read each
-        # block exactly once regardless of where the initial seek landed.
-        lo = pos - (pos % per)
-        self._fetch(lo, lo + per, self.refill_stage, seeks=0)
+    def _index(self) -> int:
+        """Column index of the current entry, refilling when needed."""
+        pos = self._pos
+        if not self._buf_lo <= pos < self._buf_hi:
+            per = self.table.footer.entries_per_block
+            # Align refills to data blocks so sequential scans read each
+            # block exactly once regardless of where the initial seek
+            # landed.
+            lo = pos - (pos % per)
+            self._fetch(lo, lo + per, self.refill_stage, seeks=0)
+        return pos - self._buf_lo
 
     # -- KVIterator ---------------------------------------------------------
 
@@ -984,7 +1026,6 @@ class TableIterator(KVIterator):
         if bound.width <= 0:
             self._pos = min(bound.lo, table.entry_count)
             if self._pos < table.entry_count:
-                self._ensure_buffered(self._pos)
                 self._skip_until(key)
             return
         bound = table.block_bound(bound)
@@ -992,19 +1033,8 @@ class TableIterator(KVIterator):
         table.stats.add(SEGMENTS_FETCHED)
         table.stats.charge(Stage.SEARCH,
                            table.cost.segment_search_us(bound.width))
-        self._pos = self._buf_lo + self._lower_bound_in_buf(key)
+        self._pos = self._buf_lo + bisect_left(self._keys, key)
         self._skip_until(key)
-
-    def _lower_bound_in_buf(self, key: int) -> int:
-        entry_bytes = self.table.footer.entry_bytes
-        lo, hi = 0, self._buf_hi - self._buf_lo
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if decode_key(self._buf, mid * entry_bytes) < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
 
     def _skip_until(self, key: int) -> None:
         """Safety net: step forward while positioned before ``key``."""
@@ -1014,14 +1044,28 @@ class TableIterator(KVIterator):
     def valid(self) -> bool:
         return 0 <= self._pos < self.table.entry_count
 
+    # ``_index()`` may refill, so it runs before the columns are read.
+
     def key(self) -> int:
-        self._ensure_buffered(self._pos)
-        offset = (self._pos - self._buf_lo) * self.table.footer.entry_bytes
-        return decode_key(self._buf, offset)
+        index = self._index()
+        return self._keys[index]
+
+    def seq(self) -> int:
+        index = self._index()
+        return self._metas[index] >> 8
+
+    def kind(self) -> int:
+        """Record kind at the current position (a header read)."""
+        index = self._index()
+        return self._metas[index] & 0xFF
+
+    def entry(self) -> bytes:
+        """The stored ``entry_bytes`` encoding of the current entry."""
+        offset = self._index() * self._entry_bytes
+        return self._buf[offset:offset + self._entry_bytes]
 
     def record(self) -> Record:
-        self._ensure_buffered(self._pos)
-        offset = (self._pos - self._buf_lo) * self.table.footer.entry_bytes
+        offset = self._index() * self._entry_bytes
         return decode_entry(self._buf, offset,
                             self.table.footer.value_capacity)
 

@@ -135,3 +135,173 @@ def test_partial_compaction_moves_subset():
     for outcome in deep:
         assert len(outcome.task.inputs) == 1  # partial: one upper file
     db.close()
+
+
+# -- entry pass-through: byte-identical to the record-by-record merge -------
+
+
+def _reference_do_run(self, version, task):
+    """The merge ``_do_run`` replaced, kept as the oracle: every merged
+    entry decoded into a ``Record`` and re-encoded by ``TableBuilder.add``,
+    outputs cut on the builder's payload size."""
+    from repro.lsm.compaction import CompactionOutcome
+    from repro.lsm.iterators import MergingIterator
+
+    outcome = CompactionOutcome(task=task)
+    all_inputs = task.all_inputs()
+    min_key = min(meta.min_key for meta in all_inputs)
+    max_key = max(meta.max_key for meta in all_inputs)
+    overlap_from = task.level if self._tiering else task.target_level
+    drop_tombstones = not version.key_range_overlaps_below(
+        overlap_from, min_key, max_key)
+    merged = MergingIterator([
+        meta.table.iterator(refill_stage=Stage.COMPACT_READ)
+        for meta in all_inputs])
+    merged.seek_to_first()
+    outputs = []
+    builder = None
+    per_file_index = (self.options.granularity is Granularity.FILE
+                      or self.level_models is None)
+    factory = self.index_factory if per_file_index else None
+    last_key = None
+    merge_cost = self.cost.merge_entry_us
+    while merged.valid():
+        record = merged.record()
+        merged.advance()
+        outcome.entries_in += 1
+        self.stats.charge(Stage.COMPACT_MERGE, merge_cost)
+        if record.key == last_key:
+            outcome.superseded += 1
+            continue
+        last_key = record.key
+        if record.is_tombstone and drop_tombstones:
+            outcome.dropped_tombstones += 1
+            continue
+        if builder is None:
+            builder = self._new_builder(factory, task.target_level)
+        builder.add(record)
+        outcome.entries_out += 1
+        if (not self._tiering
+                and builder.entry_count * self.options.entry_bytes
+                >= self.options.sstable_bytes):
+            outputs.append(self._finish_builder(builder))
+            builder = None
+    if builder is not None and builder.entry_count:
+        outputs.append(self._finish_builder(builder))
+    self._install(version, task, outputs)
+    outcome.outputs = outputs
+    entry_bytes = self.options.entry_bytes
+    self.stats.add(COMPACTIONS)
+    self.stats.add(COMPACT_BYTES_IN, outcome.entries_in * entry_bytes)
+    self.stats.add(COMPACT_BYTES_OUT, outcome.entries_out * entry_bytes)
+    return outcome
+
+
+def _churn(db, seed, ops):
+    """Seeded puts, overwrites and deletes over a small universe."""
+    rng = random.Random(seed)
+    live = {}
+    for i in range(ops):
+        key = rng.randrange(1, 700) * 1_000_003
+        if rng.random() < 0.2:
+            db.delete(key)
+            live.pop(key, None)
+        else:
+            live[key] = b"v%d" % i * rng.randrange(1, 4)
+            db.put(key, live[key])
+    db.flush()
+    return live
+
+
+def _recorded(db, do_run):
+    """Run ``db``'s compactions through ``do_run``, keeping each outcome
+    and the bytes of the files it wrote (inputs are deleted later on)."""
+    outcomes = []
+
+    def run(version, task):
+        outcome = do_run(db.compactor, version, task)
+        outcomes.append((
+            task.level, [meta.name for meta in task.all_inputs()],
+            outcome.entries_in, outcome.entries_out, outcome.superseded,
+            outcome.dropped_tombstones,
+            [(meta.name, db.device.pread(meta.name, 0,
+                                         db.device.size(meta.name)))
+             for meta in outcome.outputs]))
+        return outcome
+
+    db.compactor._do_run = run
+    return outcomes
+
+
+@pytest.mark.parametrize("policy,granularity", [
+    ("leveling", Granularity.FILE), ("leveling", Granularity.LEVEL),
+    ("tiering", Granularity.FILE)])
+def test_pass_through_merge_writes_the_reference_merge_bytes(policy,
+                                                             granularity):
+    from repro.lsm.compaction import Compactor
+    from repro.lsm.options import CompactionPolicy
+
+    runs = []
+    for do_run in (Compactor._do_run, _reference_do_run):
+        db = LSMTree(small_test_options(
+            index_kind=IndexKind.PGM, granularity=granularity,
+            compaction_policy=CompactionPolicy(policy)))
+        outcomes = _recorded(db, do_run)
+        live = _churn(db, seed=31, ops=3000)
+        assert sorted(db.scan(0, 10_000)) == sorted(live.items())
+        files = {name: db.device.pread(name, 0, db.device.size(name))
+                 for name in db.device.list_files()}
+        runs.append((outcomes, files, db.stats))
+        deepest = max(level for level, _ in db.version.all_files())
+        db.close()
+    (outcomes, files, stats), (ref_outcomes, ref_files, ref_stats) = runs
+    assert deepest >= 2 and len(outcomes) > 10
+    assert {task[0] for task in outcomes} >= {0, 1}  # L0->L1 and L1->L2
+    assert any(task[4] for task in outcomes)   # superseded versions
+    assert any(task[5] for task in outcomes)   # dropped tombstones
+    assert outcomes == ref_outcomes
+    assert files == ref_files
+    assert stats == ref_stats
+
+
+def test_inputs_of_another_value_capacity_are_re_encoded():
+    from repro.lsm.compaction import Compactor
+    from repro.lsm.record import entry_size
+
+    def options(capacity, trigger):
+        return small_test_options(
+            index_kind=IndexKind.PGM, value_capacity=capacity,
+            write_buffer_bytes=64 * entry_size(44),
+            sstable_bytes=128 * entry_size(44),
+            l0_compaction_trigger=trigger)
+
+    narrow = LSMTree(options(20, trigger=100))
+    expected = {}
+    for key in range(1, 400, 3):
+        expected[key] = b"old%d" % key
+        narrow.put(key, expected[key])
+    narrow.delete(7)
+    del expected[7]
+    narrow.flush()
+    assert narrow.stats.get(COMPACTIONS) == 0
+
+    wide = LSMTree.reopen(options(44, trigger=2), narrow.device)
+    seen = []
+    real = Compactor._do_run
+    wide.compactor._do_run = lambda version, task: (
+        seen.extend(meta.table.footer.value_capacity
+                    for meta in task.all_inputs()),
+        real(wide.compactor, version, task))[1]
+    for key in range(2, 400, 5):
+        expected[key] = b"a-new-and-much-longer-value-%d" % key
+        wide.put(key, expected[key])
+    wide.flush()
+    assert {20, 44} <= set(seen)  # mixed inputs: the fallback arm ran
+    for _, meta in wide.version.all_files():
+        if meta.table.footer.level >= 1:
+            assert meta.table.footer.value_capacity == 44
+            assert meta.table.footer.entry_bytes == entry_size(44)
+    assert wide.scan(0, 10_000) == sorted(expected.items())
+    for key in (1, 2, 7, 397):
+        assert wide.get(key) == expected.get(key)
+    wide.close()

@@ -128,3 +128,70 @@ def test_property_db_iterator_newest_wins(key_versions):
     cursor = DBIterator(_list_iter(records))
     cursor.seek_to_first()
     assert cursor.take(1000) == sorted(expected.items())
+
+
+# -- header reads vs. materialisation ---------------------------------------
+
+
+class _CountingIterator(ListIterator):
+    """A list iterator that counts how often a record is materialised."""
+
+    def __init__(self, records):
+        super().__init__(records)
+        self.materialised = 0
+
+    def record(self):
+        self.materialised += 1
+        return super().record()
+
+
+def _versions():
+    """Three sources, overlapping keys, tombstones on top of values."""
+    newest = [make_tombstone(2, 30), make_value(5, 31, b"n5"),
+              make_value(9, 32, b"n9")]
+    middle = [make_value(1, 20, b"m1"), make_value(2, 21, b"m2"),
+              make_tombstone(9, 22)]
+    oldest = [make_value(k, k, b"o%d" % k) for k in range(1, 11)]
+    return [_CountingIterator(sorted(source, key=lambda r: r.key))
+            for source in (newest, middle, oldest)]
+
+
+def test_merge_orders_headers_without_materialising_records():
+    children = _versions()
+    merged = MergingIterator(children)
+    merged.seek_to_first()
+    walked = []
+    while merged.valid():
+        walked.append((merged.key(), merged.seq()))
+        top = merged.top()
+        assert (top.key(), top.seq()) == walked[-1]
+        merged.advance()
+    assert walked == sorted(walked, key=lambda pair: (pair[0], -pair[1]))
+    assert len(walked) == 16
+    assert [child.materialised for child in children] == [0, 0, 0]
+    merged.seek(9)
+    assert (merged.key(), merged.seq()) == (9, 32)
+    assert merged.record() == make_value(9, 32, b"n9")
+    assert sum(child.materialised for child in children) == 1
+
+
+def test_db_iterator_materialises_one_record_per_key_it_inspects():
+    children = _versions()
+    cursor = DBIterator(MergingIterator(children))
+    cursor.seek_to_first()
+    assert cursor.take(100) == [
+        (1, b"m1"), (3, b"o3"), (4, b"o4"), (5, b"n5"), (6, b"o6"),
+        (7, b"o7"), (8, b"o8"), (9, b"n9"), (10, b"o10")]
+    # Ten distinct keys, one of them (2) hidden by its tombstone.
+    assert sum(child.materialised for child in children) == 10
+
+
+def test_seq_defaults_to_the_record_for_iterators_without_headers():
+    from repro.lsm.iterators import KVIterator
+
+    class Bare(ListIterator):
+        seq = KVIterator.seq
+
+    it = Bare([make_value(4, 17, b"x")])
+    it.seek_to_first()
+    assert it.seq() == 17

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.indexes import segmentation
 from repro.indexes.radix_spline import interpolate
 from repro.indexes.segmentation import (
     greedy_corridor_segments,
@@ -127,3 +128,109 @@ def test_huge_keyspace_numerics():
                            (optimal_pla_segments, 8)):
         segments, _ = algorithm(keys, eps)
         assert verify_segments(keys, segments, eps) <= eps + 1e-3
+
+
+# ---------------------------------------------------------------------------
+# The inlined hull loop against the helper-calling one it replaced.  The
+# five functions below are that loop, verbatim: one ``_slope_to`` /
+# ``_cross`` call per evaluation.  Same operands in the same order must
+# give the same floats, so segments are compared by ``repr``.
+# ---------------------------------------------------------------------------
+
+_INF = float("inf")
+
+
+def _ref_cross(ox, oy, ax, ay, bx, by):
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+
+def _ref_slope_to(px, py, qx, qy):
+    if qx == px:
+        if qy > py:
+            return _INF
+        if qy < py:
+            return -_INF
+        return 0.0
+    return (qy - py) / (qx - px)
+
+
+def _ref_tangent_extreme(hull, px, py, want_max):
+    lo = 0
+    hi = len(hull) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        s_mid = _ref_slope_to(hull[mid][0], hull[mid][1], px, py)
+        s_next = _ref_slope_to(hull[mid + 1][0], hull[mid + 1][1], px, py)
+        if want_max:
+            better_right = s_next > s_mid
+        else:
+            better_right = s_next < s_mid
+        if better_right:
+            lo = mid + 1
+        else:
+            hi = mid
+    return _ref_slope_to(hull[lo][0], hull[lo][1], px, py)
+
+
+def _ref_push_upper(hull, x, y):
+    while len(hull) >= 2 and _ref_cross(hull[-2][0], hull[-2][1],
+                                        hull[-1][0], hull[-1][1], x, y) >= 0:
+        hull.pop()
+    hull.append((x, y))
+
+
+def _ref_push_lower(hull, x, y):
+    while len(hull) >= 2 and _ref_cross(hull[-2][0], hull[-2][1],
+                                        hull[-1][0], hull[-1][1], x, y) <= 0:
+        hull.pop()
+    hull.append((x, y))
+
+
+def _reference_pla(monkeypatch, keys, epsilon):
+    """``optimal_pla_segments`` driven through the reference helpers."""
+    with monkeypatch.context() as patch:
+        patch.setattr(segmentation, "_tangent_extreme", _ref_tangent_extreme)
+        patch.setattr(segmentation, "_push_upper", _ref_push_upper)
+        patch.setattr(segmentation, "_push_lower", _ref_push_lower)
+        return optimal_pla_segments(keys, epsilon)
+
+
+def _pla_inputs():
+    rng = random.Random(23)
+    yield "single", [42]
+    yield "pair", [7, 1 << 63]
+    yield "collinear", list(range(1000, 9000, 5))
+    yield "random", sorted({rng.randrange(1 << 64) for _ in range(3000)})
+    yield "dense", sorted({rng.randrange(1 << 20) for _ in range(3000)})
+    yield "near-2^63", sorted({(1 << 63) + rng.randrange(4000)
+                               for _ in range(2000)})
+    # Slopes run on deltas from the segment's first key, so keys collide
+    # as floats only when that key is far away: a cluster of consecutive
+    # keys 2^63 above it shares one delta and takes the vertical
+    # (+inf / -inf / 0) arms of the slope.
+    yield "float-colliding", [0] + [(1 << 63) + i for i in range(600)]
+    step, key, drifting = 10, 0, []
+    for i in range(3000):
+        step += 3 * (i % 200 == 0)
+        key += step + rng.randrange(3)
+        drifting.append(key)
+    yield "drifting", drifting
+
+
+@pytest.mark.parametrize("name,keys", list(_pla_inputs()),
+                         ids=[name for name, _ in _pla_inputs()])
+@pytest.mark.parametrize("epsilon", [1, 4, 32, 128])
+def test_inlined_hull_matches_helper_calling_loop(monkeypatch, name, keys,
+                                                  epsilon):
+    expected = _reference_pla(monkeypatch, keys, epsilon)
+    assert segmentation._tangent_extreme is not _ref_tangent_extreme
+    assert repr(optimal_pla_segments(keys, epsilon)) == repr(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
+                min_size=1, max_size=400, unique=True).map(sorted), epsilons)
+def test_property_inlined_hull_matches_helper_calling_loop(keys, epsilon):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        expected = _reference_pla(monkeypatch, keys, epsilon)
+    assert repr(optimal_pla_segments(keys, epsilon)) == repr(expected)

@@ -311,3 +311,143 @@ def test_get_in_bound_clamps_and_aligns_like_search_bound(codec):
             assert delta.counter(SEGMENTS_FETCHED) == 1
             assert delta.stage_time(Stage.SEARCH) == pytest.approx(
                 table.cost.segment_search_us(want.width), rel=1e-9)
+
+
+# -- header columns: key()/seq()/kind()/entry() against record() -----------
+
+
+def _mixed_table(codec):
+    """Values, tombstones and a short tail block (42 entries, 4 a block)."""
+    from repro.lsm.record import make_tombstone
+
+    options = small_test_options(block_codec=codec)
+    stats = Stats()
+    device = MemoryBlockDevice(block_size=options.block_size, stats=stats)
+    cost = CostModel(block_size=options.block_size)
+    records = [make_tombstone(1000 + 7 * i, 900 - i) if i % 5 == 3
+               else make_value(1000 + 7 * i, 900 - i, b"v%d" % i * (i % 4))
+               for i in range(42)]
+    builder = TableBuilder(device, "t1", options,
+                           IndexFactory(IndexKind.PGM, 8), stats, cost)
+    for record in records:
+        builder.add(record)
+    builder.finish()
+    table = Table.open(device, "t1", options, stats, cost)
+    assert table.entry_count % table.footer.entries_per_block
+    return table, records
+
+
+def _walk(it, records, start):
+    """From ``start`` to the end, every header read agrees with record()."""
+    from repro.lsm.record import encode_entry
+
+    capacity = it.table.footer.value_capacity
+    for want in records[start:]:
+        assert it.valid()
+        record = it.record()
+        assert record == want
+        assert (it.key(), it.seq(), it.kind(), it.entry()) == (
+            record.key, record.seq, record.kind,
+            encode_entry(record, capacity))
+        it.advance()
+    assert not it.valid()
+
+
+@pytest.mark.parametrize("codec", _CODECS)
+def test_iterator_header_reads_equal_the_decoded_record(codec):
+    from repro.indexes.base import SearchBound
+
+    table, records = _mixed_table(codec)
+    it = table.iterator()
+    it.seek_to_first()
+    _walk(it, records, 0)
+    keys = [record.key for record in records]
+    for probe in range(keys[0] - 2, keys[-1] + 3):
+        start = sum(1 for key in keys if key < probe)
+        it = table.iterator(refill_stage=Stage.COMPACT_READ)
+        it.seek(probe)
+        _walk(it, records, start)
+    n = len(records)
+    for position, key in enumerate(keys):
+        for bound in (SearchBound(position, position + 1),
+                      SearchBound(max(0, position - 9), position + 9),
+                      SearchBound(0, n), SearchBound(position, position),
+                      SearchBound(-5, n + 5)):
+            it = table.iterator()
+            it.seek_to_bound(key, bound)
+            _walk(it, records, position)
+
+
+def _patched_reads(table, patch):
+    """Make ``table.read_entries`` return ``patch(buffer)``: damage that
+    appears after the block CRC was checked."""
+    real = table.read_entries
+    table.read_entries = (
+        lambda lo, hi, stage, *, seeks=1: patch(real(lo, hi, stage,
+                                                     seeks=seeks)))
+
+
+@pytest.mark.parametrize("codec", _CODECS)
+def test_iterator_refuses_a_length_field_beyond_capacity(codec):
+    import struct
+
+    table, _ = _mixed_table(codec)
+    capacity = table.footer.value_capacity
+
+    def oversize_second_entry(buf):
+        damaged = bytearray(buf)
+        struct.pack_into("<I", damaged, table.footer.entry_bytes + 16,
+                         capacity + 1)
+        return bytes(damaged)
+
+    _patched_reads(table, oversize_second_entry)
+    it = table.iterator()
+    with pytest.raises(CorruptionError, match="t1"):
+        it.seek_to_first()
+        it.advance()
+        it.record()
+    it = table.iterator()
+    with pytest.raises(CorruptionError, match="t1"):
+        it.seek_to_first()
+        it.advance()
+        it.entry()
+
+
+def test_iterator_turns_a_ragged_buffer_into_a_typed_error():
+    table, _ = _mixed_table("none")
+    _patched_reads(table, lambda buf: buf[:-3])
+    with pytest.raises(CorruptionError, match="t1"):
+        table.iterator().seek_to_first()
+    table, _ = _mixed_table("none")
+    _patched_reads(table, lambda buf: buf[:-table.footer.entry_bytes])
+    with pytest.raises(CorruptionError, match="t1"):
+        table.iterator().seek_to_first()
+
+
+def test_builder_add_is_add_entry_of_the_encoding(sample_keys):
+    from repro.lsm.record import encode_entry
+
+    options = small_test_options()
+    tables = []
+    for passthrough in (False, True):
+        stats = Stats()
+        device = MemoryBlockDevice(block_size=options.block_size, stats=stats)
+        builder = TableBuilder(device, "t", options,
+                               IndexFactory(IndexKind.PGM, 8), stats,
+                               CostModel(block_size=options.block_size))
+        for i, key in enumerate(sample_keys):
+            record = make_value(key, i + 1, b"v%d" % key)
+            if passthrough:
+                builder.add_entry(key, i + 1, encode_entry(
+                    record, options.value_capacity))
+            else:
+                builder.add(record)
+        table = builder.finish()
+        tables.append((device.pread("t", 0, device.size("t")), stats,
+                       table.footer))
+        with pytest.raises(CorruptionError):  # same checks on both doors
+            builder.add_entry(sample_keys[-1], 1, bytes(options.entry_bytes))
+        with pytest.raises(CorruptionError):
+            builder.add_entry(sample_keys[-1] + 1, 1,
+                              bytes(options.entry_bytes - 1))
+    assert tables[0] == tables[1]
