@@ -20,27 +20,23 @@ key, exactly like LevelDB's ``IsBaseLevelForKey`` test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.lsm.iterators import MergingIterator
-from repro.lsm.options import CompactionPolicy, Granularity, Options
+from repro.lsm.options import CompactionPolicy
 from repro.obs.trace import OpType
 from repro.lsm.record import KIND_TOMBSTONE, encode_entry
 from repro.lsm.sstable import TableBuilder
 from repro.lsm.version import FileMetaData, Version
-from repro.lsm.level_index import LevelModelManager
-from repro.indexes.registry import IndexFactory
-from repro.persist.manifest import Manifest, VersionEdit
-from repro.storage.block_cache import DataBlockCache
-from repro.storage.block_device import BlockDevice
-from repro.storage.cost_model import CostModel
 from repro.storage.stats import (
     COMPACT_BYTES_IN,
     COMPACT_BYTES_OUT,
     COMPACTIONS,
     Stage,
-    Stats,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.lsm.db import LSMTree
 
 
 @dataclass
@@ -74,25 +70,18 @@ class CompactionOutcome:
 
 
 class Compactor:
-    """Executes the leveling policy over a :class:`Version`."""
+    """Executes the leveling policy over a tree's :class:`Version`.
 
-    def __init__(self, device: BlockDevice, options: Options, stats: Stats,
-                 cost: CostModel, index_factory: IndexFactory,
-                 next_file_name: Callable[[], str],
-                 next_file_number: Callable[[], int],
-                 manifest: Manifest,
-                 level_models: Optional[LevelModelManager] = None,
-                 data_cache: Optional[DataBlockCache] = None) -> None:
-        self.device = device
-        self.options = options
-        self.stats = stats
-        self.cost = cost
-        self.index_factory = index_factory
-        self.next_file_name = next_file_name
-        self.next_file_number = next_file_number
-        self.level_models = level_models
-        self.manifest = manifest
-        self.data_cache = data_cache
+    It picks the inputs and merges them; the tree builds, seals and
+    commits the output tables (:meth:`LSMTree.new_table`,
+    :meth:`LSMTree.seal`, :meth:`LSMTree.commit`).
+    """
+
+    def __init__(self, tree: "LSMTree") -> None:
+        self.tree = tree
+        self.options = tree.options
+        self.stats = tree.stats
+        self.cost = tree.cost
         #: LevelDB-style compact pointers: last compacted max key per level.
         self._pointers: Dict[int, int] = {}
 
@@ -185,9 +174,6 @@ class Compactor:
 
         outputs: List[FileMetaData] = []
         builder: Optional[TableBuilder] = None
-        per_file_index = (self.options.granularity is Granularity.FILE
-                          or self.level_models is None)
-        factory = self.index_factory if per_file_index else None
         target_level = task.target_level
 
         options = self.options
@@ -233,15 +219,15 @@ class Compactor:
                 dropped += 1
                 continue
             if builder is None:
-                builder = self._new_builder(factory, target_level)
+                builder = self.tree.new_table(target_level)
             builder.add_entry(key, seq, entry)
             entries_out += 1
             # Every finished output holds exactly ``cut`` entries.
             if cut and entries_out % cut == 0:
-                outputs.append(self._finish_builder(builder))
+                outputs.append(self.tree.seal(builder))
                 builder = None
         if builder is not None:
-            outputs.append(self._finish_builder(builder))
+            outputs.append(self.tree.seal(builder))
 
         self._install(version, task, outputs)
         outcome.outputs = outputs
@@ -254,33 +240,10 @@ class Compactor:
         self.stats.add(COMPACT_BYTES_OUT, entries_out * options.entry_bytes)
         return outcome
 
-    def _new_builder(self, factory: Optional[IndexFactory],
-                     level: int) -> TableBuilder:
-        return TableBuilder(self.device, self.next_file_name(), self.options,
-                            factory, self.stats, self.cost, level=level,
-                            data_cache=self.data_cache)
-
-    def _finish_builder(self, builder: TableBuilder) -> FileMetaData:
-        table = builder.finish()
-        meta = FileMetaData(number=self.next_file_number(), table=table)
-        if self.level_models is not None:
-            self.level_models.register_keys(table.name, table.cached_keys)
-        else:
-            table.release_keys()
-        return meta
-
     def _install(self, version: Version, task: CompactionTask,
                  outputs: List[FileMetaData]) -> None:
-        """Swap inputs for outputs and commit the result durably.
-
-        Crash-safe ordering: the output tables (and any retrained model
-        sidecars) are already on the device when the version edit is
-        appended, and the obsolete input files are deleted only *after*
-        the edit is durable.  A crash before the append recovers to the
-        pre-compaction version (the orphaned outputs are GCed); a crash
-        after it recovers to the post-compaction version (the undeleted
-        inputs are GCed).
-        """
+        """Swap inputs for outputs in ``version``, then commit the swap
+        (the crash-safe order lives in :meth:`LSMTree.commit`)."""
         version.remove_files(task.level, task.inputs)
         version.remove_files(task.target_level, task.overlaps)
         for meta in outputs:
@@ -288,28 +251,9 @@ class Compactor:
         if task.inputs:
             self._pointers[task.level] = max(
                 meta.max_key for meta in task.inputs)
-        if self.level_models is not None:
-            for meta in task.all_inputs():
-                self.level_models.forget_keys(meta.name)
-        pointers: Dict[int, str] = {}
-        if self.level_models is not None:
-            for level in {task.target_level, task.level} - {0}:
-                pointers[level] = self.level_models.rebuild(
-                    level, version.levels[level])
-        edit = VersionEdit(kind="compaction")
-        for meta in task.inputs:
-            edit.delete_file(task.level, meta.number, meta.name)
-        for meta in task.overlaps:
-            edit.delete_file(task.target_level, meta.number, meta.name)
-        for meta in outputs:
-            edit.add_file(task.target_level, meta.number, meta.name)
-        for level, pointer in pointers.items():
-            edit.point_model(level, pointer)
-        if outputs:
-            edit.next_file_number = max(meta.number for meta in outputs)
-        self.manifest.append(edit)
-        self.stats.charge(Stage.COMPACT_WRITE, self.cost.wal_commit_us)
-        for meta in task.all_inputs():
-            meta.table.close()
-        if self.level_models is not None:
-            self.level_models.drop_stale()
+        self.tree.commit(
+            "compaction", Stage.COMPACT_WRITE,
+            added=[(task.target_level, meta) for meta in outputs],
+            retired=([(task.level, meta) for meta in task.inputs]
+                     + [(task.target_level, meta) for meta in task.overlaps]),
+            retrain=sorted({task.level, task.target_level} - {0}))

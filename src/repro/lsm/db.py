@@ -164,14 +164,7 @@ class LSMTree:
         #: ``cost.binary_search_us`` by file count: the file-range charge
         #: of a level only changes when a version edit does.
         self._file_range_us: Dict[int, float] = {}
-        self.compactor = Compactor(
-            device=self.device, options=self.options, stats=self.stats,
-            cost=self.cost, index_factory=self.index_factory,
-            next_file_name=self._next_file_name,
-            next_file_number=self._next_file_number,
-            level_models=self.level_models,
-            manifest=self.manifest,
-            data_cache=self.data_cache)
+        self.compactor = Compactor(self)
 
     # -- recovery ----------------------------------------------------------
 
@@ -365,14 +358,78 @@ class LSMTree:
                 if self.level_models.persisted_pointer(level)))
         return summary
 
-    # -- plumbing ----------------------------------------------------------
+    # -- table lifecycle -----------------------------------------------------
+    #
+    # Every table — flush, bulk ingest, compaction output, scrub rewrite —
+    # is made by ``new_table``, sealed by ``seal`` and installed by
+    # ``commit``; callers only choose what goes in and edit the version.
 
-    def _next_file_number(self) -> int:
+    def new_table(self, level: int) -> TableBuilder:
+        """A builder for the next table file, bound for ``level``.
+
+        The table embeds a per-file index unless a level model covers
+        ``level``; level 0 never has a level model.
+        """
+        factory = (self.index_factory
+                   if self.level_models is None or level == 0 else None)
+        return TableBuilder(self.device, f"sst-{self._file_counter + 1:06d}",
+                            self.options, factory, self.stats, self.cost,
+                            level=level, data_cache=self.data_cache)
+
+    def seal(self, builder: TableBuilder) -> FileMetaData:
+        """Finish ``builder``'s file and give it the next file number.
+
+        The key array goes to the level-model manager for retraining,
+        or is dropped when there is none.
+        """
+        table = builder.finish()
         self._file_counter += 1
-        return self._file_counter
+        meta = FileMetaData(number=self._file_counter, table=table)
+        if self.level_models is not None:
+            self.level_models.register_keys(table.name, table.cached_keys)
+        else:
+            table.release_keys()
+        return meta
 
-    def _next_file_name(self) -> str:
-        return f"sst-{self._file_counter + 1:06d}"
+    def commit(self, kind: str, stage: Stage, *,
+               added: Sequence[Tuple[int, FileMetaData]] = (),
+               retired: Sequence[Tuple[int, FileMetaData]] = (),
+               retrain: Sequence[int] = (),
+               last_seq: Optional[int] = None) -> None:
+        """Make a version change durable: one manifest edit, crash-safe.
+
+        The caller has already edited :attr:`version`; ``added`` and
+        ``retired`` are the ``(level, file)`` pairs it put in and took
+        out.  The order is what makes a crash at any point recoverable:
+        the new tables (and, after ``retrain``, their level models) are
+        on the device before the edit is appended, and the retired
+        tables and superseded model sidecars are deleted only after it
+        is durable.  A crash before the append reopens the old version
+        (the new files are GCed); a crash after it reopens the new one
+        (the undeleted old files are GCed).
+        """
+        edit = VersionEdit(kind=kind, last_seq=last_seq)
+        for level, meta in added:
+            edit.add_file(level, meta.number, meta.name)
+        for level, meta in retired:
+            edit.delete_file(level, meta.number, meta.name)
+        if added:
+            edit.next_file_number = self._file_counter
+        models = self.level_models
+        if models is not None:
+            for _, meta in retired:
+                models.forget_keys(meta.name)
+            for level in retrain:
+                edit.point_model(level, models.rebuild(
+                    level, self.version.levels[level]))
+        self.manifest.append(edit)
+        self.stats.charge(stage, self.cost.wal_commit_us)
+        for _, meta in retired:
+            meta.table.close()
+        if models is not None:
+            models.drop_stale()
+
+    # -- plumbing ----------------------------------------------------------
 
     def _check_open(self) -> None:
         if self._closed:
@@ -571,27 +628,16 @@ class LSMTree:
                 tracer.end(span)
 
     def _do_flush(self) -> Optional[FileMetaData]:
-        builder = TableBuilder(self.device, self._next_file_name(),
-                               self.options, self.index_factory, self.stats,
-                               self.cost, data_cache=self.data_cache)
+        builder = self.new_table(0)
         for record in self.memtable.records():
             builder.add(record)
-        table = builder.finish()
-        meta = FileMetaData(number=self._next_file_number(), table=table)
-        if self.level_models is not None:
-            self.level_models.register_keys(table.name, table.cached_keys)
-        else:
-            table.release_keys()
+        meta = self.seal(builder)
         self.version.add_file(0, meta)
         # Commit the flush before the WAL resets: once the log is
         # truncated, the manifest is the only durable record that this
         # table exists.
-        edit = VersionEdit(kind="flush",
-                           next_file_number=self._file_counter,
-                           last_seq=self._seq)
-        edit.add_file(0, meta.number, meta.name)
-        self.manifest.append(edit)
-        self.stats.charge(Stage.WRITE_PATH, self.cost.wal_commit_us)
+        self.commit("flush", Stage.WRITE_PATH, added=[(0, meta)],
+                    last_seq=self._seq)
         self.memtable = MemTable(self.options.entry_bytes)
         if self.wal is not None:
             self.wal.reset()
@@ -668,41 +714,18 @@ class LSMTree:
 
     def _ingest_level(self, level: int, sorted_keys, value_for) -> None:
         per_table = self.options.entries_per_sstable
-        per_file_index = (self.level_models is None or level == 0)
-        factory = self.index_factory if per_file_index else None
-        added: List[FileMetaData] = []
+        added: List[Tuple[int, FileMetaData]] = []
         for start in range(0, len(sorted_keys), per_table):
-            chunk = sorted_keys[start:start + per_table]
-            builder = TableBuilder(self.device, self._next_file_name(),
-                                   self.options, factory, self.stats,
-                                   self.cost, level=level,
-                                   data_cache=self.data_cache)
-            for key in chunk:
+            builder = self.new_table(level)
+            for key in sorted_keys[start:start + per_table]:
                 self._seq += 1
                 builder.add(make_value(key, self._seq, value_for(key)))
-            table = builder.finish()
-            meta = FileMetaData(number=self._next_file_number(), table=table)
-            if self.level_models is not None:
-                self.level_models.register_keys(table.name, table.cached_keys)
-            else:
-                table.release_keys()
+            meta = self.seal(builder)
             self.version.add_file(level, meta)
-            added.append(meta)
-        pointer = None
-        if self.level_models is not None and level >= 1:
-            pointer = self.level_models.rebuild(level,
-                                                self.version.levels[level])
-        edit = VersionEdit(kind="ingest",
-                           next_file_number=self._file_counter,
-                           last_seq=self._seq)
-        for meta in added:
-            edit.add_file(level, meta.number, meta.name)
-        if pointer is not None:
-            edit.point_model(level, pointer)
-        self.manifest.append(edit)
-        self.stats.charge(Stage.WRITE_PATH, self.cost.wal_commit_us)
-        if self.level_models is not None:
-            self.level_models.drop_stale()
+            added.append((level, meta))
+        # ``bulk_ingest`` fills levels >= 1 only, so the level is retrainable.
+        self.commit("ingest", Stage.WRITE_PATH, added=added, retrain=[level],
+                    last_seq=self._seq)
 
     # -- read path ----------------------------------------------------------
 

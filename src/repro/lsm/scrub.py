@@ -7,9 +7,10 @@ every checksum, and then repairs:
 
 * a fully clean table is left alone;
 * a damaged table with surviving data blocks is **rewritten**: the good
-  blocks are decoded and rebuilt into a fresh table through the same
-  builder + manifest-commit path compaction uses (retraining level
-  models where configured), and the damaged original is deleted;
+  blocks are decoded and rebuilt into a fresh table that takes the
+  original's slot in the version, through the tree's own
+  ``new_table``/``seal``/``commit`` (retraining level models where
+  configured), and the damaged original is deleted;
 * a table with nothing salvageable is **quarantined**: renamed to a
   ``quar-`` prefix (outside the manifest GC's ``sst-``/``mdl-``
   namespaces, so it survives reopens for offline forensics) and dropped
@@ -35,10 +36,8 @@ from repro.lsm.sstable import (
     FOOTER_BYTES,
     HEADER_BYTES,
     Table,
-    TableBuilder,
 )
 from repro.lsm.version import FileMetaData
-from repro.persist.manifest import VersionEdit
 from repro.storage.checksum import crc32c
 from repro.storage.compression import decode_block
 from repro.storage.stats import (
@@ -213,62 +212,14 @@ def _salvage_records(db: "LSMTree", table: Table,
     return records
 
 
-def _rewrite_table(db: "LSMTree", level: int, meta: FileMetaData,
-                   records: List[Record]) -> FileMetaData:
-    """Rebuild the salvaged records as a fresh table at ``level``."""
-    # L0 is never covered by level models, so its tables always embed a
-    # per-file index — the same rule the ingest and flush paths follow.
-    per_file_index = db.level_models is None or level == 0
-    factory = db.index_factory if per_file_index else None
-    builder = TableBuilder(db.device, db._next_file_name(), db.options,
-                           factory, db.stats, db.cost, level=level,
-                           data_cache=db.data_cache)
-    for record in records:
-        builder.add(record)
-    new_table = builder.finish()
-    new_meta = FileMetaData(number=db._next_file_number(), table=new_table)
-    if db.level_models is not None:
-        db.level_models.register_keys(new_table.name, new_table.cached_keys)
-    else:
-        new_table.release_keys()
-    return new_meta
-
-
-def _commit_replacement(db: "LSMTree", level: int, meta: FileMetaData,
-                        replacement: Optional[FileMetaData]) -> None:
-    """Swap ``meta`` for ``replacement`` (or drop it) durably.
-
-    Same crash-safe ordering as compaction: the replacement file is on
-    the device before the manifest edit is appended, and the damaged
-    original goes away only after the edit is durable.
-
-    The replacement takes the original's *slot* in the level list, not
-    a fresh newest-first insert: an L0 file rewritten by scrub holds
-    old data, and promoting it above newer overlapping L0 files would
-    let stale versions shadow fresh ones.
-    """
-    files = db.version.levels[level]
-    slot = files.index(meta)
-    if replacement is not None:
-        files[slot] = replacement
-    else:
-        del files[slot]
-    if db.level_models is not None:
-        db.level_models.forget_keys(meta.name)
-    pointer = None
-    if db.level_models is not None and level >= 1:
-        pointer = db.level_models.rebuild(level, db.version.levels[level])
-    edit = VersionEdit(kind="scrub")
-    edit.delete_file(level, meta.number, meta.name)
-    if replacement is not None:
-        edit.add_file(level, replacement.number, replacement.name)
-        edit.next_file_number = replacement.number
-    if pointer is not None:
-        edit.point_model(level, pointer)
-    db.manifest.append(edit)
-    db.stats.charge(Stage.COMPACT_WRITE, db.cost.wal_commit_us)
-    if db.level_models is not None:
-        db.level_models.drop_stale()
+def _replace(db: "LSMTree", level: int, meta: FileMetaData,
+             replacement: Optional[FileMetaData]) -> None:
+    """Swap ``meta`` for ``replacement`` (or drop it) in its slot, durably;
+    the commit deletes ``meta``'s file once the edit is appended."""
+    db.version.replace_file(level, meta, replacement)
+    db.commit("scrub", Stage.COMPACT_WRITE,
+              added=[] if replacement is None else [(level, replacement)],
+              retired=[(level, meta)], retrain=[level] if level >= 1 else [])
 
 
 def _scrub_table(db: "LSMTree", level: int,
@@ -295,9 +246,11 @@ def _scrub_table(db: "LSMTree", level: int,
     if result.entries_lost > 0:
         db.stats.add(SCRUB_ENTRIES_LOST, result.entries_lost)
     if records:
-        replacement = _rewrite_table(db, level, meta, records)
-        _commit_replacement(db, level, meta, replacement)
-        table.close()  # deletes the damaged original
+        builder = db.new_table(level)
+        for record in records:
+            builder.add(record)
+        replacement = db.seal(builder)
+        _replace(db, level, meta, replacement)
         db.stats.add(SCRUB_TABLES_REWRITTEN)
         result.action = "rewritten"
         result.rewritten_as = replacement.name
@@ -305,9 +258,9 @@ def _scrub_table(db: "LSMTree", level: int,
         quarantine_name = QUARANTINE_PREFIX + table.name
         if db.device.exists(quarantine_name):
             db.device.delete(quarantine_name)
+        # Renamed away first, so the commit's close only drops caches.
         db.device.rename(table.name, quarantine_name)
-        _commit_replacement(db, level, meta, None)
-        table.close()  # file already renamed away; this just drops caches
+        _replace(db, level, meta, None)
         db.stats.add(SCRUB_TABLES_QUARANTINED)
         db._quarantined_tables.append(quarantine_name)
         result.action = "quarantined"
@@ -317,7 +270,7 @@ def _scrub_table(db: "LSMTree", level: int,
 def scrub_tree(db: "LSMTree") -> ScrubReport:
     """Verify and repair every live table of ``db``; see module docs."""
     report = ScrubReport()
-    # Snapshot the file list first: repairs mutate the version in place.
-    for level, meta in list(db.version.all_files()):
+    # ``all_files`` is a snapshot: repairs edit the version as they go.
+    for level, meta in db.version.all_files():
         report.tables.append(_scrub_table(db, level, meta))
     return report

@@ -881,12 +881,24 @@ class Table:
         found: Dict[int, Record] = {}
         entry_bytes = self.footer.entry_bytes
         value_capacity = self.footer.value_capacity
-        for run_lo, run_hi, members in runs:
+        # A stack, so a failed run's per-member retries go next.
+        todo = [(run_lo, run_hi, members, False)
+                for run_lo, run_hi, members in reversed(runs)]
+        while todo:
+            run_lo, run_hi, members, retried = todo.pop()
             seeks_before = self.stats.get(SEEKS)
             try:
                 data = self.read_entries(run_lo, run_hi, Stage.IO)
-            except QuarantinedBlockError:
-                self._multi_get_salvage(members, found, errors)
+            except QuarantinedBlockError as exc:
+                if not retried:
+                    # Each member re-fetches only its own bound, so keys
+                    # whose blocks are healthy still resolve.
+                    todo.extend((bound.lo, bound.hi, [(key, bound)], True)
+                                for key, bound in reversed(members))
+                    continue
+                if errors is None:
+                    raise
+                errors[members[0][0]] = exc  # a retried run is one key
                 continue
             self.stats.add(SEGMENTS_FETCHED)
             if len(members) > 1 and self.stats.get(SEEKS) > seeks_before:
@@ -904,34 +916,6 @@ class Table:
                     found[key] = decode_entry(data, idx * entry_bytes,
                                               value_capacity)
         return found
-
-    def _multi_get_salvage(self, members: Sequence[Tuple[int, SearchBound]],
-                           found: Dict[int, Record],
-                           errors: Optional[
-                               Dict[int, QuarantinedBlockError]]) -> None:
-        """Per-key fallback after a coalesced run hit quarantine.
-
-        Each member re-fetches only its own bound, so keys whose blocks
-        are healthy still resolve; keys covering the poisoned block get
-        a per-key error instead of sinking the whole batch.
-        """
-        entry_bytes = self.footer.entry_bytes
-        value_capacity = self.footer.value_capacity
-        for key, bound in members:
-            try:
-                data = self.read_entries(bound.lo, bound.hi, Stage.IO)
-            except QuarantinedBlockError as exc:
-                if errors is None:
-                    raise
-                errors[key] = exc
-                continue
-            self.stats.add(SEGMENTS_FETCHED)
-            idx = self._binary_search_range(data, 0, bound.width, key)
-            self.stats.charge(Stage.SEARCH,
-                              self.cost.segment_search_us(bound.width))
-            if idx is not None:
-                found[key] = decode_entry(data, idx * entry_bytes,
-                                          value_capacity)
 
     def iterator(self, refill_stage: Stage = Stage.SCAN) -> "TableIterator":
         """Sequential iterator (range lookups, compaction inputs)."""

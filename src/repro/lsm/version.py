@@ -7,11 +7,11 @@ ordered by key.  This is the in-memory half of LevelDB's manifest
 state; the on-disk half — the version-edit log that ``LSMTree.reopen``
 replays — is :mod:`repro.persist.manifest`.
 
-``levels`` is mutated only through :meth:`Version.add_file` and
-:meth:`Version.remove_files`: everything derived from a level's file
-list (the ``min_key`` fence array point lookups bisect) is cached per
-level and dropped by those two methods, so a caller that edits
-``levels`` in place would read stale fences.
+Each ``levels[i]`` is a tuple, replaced whole by :meth:`Version.add_file`,
+:meth:`Version.remove_files` and :meth:`Version.replace_file`: those
+three are the only writers, and each drops what is cached per level
+(the ``min_key`` fence array point lookups bisect).  An in-place edit
+from outside raises instead of silently leaving the fences stale.
 """
 
 from __future__ import annotations
@@ -69,11 +69,11 @@ class Version:
 
     max_levels: int
     overlapping_levels: bool = False
-    levels: List[List[FileMetaData]] = field(default_factory=list)
+    levels: List[Tuple[FileMetaData, ...]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.levels:
-            self.levels = [[] for _ in range(self.max_levels)]
+            self.levels = [() for _ in range(self.max_levels)]
         #: Per level, the ``min_key`` of each file in order (None = stale).
         self._fences: List[Optional[List[int]]] = [None] * self.max_levels
 
@@ -95,24 +95,41 @@ class Version:
         self._check_level(level)
         files = self.levels[level]
         if self._level_overlaps(level):
-            files.insert(0, meta)  # newest first
-            return
-        pos = bisect_right(self._min_keys(level), meta.min_key)
-        if pos > 0 and files[pos - 1].max_key >= meta.min_key:
-            raise StorageError(
-                f"overlap adding file {meta.name} to level {level}")
-        if pos < len(files) and files[pos].min_key <= meta.max_key:
-            raise StorageError(
-                f"overlap adding file {meta.name} to level {level}")
-        files.insert(pos, meta)
-        self._fences[level] = None
+            pos = 0  # newest first
+        else:
+            pos = bisect_right(self._min_keys(level), meta.min_key)
+            if pos > 0 and files[pos - 1].max_key >= meta.min_key:
+                raise StorageError(
+                    f"overlap adding file {meta.name} to level {level}")
+            if pos < len(files) and files[pos].min_key <= meta.max_key:
+                raise StorageError(
+                    f"overlap adding file {meta.name} to level {level}")
+        self._set(level, files[:pos] + (meta,) + files[pos:])
 
     def remove_files(self, level: int, metas: Iterable[FileMetaData]) -> None:
         """Drop the given files from ``level``."""
         self._check_level(level)
         numbers = {meta.number for meta in metas}
-        self.levels[level] = [meta for meta in self.levels[level]
-                              if meta.number not in numbers]
+        self._set(level, tuple(meta for meta in self.levels[level]
+                               if meta.number not in numbers))
+
+    def replace_file(self, level: int, old: FileMetaData,
+                     new: Optional[FileMetaData]) -> None:
+        """Put ``new`` in ``old``'s slot at ``level``; ``None`` drops it.
+
+        The slot is kept, not re-derived: a rewritten L0 file holds old
+        data, and moving it above newer overlapping files would let its
+        stale versions shadow fresh ones.  ``new`` must cover a subset
+        of ``old``'s key range on a sorted level.
+        """
+        self._check_level(level)
+        files = self.levels[level]
+        slot = files.index(old)
+        middle = () if new is None else (new,)
+        self._set(level, files[:slot] + middle + files[slot + 1:])
+
+    def _set(self, level: int, files: Tuple[FileMetaData, ...]) -> None:
+        self.levels[level] = files
         self._fences[level] = None
 
     # -- queries -----------------------------------------------------------

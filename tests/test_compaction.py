@@ -160,9 +160,6 @@ def _reference_do_run(self, version, task):
     merged.seek_to_first()
     outputs = []
     builder = None
-    per_file_index = (self.options.granularity is Granularity.FILE
-                      or self.level_models is None)
-    factory = self.index_factory if per_file_index else None
     last_key = None
     merge_cost = self.cost.merge_entry_us
     while merged.valid():
@@ -178,16 +175,16 @@ def _reference_do_run(self, version, task):
             outcome.dropped_tombstones += 1
             continue
         if builder is None:
-            builder = self._new_builder(factory, task.target_level)
+            builder = self.tree.new_table(task.target_level)
         builder.add(record)
         outcome.entries_out += 1
         if (not self._tiering
                 and builder.entry_count * self.options.entry_bytes
                 >= self.options.sstable_bytes):
-            outputs.append(self._finish_builder(builder))
+            outputs.append(self.tree.seal(builder))
             builder = None
     if builder is not None and builder.entry_count:
-        outputs.append(self._finish_builder(builder))
+        outputs.append(self.tree.seal(builder))
     self._install(version, task, outputs)
     outcome.outputs = outputs
     entry_bytes = self.options.entry_bytes

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import QuarantinedBlockError
+from repro.errors import PowerCutError, QuarantinedBlockError
 from repro.indexes.registry import IndexKind
 from repro.lsm.db import LSMTree
 from repro.lsm.options import Granularity, small_test_options
@@ -10,6 +10,7 @@ from repro.lsm.scrub import QUARANTINE_PREFIX
 from repro.storage.block_device import MemoryBlockDevice
 from repro.storage.faults import FaultPlan, FaultyBlockDevice
 from repro.storage.stats import (
+    RECOVERY_FILES_GCED,
     SCRUB_BLOCKS_BAD,
     SCRUB_BLOCKS_CHECKED,
     SCRUB_ENTRIES_LOST,
@@ -161,6 +162,96 @@ def test_scrub_recovers_stale_quarantine_after_medium_replacement():
     assert db.scrub().clean
     assert db.health()["status"] == "ok"
     assert all(db.get(key) == _expected(options, key) for key in keys)
+
+
+def _flip_block(faulty, table, block_no):
+    """Flip one byte in the middle of one stored data block."""
+    _, offset, stored_len, _ = table.handles[block_no]
+    faulty.inner._files[table.name][offset + stored_len // 2] ^= 0xFF
+
+
+def _middle_of_widest_level(db):
+    level = max(range(1, db.options.max_levels), key=db.version.file_count)
+    files = db.version.levels[level]
+    assert len(files) >= 3
+    return level, files[len(files) // 2]
+
+
+@pytest.mark.parametrize("action", ["quarantined", "rewritten"])
+@pytest.mark.parametrize("granularity",
+                         [Granularity.FILE, Granularity.LEVEL])
+def test_scrub_of_a_middle_file_keeps_every_other_key_readable(granularity,
+                                                              action):
+    db, faulty, options, keys = _build(granularity=granularity)
+    level, meta = _middle_of_widest_level(db)
+    table = meta.table
+    level_keys = db.last_ingest_levels[level]
+    # A get on the level first, so its file fences are cached.
+    assert db.get(level_keys[0]) == _expected(options, level_keys[0])
+    if action == "quarantined":
+        for block_no in range(len(table.handles)):
+            _flip_block(faulty, table, block_no)
+        lost_lo, lost_hi = table.min_key, table.max_key
+    else:
+        block_no = len(table.handles) // 2
+        _flip_block(faulty, table, block_no)
+        lost_lo = table.handles[block_no][0]
+        lost_hi = table.handles[block_no + 1][0] - 1
+    report = db.scrub()
+    assert [t.action for t in report.tables if t.damaged] == [action]
+    lost = {key for key in level_keys if lost_lo <= key <= lost_hi}
+    assert report.entries_lost == len(lost)
+
+    def assert_reads(tree):
+        for key in keys:
+            want = None if key in lost else _expected(options, key)
+            assert tree.get(key) == want, key
+
+    assert_reads(db)
+    assert_reads(LSMTree.reopen(options, db.device))
+
+
+@pytest.mark.parametrize("granularity",
+                         [Granularity.FILE, Granularity.LEVEL])
+def test_power_cut_on_the_scrub_commit_reopens_the_version_before_it(
+        granularity):
+    db, faulty, options, keys = _build(granularity=granularity)
+    level, meta = _middle_of_widest_level(db)
+    _flip_block(faulty, meta.table, 0)
+    before = [(lv, m.number, m.name) for lv, m in db.version.all_files()]
+    tables_before = sorted(name for name in faulty.inner.list_files()
+                           if name.startswith("sst-"))
+    append = db.manifest.append
+
+    def cut_inside_the_scrub_commit(edit):
+        if edit.kind == "scrub":
+            # The next append (this edit's frame) crosses the budget.
+            faulty.plan = FaultPlan(
+                seed=9, power_cut_after_bytes=faulty._appended + 3)
+        append(edit)
+
+    db.manifest.append = cut_inside_the_scrub_commit
+    with pytest.raises(PowerCutError):
+        db.scrub()
+    # The replacement table was written before the commit was cut.
+    assert sorted(name for name in faulty.inner.list_files()
+                  if name.startswith("sst-")) != tables_before
+    faulty.revive()
+    reopened = LSMTree.reopen(options, faulty)
+    assert [(lv, m.number, m.name)
+            for lv, m in reopened.version.all_files()] == before
+    assert reopened.stats.get(RECOVERY_FILES_GCED) >= 1
+    assert sorted(name for name in faulty.inner.list_files()
+                  if name.startswith("sst-")) == tables_before
+    # The damaged original is back; a fresh scrub repairs it.
+    report = reopened.scrub()
+    assert report.tables_rewritten == 1
+    lost = {key for key in db.last_ingest_levels[level]
+            if meta.min_key <= key < meta.table.handles[1][0]}
+    assert report.entries_lost == len(lost)
+    for key in keys:
+        want = None if key in lost else _expected(options, key)
+        assert reopened.get(key) == want, key
 
 
 def test_scrub_detects_metadata_rot():

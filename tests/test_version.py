@@ -78,7 +78,8 @@ def _range_meta(number, min_key, max_key):
 #: overlaps for level 0 / tiering.
 _DISJOINT = [(slot * 10 + 2, slot * 10 + 7) for slot in range(8)]
 _OVERLAPPING = [(slot * 5, slot * 5 + 12) for slot in range(8)]
-_EDITS = st.lists(st.tuples(st.sampled_from(["add", "remove", "clear"]),
+_EDITS = st.lists(st.tuples(st.sampled_from(["add", "remove", "clear",
+                                             "replace", "drop"]),
                             st.integers(0, 7)), max_size=30)
 
 
@@ -93,19 +94,41 @@ def _check_files_for_key(version, level, ranges):
 
 
 def _apply_edits(version, level, ranges, edits):
+    """Apply ``edits`` to ``version`` and to a list model of the level.
+
+    ``replace`` swaps a file for a narrower one (a scrub rewrite) in the
+    same slot; ``drop`` is ``replace_file`` with ``None``.
+    """
+    overlapping = level == 0 or version.overlapping_levels
     live = {}
+    order = []  # the level's files in the order the version must keep
     number = 0
     for op, slot in edits:
         if op == "add" and slot not in live:
             number += 1
             live[slot] = _range_meta(number, *ranges[slot])
             version.add_file(level, live[slot])
+            order.insert(0, live[slot])
+            if not overlapping:
+                order.sort(key=lambda meta: meta.min_key)
         elif op == "remove" and slot in live:
+            order.remove(live[slot])
             version.remove_files(level, [live.pop(slot)])
         elif op == "clear":
             version.remove_files(level, list(live.values()))
             live.clear()
-        assert len(version.levels[level]) == len(live)
+            order.clear()
+        elif op == "replace" and slot in live:
+            number += 1
+            lo, hi = ranges[slot]
+            new = _range_meta(number, lo + 1, hi - 1)
+            version.replace_file(level, live[slot], new)
+            order[order.index(live[slot])] = new
+            live[slot] = new
+        elif op == "drop" and slot in live:
+            version.replace_file(level, live[slot], None)
+            order.remove(live.pop(slot))
+        assert list(version.levels[level]) == order
         _check_files_for_key(version, level, ranges)
 
 
@@ -128,6 +151,29 @@ def test_files_for_key_after_a_level_is_emptied_and_refilled(version):
                  [("add", 1), ("add", 5), ("add", 3), ("clear", 0),
                   ("add", 6), ("add", 0), ("remove", 6), ("add", 4)])
     assert [meta.min_key for meta in version.levels[1]] == [2, 42]
+
+
+def test_replace_file_after_a_cached_lookup_moves_the_fences(version):
+    for number, slot in enumerate((0, 1, 2), 1):
+        version.add_file(1, _range_meta(number, *_DISJOINT[slot]))
+    old = version.levels[1][1]
+    assert version.files_for_key(1, 12) == [old]  # fences now cached
+    new = _range_meta(9, 14, 15)
+    version.replace_file(1, old, new)
+    assert version.files_for_key(1, 12) == []
+    assert version.files_for_key(1, 14) == [new]
+    version.replace_file(1, new, None)
+    assert version.files_for_key(1, 14) == []
+    assert version.files_for_key(1, 22) == [version.levels[1][1]]
+
+
+def test_levels_cannot_be_edited_in_place(version):
+    meta = _range_meta(1, 2, 7)
+    version.add_file(1, meta)
+    with pytest.raises(TypeError):
+        version.levels[1][0] = meta
+    with pytest.raises(AttributeError):
+        version.levels[1].append(meta)
 
 
 def test_overlapping_files(version):
