@@ -73,8 +73,9 @@ def main() -> None:
     devices[0].cut_power()
     print("\n== primary power cut ==")
     print(f"get(42) while headless: {group.get(42)!r}")
-    summary = group.replication_summary()
-    print(f"roles: {summary['roles']}, alive: {summary['alive']}")
+    replicas = group.health()["replication"]["replicas"]
+    print(f"roles: {[r['role'] for r in replicas]}, "
+          f"alive: {sum(r['alive'] for r in replicas)}")
 
     # 3. Tick the failure detector: the read above already observed
     #    the death (a serving-path power cut is unambiguous), so the
@@ -100,10 +101,11 @@ def main() -> None:
     devices[0].revive()
     now += TIMEOUT_US
     group.tick(now)
-    summary = group.replication_summary()
+    replicas = group.health()["replication"]["replicas"]
     print("\n== old primary rejoins ==")
-    print(f"roles: {summary['roles']}, alive: {summary['alive']}, "
-          f"max lag: {summary['max_lag_frames']} frames")
+    print(f"roles: {[r['role'] for r in replicas]}, "
+          f"alive: {sum(r['alive'] for r in replicas)}, "
+          f"max lag: {max(r['lag_frames'] for r in replicas)} frames")
     print(f"hints replayed: {stats.get(REPL_HINTS_REPLAYED):.0f}")
     print(f"old primary's copy of key {N_KEYS}: "
           f"{group.replicas[0].tree.get(N_KEYS)!r}")

@@ -200,17 +200,22 @@ class LSMTree:
         span = tracer.begin(OpType.RECOVERY) if tracer is not None else None
         try:
             db = cls(options, device=device, tracer=tracer, stats=stats)
-            if db.manifest.exists() and use_manifest is not False:
-                db._recover_from_manifest(db.manifest.replay())
-                db.stats.add(RECOVERY_MANIFEST_OPENS)
-            else:
-                db._recover_by_scan()
-                db.stats.add(RECOVERY_SCANS)
-                db.manifest.rewrite(db._snapshot_edit("migrate"))
+            db.recover(use_manifest)
             return db
         finally:
             if tracer is not None:
                 tracer.end(span)
+
+    def recover(self, use_manifest: Optional[bool] = None) -> None:
+        """Load the tables on this tree's device (:meth:`reopen`'s second
+        half): manifest replay, or a directory scan."""
+        if self.manifest.exists() and use_manifest is not False:
+            self._recover_from_manifest(self.manifest.replay())
+            self.stats.add(RECOVERY_MANIFEST_OPENS)
+        else:
+            self._recover_by_scan()
+            self.stats.add(RECOVERY_SCANS)
+            self.manifest.rewrite(self._snapshot_edit("migrate"))
 
     def _recover_from_manifest(self, state) -> None:
         """Materialise the replayed :class:`ManifestState`."""
@@ -467,6 +472,7 @@ class LSMTree:
 
     def health(self) -> Dict[str, object]:
         """A health summary: mode, reason and quarantine totals."""
+        self._check_open()
         quarantined_blocks = sum(
             len(meta.table.quarantined_blocks)
             for _, meta in self.version.all_files())
@@ -503,12 +509,7 @@ class LSMTree:
 
     def put(self, key: int, value: bytes) -> None:
         """Insert or overwrite ``key``."""
-        self._check_open()
-        self._check_writable()
-        if len(value) > self.options.value_capacity:
-            raise InvalidOptionError(
-                f"value of {len(value)} bytes exceeds value_capacity "
-                f"{self.options.value_capacity}")
+        self.check_write(((KIND_VALUE, key, value),))
         tracer = self.stats.tracer
         span = (tracer.begin(OpType.PUT, f"key={key}")
                 if tracer is not None else None)
@@ -563,16 +564,10 @@ class LSMTree:
         database untouched.  Within a batch, later operations on a key
         supersede earlier ones, exactly as for individual calls.
         """
-        self._check_open()
-        self._check_writable()
         ops = list(batch)
+        self.check_write(ops)
         if not ops:
             return 0
-        for kind, _, value in ops:
-            if kind == KIND_VALUE and len(value) > self.options.value_capacity:
-                raise InvalidOptionError(
-                    f"value of {len(value)} bytes exceeds value_capacity "
-                    f"{self.options.value_capacity}")
         tracer = self.stats.tracer
         span = (tracer.begin(OpType.WRITE_BATCH, f"{len(ops)} ops")
                 if tracer is not None else None)
@@ -581,6 +576,17 @@ class LSMTree:
         finally:
             if tracer is not None:
                 tracer.end(span)
+
+    def check_write(self, batch) -> None:
+        """Raise what :meth:`write` would refuse ``batch`` with (closed,
+        read-only, an oversized value), applying nothing."""
+        self._check_open()
+        self._check_writable()
+        for kind, _, value in batch:
+            if kind == KIND_VALUE and len(value) > self.options.value_capacity:
+                raise InvalidOptionError(
+                    f"value of {len(value)} bytes exceeds value_capacity "
+                    f"{self.options.value_capacity}")
 
     def _write_records(self, ops) -> int:
         records = []
@@ -746,7 +752,7 @@ class LSMTree:
                 tracer.end(span)
 
     def multi_get(
-        self, keys: Sequence[int],
+        self, keys: Sequence[int], *,
         coalesce: Optional[bool] = None,
         errors: Optional[Dict[int, ReproError]] = None,
     ) -> List[Union[bytes, ReproError, None]]:

@@ -4,8 +4,8 @@ The paper evaluates learned indexes inside one LSM-tree; this package
 adds the system-level tier a production deployment puts on top:
 
 * :class:`~repro.service.sharded.ShardedDB` — hash-partitions the key
-  space over N independent :class:`~repro.lsm.db.LSMTree` shards with
-  merged cross-shard scans and aggregated stats;
+  space over N independent :class:`~repro.lsm.db.LSMTree` shards (or
+  replica groups) with merged cross-shard scans and aggregated stats;
 * :class:`~repro.service.gateway.Gateway` — overload control in front
   of the shards: open-loop arrivals on a virtual clock, bounded
   per-shard queues with shedding, deadline propagation, per-shard
@@ -20,11 +20,14 @@ adds the system-level tier a production deployment puts on top:
   :class:`~repro.storage.block_cache.CachedBlockDevice`) each shard
   places in front of its device.
 
-Together these open the benchmark scenarios a single tree cannot
-express: cache-size sweeps under Zipfian skew, shard scaling curves and
+``ShardedDB``, ``ReplicaGroup`` and the tree beneath them all implement
+:class:`repro.kv.KVStore`, the one key-value contract (``VirtualClock``
+lives there too and is re-exported here).  Together these open the
+benchmark scenarios a single tree cannot express: cache-size sweeps under Zipfian skew, shard scaling curves and
 write-batching amortization (``repro-bench service``).
 """
 
+from repro.kv import VirtualClock
 from repro.lsm.write_batch import WriteBatch
 from repro.service.gateway import (
     CircuitBreaker,
@@ -33,7 +36,6 @@ from repro.service.gateway import (
     GatewayReport,
     Request,
     RetryBudget,
-    VirtualClock,
     requests_from_ycsb,
 )
 from repro.service.replication import (

@@ -1,40 +1,31 @@
 """The overload-robust request gateway in front of :class:`ShardedDB`.
 
 The paper drives its trees *closed-loop*, so offered load can never
-exceed capacity and every request eventually "succeeds" — arbitrarily
-late.  This module adds the serving tier's missing defenses, all in
-deterministic simulated time (no wall clock anywhere):
+exceed capacity.  :meth:`Gateway.run` drives *open-loop* arrivals (a
+:mod:`repro.workloads.arrivals` plan) on the fleet's
+:class:`~repro.kv.VirtualClock`, each shard a single server draining a
+bounded FIFO queue, with the serving tier's defenses, all in
+deterministic simulated time: depth-based shedding
+(:class:`ShedError`), expired-at-dequeue drops, per-request deadlines
+carried into the read path by a
+:class:`~repro.lsm.deadline.DeadlineToken`, per-shard circuit breakers
+(:class:`CircuitOpenError`) and a client retry budget that keeps a
+fault burst at saturation from becoming a retry storm.  The closed-loop
+calls (:meth:`Gateway.get`, :meth:`Gateway.multi_get`,
+:meth:`Gateway.write`) are thin adapters over the loop's own admission
+check, deadline scope and completion rule.
 
-* an **open-loop scheduler** (:meth:`Gateway.run`): arrivals come from
-  a :mod:`repro.workloads.arrivals` plan on a :class:`VirtualClock`;
-  each shard is a single server draining a **bounded FIFO queue**;
-* **admission control**: depth-based shedding (:class:`ShedError`
-  when a shard's queue is full) and expired-at-dequeue drop (a request
-  whose deadline passed while queued is abandoned before service);
-* **deadline propagation**: every request carries an absolute
-  simulated-µs deadline; a :class:`~repro.lsm.deadline.DeadlineToken`
-  rides into the LSM read path so mid-operation work past the budget
-  is abandoned (:class:`DeadlineExceededError`);
-* a **per-shard circuit breaker** keyed off recent error rate and
-  ``health()`` (open → :class:`CircuitOpenError` in microseconds,
-  half-open probes → close);
-* a client-side **retry budget** (token bucket) that caps retry
-  amplification: transient failures retry only while the budget holds
-  tokens, so a fault burst at saturation cannot metastasize into a
-  retry storm.
-
-Everything lands in the obs layer: ``overload.*``/``queue.*``/
-``breaker.*``/``retry.*`` counters on the gateway's own
-:class:`~repro.storage.stats.Stats`, and three histograms —
-``gw.queue_delay``, ``gw.service``, ``gw.request`` — that split tail
-latency into queueing vs. service, which is the split that shows where
-p99 went at saturation.
+Counters (``overload.*``/``queue.*``/``breaker.*``/``retry.*``) land in
+the gateway's own :class:`~repro.storage.stats.Stats`; the
+``gw.queue_delay``/``gw.service``/``gw.request`` histograms split tail
+latency into queueing vs. service.  See ``docs/OVERLOAD.md``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -42,16 +33,13 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     InvalidOptionError,
-    ReadOnlyModeError,
     ReproError,
-    RequestRejectedError,
     ShedError,
     TransientIOError,
 )
 from repro.lsm.deadline import DeadlineToken
 from repro.lsm.write_batch import WriteBatch
 from repro.obs.registry import MetricsRegistry
-from repro.service.replication import VirtualClock
 from repro.service.sharded import ShardedDB
 from repro.storage.stats import (
     BREAKER_CLOSES,
@@ -88,11 +76,6 @@ OUTCOME_EXPIRED = "expired"
 OUTCOME_DEADLINE = "deadline"
 OUTCOME_BREAKER = "breaker"
 OUTCOME_FAILED = "failed"
-
-
-# VirtualClock lives in the replication module now (the failure
-# detector shares it); the import above keeps its historical home here
-# working for existing callers.
 
 
 @dataclass
@@ -392,11 +375,9 @@ class Gateway:
         self.db = db
         self.config = config if config is not None else GatewayConfig()
         self.config.validate()
-        # A replicated database brings its own clock (the replica
-        # groups' failure detectors already share it); adopting it puts
-        # request scheduling and failover on one timeline.
-        db_clock = getattr(db, "clock", None)
-        self.clock = db_clock if db_clock is not None else VirtualClock()
+        # The fleet's clock, which replica groups' failure detectors
+        # also read: request scheduling and failover share one timeline.
+        self.clock = db.clock
         self.stats = Stats()
         self.registry = MetricsRegistry()
         self.breakers = [CircuitBreaker(i, self.config, self.stats)
@@ -418,26 +399,20 @@ class Gateway:
             deadline_us: Optional[float] = None) -> Optional[bytes]:
         """Point lookup with breaker check and deadline propagation."""
         shard = self.db.shard_for(key)
-        self._check_breaker(shard)
         now = self.clock.now_us
+        rejected = self._admit(shard, now)
+        if rejected is not None:
+            raise rejected
         budget = (deadline_us if deadline_us is not None
                   else self.config.default_deadline_us)
         tree = self.db.shards[shard]
-        token = DeadlineToken(tree.stats, budget, deadline_us=now + budget)
-        tree.deadline = token
         try:
-            value = tree.get(key)
-            self.breakers[shard].record(True, now)
-            return value
-        except DeadlineExceededError:
-            self.shard_counters[shard]["deadline"] += 1
-            self.stats.add(OVERLOAD_DEADLINE_EXCEEDED)
+            value = self._scoped(tree, budget, now + budget, tree.get, key)
+        except ReproError as exc:
+            self._settle(shard, exc, now)
             raise
-        except ReproError:
-            self.breakers[shard].record(False, now)
-            raise
-        finally:
-            tree.deadline = None
+        self._settle(shard, None, now)
+        return value
 
     def multi_get(self, keys: Sequence[int],
                   deadline_us: Optional[float] = None,
@@ -449,19 +424,20 @@ class Gateway:
         budget (or a shard behind an open breaker) surfaces per-key
         typed errors while every other shard's keys still resolve —
         the existing partial-result protocol extended to overload.
+        Each sub-batch completes like one :meth:`get`: it ends in the
+        error it raised, in a deadline miss when any of its keys ran out
+        of budget, and in success otherwise (keys isolated in ``errors``
+        for other reasons still let the shard answer).
         """
         budget = (deadline_us if deadline_us is not None
                   else self.config.default_deadline_us)
         now = self.clock.now_us
-        parts: Dict[int, List[int]] = {}
-        for key in keys:
-            parts.setdefault(self.db.shard_for(key), []).append(key)
         resolved: Dict[int, Optional[bytes]] = {}
-        for shard, part in sorted(parts.items()):
-            breaker = self.breakers[shard]
-            if not breaker.allow(now):
-                self.stats.add(BREAKER_REJECTED, len(part))
-                rejected = CircuitOpenError(shard, breaker.reason)
+        for shard, part in enumerate(self.db.router.partition_keys(keys)):
+            if not part:
+                continue
+            rejected = self._admit(shard, now, len(part))
+            if rejected is not None:
                 if errors is None:
                     raise rejected
                 for key in part:
@@ -469,41 +445,40 @@ class Gateway:
                     resolved[key] = None
                 continue
             tree = self.db.shards[shard]
-            token = DeadlineToken(tree.stats, budget,
-                                  deadline_us=now + budget)
-            tree.deadline = token
             try:
-                values = tree.multi_get(part, errors=errors)
-                self.breakers[shard].record(True, now)
-            finally:
-                tree.deadline = None
+                values = self._scoped(
+                    tree, budget, now + budget,
+                    partial(tree.multi_get, part, errors=errors))
+            except ReproError as exc:
+                self._settle(shard, exc, now)
+                raise
             resolved.update(zip(part, values))
-            if errors:
-                overdue = sum(1 for key in part
-                              if isinstance(errors.get(key),
-                                            DeadlineExceededError))
-                if overdue:
-                    self.shard_counters[shard]["deadline"] += 1
+            overdue = next(
+                (errors[key] for key in part
+                 if isinstance(errors.get(key), DeadlineExceededError)),
+                None) if errors else None
+            self._settle(shard, overdue, now)
         return [resolved[key] for key in keys]
 
     def write(self, batch: WriteBatch) -> int:
         """Apply ``batch`` only if *every* touched shard will accept it.
 
-        Pre-flight before any group commit: each touched shard's
-        breaker must be closed (or half-open) and the shard writable —
-        otherwise the whole batch is rejected with nothing applied, so
-        an acknowledgment always means the full cross-shard batch
-        landed.  Delegates to :meth:`ShardedDB.write`, which re-checks
-        writability fleet-wide before committing shard by shard.
+        Each touched shard's breaker must admit it, then
+        :meth:`ShardedDB.write` pre-flights every shard before the first
+        group commit: nothing is applied unless all of it is.  Only
+        success is settled per shard, since a refusal from the fleet
+        does not say which shard refused.
         """
         now = self.clock.now_us
         touched = sorted(self.db.router.split(batch))
         for shard in touched:
             self._refresh_breaker_from_health(shard, now)
-            self._check_breaker(shard)
+            rejected = self._admit(shard, now)
+            if rejected is not None:
+                raise rejected
         applied = self.db.write(batch)
         for shard in touched:
-            self.breakers[shard].record(True, now)
+            self._settle(shard, None, now)
         return applied
 
     # -- open-loop simulation ------------------------------------------
@@ -573,13 +548,11 @@ class Gateway:
         if req.attempt == 0:
             self.stats.add(OVERLOAD_REQUESTS)
         self._refresh_breaker_from_health(shard, now_us)
-        breaker = self.breakers[shard]
-        if not breaker.allow(now_us):
+        req.error = self._admit(shard, now_us)
+        if req.error is not None:
             # Fail fast: a breaker rejection costs microseconds, not a
             # queue slot, and is terminal (retrying an open breaker is
             # exactly the amplification the breaker exists to stop).
-            self.stats.add(BREAKER_REJECTED)
-            req.error = CircuitOpenError(shard, breaker.reason)
             self._finish(req, OUTCOME_BREAKER, now_us, outcomes)
             return
         server = self.servers[shard]
@@ -610,19 +583,15 @@ class Gateway:
         tree = self.db.shards[shard]
         before = tree.stats.total_time()
         budget_us = req.deadline_us - now_us
-        token = DeadlineToken(tree.stats, budget_us,
-                              deadline_us=req.deadline_us)
-        tree.deadline = token
-        req.error = None
         try:
             if req.op == "get":
-                req.result = tree.get(req.key)
+                req.result = self._scoped(tree, budget_us, req.deadline_us,
+                                          tree.get, req.key)
             else:
-                tree.put(req.key, req.value)
+                self._scoped(tree, budget_us, req.deadline_us,
+                             tree.put, req.key, req.value)
         except ReproError as exc:
             req.error = exc
-        finally:
-            tree.deadline = None
         service_us = (tree.stats.total_time() - before
                       + self.config.service_overhead_us)
         self.registry.record_op(SERVICE_OP, service_us)
@@ -632,8 +601,8 @@ class Gateway:
     def _complete(self, heap, req: Request, now_us: float,
                   outcomes: Dict[str, int]) -> None:
         shard = req.shard
-        breaker = self.breakers[shard]
         error = req.error
+        self._settle(shard, error, now_us)
         if error is None:
             if now_us <= req.deadline_us:
                 self.stats.add(OVERLOAD_COMPLETED)
@@ -643,27 +612,22 @@ class Gateway:
                 # waiting — throughput, not goodput.
                 self.stats.add(OVERLOAD_COMPLETED_LATE)
                 self._finish(req, OUTCOME_LATE, now_us, outcomes)
-            breaker.record(True, now_us)
         elif isinstance(error, DeadlineExceededError):
             # Abandoned mid-operation by the engine's checkpoints; the
             # partial service time was already charged to the server.
-            self.stats.add(OVERLOAD_DEADLINE_EXCEEDED)
-            self.shard_counters[shard]["deadline"] += 1
             self._finish(req, OUTCOME_DEADLINE, now_us, outcomes)
+        elif isinstance(error, TransientIOError) and \
+                req.attempt < self.config.max_client_retries and \
+                now_us < req.deadline_us and self.budget.try_spend():
+            self.stats.add(RETRY_CLIENT_RESUBMITS)
+            retry = Request(req.op, req.key, req.arrival_us,
+                            req.deadline_us, value=req.value,
+                            attempt=req.attempt + 1)
+            retry.seq = req.seq
+            self._push(heap, now_us, _ARRIVAL, retry)
         else:
-            breaker.record(False, now_us)
-            if isinstance(error, TransientIOError) and \
-                    req.attempt < self.config.max_client_retries and \
-                    now_us < req.deadline_us and self.budget.try_spend():
-                self.stats.add(RETRY_CLIENT_RESUBMITS)
-                retry = Request(req.op, req.key, req.arrival_us,
-                                req.deadline_us, value=req.value,
-                                attempt=req.attempt + 1)
-                retry.seq = req.seq
-                self._push(heap, now_us, _ARRIVAL, retry)
-            else:
-                self.stats.add(OVERLOAD_FAILED)
-                self._finish(req, OUTCOME_FAILED, now_us, outcomes)
+            self.stats.add(OVERLOAD_FAILED)
+            self._finish(req, OUTCOME_FAILED, now_us, outcomes)
         self._drain(heap, shard, now_us, outcomes)
 
     def _drain(self, heap, shard: int, now_us: float,
@@ -687,13 +651,40 @@ class Gateway:
                 continue
             self._start_service(heap, shard, nxt, now_us, outcomes)
 
-    # -- breaker plumbing ----------------------------------------------
+    # -- one request's guards: shared by the sync calls and the loop ---
 
-    def _check_breaker(self, shard: int) -> None:
+    def _admit(self, shard: int, now_us: float,
+               requests: int = 1) -> Optional[CircuitOpenError]:
+        """Admission: None when ``shard``'s breaker lets ``requests``
+        through, else their (counted) :class:`CircuitOpenError`."""
         breaker = self.breakers[shard]
-        if not breaker.allow(self.clock.now_us):
-            self.stats.add(BREAKER_REJECTED)
-            raise CircuitOpenError(shard, breaker.reason)
+        if breaker.allow(now_us):
+            return None
+        self.stats.add(BREAKER_REJECTED, requests)
+        return CircuitOpenError(shard, breaker.reason)
+
+    @staticmethod
+    def _scoped(tree, budget_us: float, deadline_us: float, op, *args):
+        """Deadline scope: run ``op`` with a token of ``budget_us``
+        ending at absolute ``deadline_us`` attached to ``tree``."""
+        tree.deadline = DeadlineToken(tree.stats, budget_us,
+                                      deadline_us=deadline_us)
+        try:
+            return op(*args)
+        finally:
+            tree.deadline = None
+
+    def _settle(self, shard: int, error: Optional[ReproError],
+                now_us: float) -> None:
+        """Completion rule: success and failure feed the breaker; a
+        deadline miss is counted and leaves the breaker alone."""
+        if error is None:
+            self.breakers[shard].record(True, now_us)
+        elif isinstance(error, DeadlineExceededError):
+            self.stats.add(OVERLOAD_DEADLINE_EXCEEDED)
+            self.shard_counters[shard]["deadline"] += 1
+        else:
+            self.breakers[shard].record(False, now_us)
 
     def _refresh_breaker_from_health(self, shard: int,
                                      now_us: float) -> None:
@@ -704,25 +695,19 @@ class Gateway:
                 now_us, f"shard read-only: {tree.read_only_reason}")
 
     def shard_health(self, shard: int) -> Dict[str, object]:
-        """Overload-side health fields merged into ``ShardedDB.health()``."""
+        """Overload-side health fields merged into ``ShardedDB.health()``.
+
+        A replicated shard's roles and lag sit in the same entry, under
+        the ``replication`` key its group's ``health()`` contributes.
+        """
         counters = self.shard_counters[shard]
-        out: Dict[str, object] = {
+        return {
             "breaker": self.breakers[shard].state,
             "queue_depth": len(self.servers[shard].queue),
             "shed": counters["shed"],
             "expired": counters["expired"],
             "deadline_exceeded": counters["deadline"],
         }
-        summary = getattr(self.db.shards[shard], "replication_summary", None)
-        if summary is not None:
-            # Replicated shard: surface roles and lag next to the
-            # breaker, the two signals an operator correlates during a
-            # failover ("breaker open, primary changed, lag draining").
-            repl = summary()
-            out["replica_roles"] = repl["roles"]
-            out["replicas_alive"] = repl["alive"]
-            out["replication_lag"] = repl["max_lag_frames"]
-        return out
 
     def metrics(self) -> MetricsRegistry:
         """The gateway's own registry (queue delay / service / request)."""

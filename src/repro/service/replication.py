@@ -3,52 +3,21 @@
 Every logical shard of a :class:`~repro.service.sharded.ShardedDB` can
 be a :class:`ReplicaGroup` of R independent
 :class:`~repro.lsm.db.LSMTree` instances on separate (fault-injectable)
-devices.  The group duck-types the single-tree surface the sharding and
-gateway layers already use, so replication slots under both without
-changing a call site.  The protocol, all in deterministic simulated
-time:
-
-* **Log shipping** — every acknowledged write becomes one *frame* (the
-  same unit as a WAL group commit) appended to the primary's outgoing
-  log and applied on followers through their own WAL, so each replica
-  is independently durable.  The ack policy decides when the client
-  hears back: :attr:`AckPolicy.ASYNC` acks after the primary alone
-  (followers catch up at heartbeat ticks — fastest, loses the
-  unshipped suffix when the primary dies), :attr:`AckPolicy.QUORUM`
-  after a majority, :attr:`AckPolicy.ALL` after every live replica.
-* **Failure detection** — a deterministic heartbeat on the shared
-  :class:`VirtualClock`: every :meth:`ReplicaGroup.tick` probes each
-  replica's device; a replica whose device stays powered off for
-  ``heartbeat_timeout_us`` is declared dead.  A ``PowerCutError``
-  surfacing on the serving path marks the replica dead immediately
-  (the error is unambiguous); promotion still waits for the tick, so
-  failover timing is a pure function of the schedule.
-* **Promotion** — on primary death (or a primary wedged read-only) the
-  most-caught-up live follower is promoted.  Promotion *reopens* the
-  follower manifest-driven, so the model-reload cost of the configured
-  index granularity is measured, not skipped — failover time lands in
-  the ``repl.failover`` histogram as detection wait plus recovery
-  work.  Frames the dead primary never shipped are truncated and
-  counted lost (``repl.frames_lost``); the old primary rejoins
-  diverged and needs a full resync.
-* **Hinted handoff** — frames a dead follower misses are retained (its
-  hints) up to ``hint_queue_frames``; past that the group rejects new
-  writes with :class:`~repro.errors.HintQueueFullError` *before* the
-  primary applies them, so backpressured writes are all-or-nothing.
-  A revived replica replays its hinted suffix to catch up.
-* **Bounded-staleness follower reads** — while no primary is serving,
-  reads fall to the most-caught-up live follower provided its lag is
-  within ``max_staleness_frames``; the group keeps answering reads
-  straight through a failover.
-* **Anti-entropy** — :meth:`ReplicaGroup.anti_entropy` scrubs every
-  replica (reusing the single-tree repair path) and then diffs each
-  follower against the primary, rewriting divergent entries — the
-  repair story for a healed medium whose frames are long truncated.
-
-Everything charges the group's single shared
-:class:`~repro.storage.stats.Stats` registry (``repl.*`` counters,
-ship costs under the write-path stage), so gateway service-time deltas
-and deadline tokens see one simulated timeline for the whole group.
+devices.  The group implements :class:`~repro.kv.KVStore`, the surface
+the sharding and gateway layers call, so replication slots under both
+without changing a call site.  The protocol runs in deterministic
+simulated time on the shared :class:`~repro.kv.VirtualClock`: every
+acknowledged write becomes one shipped *frame* under an
+:class:`AckPolicy`; a heartbeat failure detector
+(:meth:`ReplicaGroup.tick`) declares dead replicas and promotes the
+most-caught-up follower through a measured manifest-driven reopen
+(``repl.failover``), truncating the unshipped suffix; dead followers
+collect hints up to a bound past which writes are refused
+(:class:`~repro.errors.HintQueueFullError`); headless groups serve
+bounded-staleness follower reads; :meth:`ReplicaGroup.anti_entropy`
+scrubs and repairs divergence.  All R trees charge the group's one
+:class:`~repro.storage.stats.Stats`, so gateway service times and
+deadline tokens see a single timeline.  See ``docs/REPLICATION.md``.
 """
 
 from __future__ import annotations
@@ -68,6 +37,7 @@ from repro.errors import (
     ReplicaUnavailableError,
     ReproError,
 )
+from repro.kv import VirtualClock
 from repro.lsm.db import LSMTree
 from repro.lsm.options import Options
 from repro.lsm.record import KIND_TOMBSTONE, KIND_VALUE
@@ -109,23 +79,6 @@ ROLE_FOLLOWER = "follower"
 #: Smallest key a full-table dump starts from (keys are signed 64-bit
 #: in the wire format; workloads use non-negative ints).
 _MIN_KEY = -(1 << 63)
-
-
-class VirtualClock:
-    """Monotone simulated-microsecond clock; the only time source here.
-
-    Shared between the gateway's event loop and every replica group's
-    failure detector, so "when did the failure become observable" and
-    "when did promotion complete" live on one timeline.
-    """
-
-    def __init__(self, now_us: float = 0.0) -> None:
-        self.now_us = now_us
-
-    def advance_to(self, t_us: float) -> None:
-        """Move time forward (never backward) to ``t_us``."""
-        if t_us > self.now_us:
-            self.now_us = t_us
 
 
 class AckPolicy(str, enum.Enum):
@@ -233,9 +186,9 @@ class Replica:
 class ReplicaGroup:
     """R replicated LSM-trees serving one shard as a single facade.
 
-    Duck-types the :class:`~repro.lsm.db.LSMTree` surface that
+    Implements :class:`~repro.kv.KVStore`, the surface
     :class:`~repro.service.sharded.ShardedDB` and
-    :class:`~repro.service.gateway.Gateway` touch — reads and writes
+    :class:`~repro.service.gateway.Gateway` call — reads and writes
     route through the replication protocol transparently.  All R trees
     share one :class:`~repro.storage.stats.Stats`, so the group has a
     single simulated timeline.
@@ -343,12 +296,18 @@ class ReplicaGroup:
         if self._closed:
             raise DatabaseClosedError("operation on closed ReplicaGroup")
 
-    def _check_writable(self) -> None:
+    def _writable_primary(self) -> Replica:
+        """The live primary writes go to; raises while there is none."""
+        self._check_open()
         primary = self._primary()
         if primary is None or not primary.alive:
             self.stats.add(DEGRADED_WRITES_REJECTED)
             raise ReadOnlyModeError(self.read_only_reason)
-        primary.tree._check_writable()
+        return primary
+
+    def check_write(self, batch) -> None:
+        """Raise what :meth:`write` would refuse ``batch`` with."""
+        self._writable_primary().tree.check_write(batch)
 
     # -- failure observation -------------------------------------------
 
@@ -375,6 +334,7 @@ class ReplicaGroup:
         """Apply a :class:`WriteBatch` as one replicated frame."""
         ops = tuple(batch)
         if not ops:
+            self._check_open()
             return 0
         return self._commit(ops)
 
@@ -391,11 +351,7 @@ class ReplicaGroup:
                 and not self._ship_eligible(replica))
 
     def _commit(self, ops: Tuple[Tuple[int, int, bytes], ...]) -> int:
-        self._check_open()
-        primary = self._primary()
-        if primary is None or not primary.alive:
-            self.stats.add(DEGRADED_WRITES_REJECTED)
-            raise ReadOnlyModeError(self.read_only_reason)
+        primary = self._writable_primary()
         # Backpressure BEFORE the primary applies anything: a write the
         # hint bound rejects must be all-or-nothing across the group.
         for replica in self.replicas:
@@ -523,7 +479,7 @@ class ReplicaGroup:
         """Point lookup; None when absent or deleted."""
         return self._serve_read(lambda tree: tree.get(key))
 
-    def multi_get(self, keys: Sequence[int],
+    def multi_get(self, keys: Sequence[int], *,
                   coalesce: Optional[bool] = None,
                   errors: Optional[Dict[int, ReproError]] = None,
                   ) -> List[Union[bytes, ReproError, None]]:
@@ -736,10 +692,7 @@ class ReplicaGroup:
         """
         self._check_open()
         self.stats.add(REPL_ANTIENTROPY_RUNS)
-        report = ScrubReport()
-        for replica in self.replicas:
-            if replica.alive:
-                report.merge(replica.tree.scrub())
+        report = self.scrub()
         primary = self._primary()
         if primary is None or not primary.alive:
             return report
@@ -845,20 +798,8 @@ class ReplicaGroup:
         """Level shape of the serving replica."""
         return self._serve_read(lambda tree: tree.describe_levels())
 
-    def replication_summary(self) -> Dict[str, object]:
-        """Compact role/lag view (the gateway's health contribution)."""
-        return {
-            "primary": self._primary_index,
-            "roles": [replica.role for replica in self.replicas],
-            "alive": sum(1 for replica in self.replicas if replica.alive),
-            "max_lag_frames": max(
-                (self.lag_frames(replica) for replica in self.replicas
-                 if replica.index != self._primary_index), default=0),
-        }
-
     def health(self) -> Dict[str, object]:
         """Serving-replica health plus per-replica roles and lag."""
-        primary = self._primary()
         try:
             base = self._serve_read(lambda tree: tree.health())
         except ReplicaUnavailableError:

@@ -62,7 +62,7 @@ class HashRouter:
         return parts
 
     def partition_keys(self, keys) -> List[List[int]]:
-        """Group ``keys`` by owning shard (bulk-load helper)."""
+        """Group ``keys`` by owning shard, keeping their order."""
         parts: List[List[int]] = [[] for _ in range(self.num_shards)]
         for key in keys:
             parts[self.shard_for(key)].append(key)

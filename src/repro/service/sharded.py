@@ -10,11 +10,12 @@ every key to one :class:`~repro.lsm.db.LSMTree` shard, point operations
 route directly, batches split into one group commit per shard touched,
 and range scans merge the per-shard sorted results.
 
-The front-end mirrors the single-tree surface (``put``/``get``/
-``delete``/``write``/``scan``/``flush``/``close``), so workload drivers
-— :func:`repro.workloads.ycsb.replay` in particular — run unchanged
-against either; ``tests/test_service.py`` exploits exactly that to
-check ShardedDB against a single-tree oracle.
+The front-end implements :class:`~repro.kv.KVStore`, as each of its
+shards (an ``LSMTree`` or a
+:class:`~repro.service.replication.ReplicaGroup`) does, so workload
+drivers — :func:`repro.workloads.ycsb.replay` in particular — run
+unchanged against any of them; ``tests/test_kv_contract.py`` checks all
+of them against one conformance suite.
 """
 
 from __future__ import annotations
@@ -23,19 +24,15 @@ import heapq
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import InvalidOptionError, ReproError
+from repro.errors import DatabaseClosedError, InvalidOptionError, ReproError
+from repro.kv import HEALTH_STATUSES, VirtualClock
 from repro.lsm.db import LSMTree
-from repro.lsm.record import KIND_VALUE
 from repro.lsm.scrub import ScrubReport
 from repro.lsm.options import Options
 from repro.lsm.write_batch import WriteBatch
 from repro.obs.registry import MetricsRegistry, global_registry
-from repro.obs.trace import Tracer
-from repro.service.replication import (
-    ReplicaGroup,
-    ReplicationConfig,
-    VirtualClock,
-)
+from repro.obs.trace import OpType, Tracer
+from repro.service.replication import ReplicaGroup, ReplicationConfig
 from repro.service.router import HashRouter
 from repro.storage.block_device import BlockDevice
 from repro.storage.stats import Stats
@@ -44,9 +41,10 @@ from repro.storage.stats import Stats
 class ShardedDB:
     """Hash-partitioned key-value store over ``num_shards`` LSM-trees.
 
-    Every shard is a full :class:`~repro.lsm.db.LSMTree` with its own
-    device (fresh :class:`~repro.storage.block_device.MemoryBlockDevice`
-    instances unless ``devices`` supplies one per shard) and its own
+    Every shard is a full :class:`~repro.lsm.db.LSMTree` (a
+    :class:`~repro.service.replication.ReplicaGroup` of them under
+    ``replication``) with its own device (fresh
+    :class:`~repro.storage.block_device.MemoryBlockDevice` instances unless ``devices`` supplies one per shard) and its own
     :class:`~repro.storage.stats.Stats` registry; :attr:`stats`
     aggregates them on demand.  ``options`` applies uniformly — including
     ``cache_bytes``, which therefore provisions one block cache *per
@@ -66,12 +64,13 @@ class ShardedDB:
         if devices is not None and len(devices) != num_shards:
             raise InvalidOptionError(
                 f"got {len(devices)} devices for {num_shards} shards")
+        #: The fleet's one timeline: a gateway's event loop runs on it,
+        #: and so does every replica group's failure detector.
+        self.clock = VirtualClock()
         if replication is not None:
             # Replicated fleet: each shard is a ReplicaGroup of R trees
-            # on R devices, all on one shared virtual clock (the
-            # failure detector's timeline).  ``devices``, when given,
-            # is one sequence of R devices per shard.
-            self.clock = VirtualClock()
+            # on R devices.  ``devices``, when given, is one sequence of
+            # R devices per shard.
             self.shards: List = [
                 ReplicaGroup(i, self.options, replication,
                              devices=devices[i] if devices is not None
@@ -88,33 +87,20 @@ class ShardedDB:
         #: Set by :class:`repro.service.gateway.Gateway` when one is
         #: attached; :meth:`health` then reports breaker/queue state.
         self._gateway = None
-        self._init_observability(observe, sample_every, metrics_sink)
-
-    def _init_observability(self, observe: bool, sample_every: int,
-                            metrics_sink: Optional[MetricsRegistry]) -> None:
-        """Attach one tracer (with its own registry) per shard.
-
-        Each shard records latencies into a *private*
-        :class:`~repro.obs.registry.MetricsRegistry`, mirroring a
-        deployment where every shard exports its own metrics;
-        :meth:`metrics` folds them together with the exact histogram
-        merge, so fleet-wide percentiles are lossless.  On
-        :meth:`close` the merged registry is folded into
-        ``metrics_sink`` (the global registry by default) so bench
-        reports see sharded runs too.
-        """
-        self.registries: List[MetricsRegistry] = []
-        self.tracers: List[Tracer] = []
+        self._closed = False
+        # One tracer per shard, each recording into a *private* registry
+        # (a deployment where every shard exports its own metrics);
+        # :meth:`metrics` folds them with the exact histogram merge, and
+        # :meth:`close` folds that into ``metrics_sink`` (the global
+        # registry by default) so bench reports see sharded runs too.
+        self.tracers: List[Tracer] = [
+            Tracer(sample_every=sample_every, registry=MetricsRegistry())
+            for _ in self.shards] if observe else []
+        self.registries = [tracer.registry for tracer in self.tracers]
+        for shard, tracer in zip(self.shards, self.tracers):
+            shard.stats.attach_tracer(tracer)
         self._metrics_sink = metrics_sink
         self._metrics_flushed = False
-        if not observe:
-            return
-        for shard in self.shards:
-            registry = MetricsRegistry()
-            tracer = Tracer(sample_every=sample_every, registry=registry)
-            shard.stats.attach_tracer(tracer)
-            self.registries.append(registry)
-            self.tracers.append(tracer)
 
     @classmethod
     def reopen(cls, num_shards: int, options: Options,
@@ -132,33 +118,19 @@ class ShardedDB:
         a single tree.  Because manifests are per-shard, a torn or
         corrupt log on one shard degrades only that shard's recovery;
         the others still restore their persisted models untouched.
+        Each shard's recovery is recorded as a per-shard "recovery" span.
         """
-        if len(devices) != num_shards:
-            raise InvalidOptionError(
-                f"got {len(devices)} devices for {num_shards} shards")
-        db = cls.__new__(cls)
-        db.router = HashRouter(num_shards)
-        db.options = options
-        db.replication = None
-        db._gateway = None
-        db.registries = []
-        db.tracers = []
-        db._metrics_sink = metrics_sink
-        db._metrics_flushed = False
-        tracers: List[Optional[Tracer]] = [None] * num_shards
-        if observe:
-            # Tracers exist before the shards recover, so each shard's
-            # cold open is recorded as a per-shard "recovery" span.
-            for i in range(num_shards):
-                registry = MetricsRegistry()
-                tracers[i] = Tracer(sample_every=sample_every,
-                                    registry=registry)
-                db.registries.append(registry)
-                db.tracers.append(tracers[i])
-        db.shards = [LSMTree.reopen(options, device,
-                                    use_manifest=use_manifest,
-                                    tracer=tracers[i])
-                     for i, device in enumerate(devices)]
+        db = cls(num_shards, options, devices, observe=observe,
+                 sample_every=sample_every, metrics_sink=metrics_sink)
+        for shard in db.shards:
+            tracer = shard.stats.tracer
+            span = (tracer.begin(OpType.RECOVERY)
+                    if tracer is not None else None)
+            try:
+                shard.recover(use_manifest)
+            finally:
+                if tracer is not None:
+                    tracer.end(span)
         return db
 
     # -- routing -------------------------------------------------------
@@ -186,7 +158,7 @@ class ShardedDB:
         """Delete ``key`` (writes a tombstone on its owning shard)."""
         self.shards[self.router.shard_for(key)].delete(key)
 
-    def multi_get(self, keys: Sequence[int],
+    def multi_get(self, keys: Sequence[int], *,
                   coalesce: Optional[bool] = None,
                   errors: Optional[Dict[int, ReproError]] = None,
                   ) -> List[Optional[bytes]]:
@@ -201,14 +173,13 @@ class ShardedDB:
         dict (and its slot holds the exception) while every other key —
         including the rest of the same shard's sub-batch — resolves.
         """
-        parts: Dict[int, List[int]] = {}
-        for key in keys:
-            parts.setdefault(self.router.shard_for(key), []).append(key)
+        self._check_open()
         resolved: Dict[int, Optional[bytes]] = {}
-        for shard, part in sorted(parts.items()):
-            values = self.shards[shard].multi_get(part, coalesce=coalesce,
-                                                  errors=errors)
-            resolved.update(zip(part, values))
+        for shard, part in zip(self.shards,
+                               self.router.partition_keys(keys)):
+            if part:
+                resolved.update(zip(part, shard.multi_get(
+                    part, coalesce=coalesce, errors=errors)))
         return [resolved[key] for key in keys]
 
     # -- batched writes ------------------------------------------------
@@ -232,17 +203,10 @@ class ShardedDB:
         no-distributed-log trade-off), but a *refusal* the front-end
         can predict never splits a batch.
         """
+        self._check_open()
         split = sorted(self.router.split(batch).items())
         for shard, part in split:
-            tree = self.shards[shard]
-            tree._check_open()
-            tree._check_writable()
-            for kind, _, value in part:
-                if kind == KIND_VALUE \
-                        and len(value) > self.options.value_capacity:
-                    raise InvalidOptionError(
-                        f"value of {len(value)} bytes exceeds "
-                        f"value_capacity {self.options.value_capacity}")
+            self.shards[shard].check_write(part)
         applied = 0
         for shard, part in split:
             applied += self.shards[shard].write(part)
@@ -338,7 +302,7 @@ class ShardedDB:
                 entry.update(self._gateway.shard_health(i))
             shards.append(entry)
         worst = "ok"
-        for status in ("degraded", "read_only", "down"):
+        for status in HEALTH_STATUSES[1:]:
             if any(entry["status"] == status for entry in shards):
                 worst = status
         return {"status": worst, "shards": shards}
@@ -364,8 +328,14 @@ class ShardedDB:
                 total[name] = total.get(name, 0.0) + value
         return total
 
+    def _check_open(self) -> None:
+        # Point calls meet a closed shard; an empty batch meets none.
+        if self._closed:
+            raise DatabaseClosedError("operation on closed ShardedDB")
+
     def close(self) -> None:
         """Release every shard and fold metrics into the sink."""
+        self._closed = True
         for shard in self.shards:
             shard.close()
         self._flush_metrics()
@@ -404,13 +374,12 @@ class ShardedDB:
         merged = MetricsRegistry()
         for registry in self.registries:
             merged.merge(registry)
-        for shard in self.shards:
+        if self.replication is not None:
             # Replica groups keep their own registry (the failover-time
             # histogram lives there); fold it in so ``repl.failover``
             # shows up next to request latencies.
-            group_registry = getattr(shard, "registry", None)
-            if group_registry is not None:
-                merged.merge(group_registry)
+            for group in self.shards:
+                merged.merge(group.registry)
         return merged
 
     def entry_count(self) -> int:

@@ -9,6 +9,7 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     InvalidOptionError,
+    QuarantinedBlockError,
     ReadOnlyModeError,
     RequestRejectedError,
     ShedError,
@@ -27,7 +28,6 @@ from repro.service.gateway import (
     OUTCOME_SHED,
     Request,
     RetryBudget,
-    VirtualClock,
     requests_from_ycsb,
 )
 from repro.service.sharded import ShardedDB
@@ -35,6 +35,7 @@ from repro.storage.block_device import MemoryBlockDevice
 from repro.storage.faults import FaultPlan, FaultyBlockDevice
 from repro.storage.retry import RetryPolicy
 from repro.storage.stats import (
+    OVERLOAD_DEADLINE_EXCEEDED,
     OVERLOAD_EXPIRED_AT_DEQUEUE,
     OVERLOAD_REQUESTS,
     OVERLOAD_SHED,
@@ -74,14 +75,7 @@ def uniform_plan(n, rate, deadline_us, seed=3):
             for t in times]
 
 
-# -- virtual clock and config ------------------------------------------
-
-
-def test_virtual_clock_is_monotone():
-    clock = VirtualClock()
-    clock.advance_to(10.0)
-    clock.advance_to(5.0)
-    assert clock.now_us == 10.0
+# -- config ---------------------------------------------------------------
 
 
 def test_config_validation():
@@ -383,6 +377,48 @@ def test_sync_get_and_multi_get_with_deadline():
     assert len(values) == len(keys)
     with pytest.raises(DeadlineExceededError):
         gw.get(5, deadline_us=0.0)
+    db.close()
+
+
+def test_sync_multi_get_deadline_miss_counts_like_get():
+    db = build_db()
+    gw = Gateway(db)
+    errors = {}
+    gw.multi_get(list(range(30)), deadline_us=0.0, errors=errors)
+    assert errors
+    missed = gw.stats.get(OVERLOAD_DEADLINE_EXCEEDED)
+    assert missed >= 1
+    assert sum(row["deadline"] for row in gw.shard_counters) == missed
+    # A deadline miss is not a shard failure: the breakers saw nothing.
+    assert all(not b.window for b in gw.breakers)
+    db.close()
+
+
+@pytest.mark.parametrize("call", ["get", "multi_get"])
+def test_failing_sync_lookups_open_the_breaker_by_error_rate(call):
+    db = build_db(plan=FaultPlan(seed=9))
+    tree = db.shards[0]
+    _, meta = tree.version.all_files()[0]
+    tree.device.inject_rot(meta.table.name,
+                           meta.table.handles[0][1] // tree.device.block_size)
+
+    def fails(key):
+        try:
+            db.get(key)
+        except QuarantinedBlockError:
+            return True
+        return False
+
+    bad = next(key for key in range(N_KEYS)
+               if db.shard_for(key) == 0 and fails(key))
+    gw = Gateway(db, GatewayConfig(breaker_window=8, breaker_min_samples=4))
+    lookup = gw.get if call == "get" else (lambda key: gw.multi_get([key]))
+    for _ in range(4):
+        with pytest.raises(QuarantinedBlockError):
+            lookup(bad)
+    assert gw.breakers[0].state == CircuitBreaker.OPEN
+    with pytest.raises(CircuitOpenError):
+        lookup(bad)
     db.close()
 
 

@@ -1,0 +1,255 @@
+"""One conformance suite for every :class:`repro.kv.KVStore`.
+
+Runs the contract stated in ``repro/kv.py`` against a single tree, a
+replica group, a sharded fleet and a replicated sharded fleet, plus the
+cases a :class:`Gateway` in front of a replicated fleet supports
+(``get``/``multi_get``/``write``).  Every call goes through
+:func:`_call`, which fails the test when an error is outside the
+method's declared :data:`~repro.kv.RAISES` taxonomy.
+"""
+
+import random
+
+import pytest
+
+from repro.errors import (
+    CircuitOpenError,
+    DatabaseClosedError,
+    InvalidOptionError,
+    QuarantinedBlockError,
+    ReadOnlyModeError,
+    ReproError,
+)
+from repro.kv import HEALTH_STATUSES, RAISES, KVStore, VirtualClock
+from repro.lsm.db import LSMTree
+from repro.lsm.options import small_test_options
+from repro.lsm.write_batch import WriteBatch
+from repro.service.gateway import Gateway
+from repro.service.replication import ReplicaGroup, ReplicationConfig
+from repro.service.sharded import ShardedDB
+from repro.storage.block_device import MemoryBlockDevice
+from repro.storage.faults import FaultPlan, FaultyBlockDevice
+
+STORES = ("tree", "group", "sharded", "replicated")
+KINDS = STORES + ("gateway",)
+KEYS = list(range(600))
+SHARDS = 2
+REPLICAS = 3
+
+
+def _value(key):
+    return b"v%d" % key
+
+
+def _device(options, seed):
+    return FaultyBlockDevice(MemoryBlockDevice(block_size=options.block_size),
+                             FaultPlan(seed=seed))
+
+
+def _build(kind):
+    """The KVStore of ``kind`` (a gateway fronts a replicated fleet)."""
+    options = small_test_options(cache_bytes=0, data_cache_bytes=0)
+    if kind == "tree":
+        return LSMTree(options, device=_device(options, 1))
+    if kind == "group":
+        return ReplicaGroup(0, options, ReplicationConfig(),
+                            devices=[_device(options, r)
+                                     for r in range(REPLICAS)])
+    if kind == "sharded":
+        return ShardedDB(SHARDS, options, observe=False,
+                         devices=[_device(options, s) for s in range(SHARDS)])
+    return ShardedDB(SHARDS, options, observe=False,
+                     replication=ReplicationConfig(),
+                     devices=[[_device(options, SHARDS * s + r)
+                               for r in range(REPLICAS)]
+                              for s in range(SHARDS)])
+
+
+class Case:
+    """One store under test: ``store`` is called, ``db`` is beneath it."""
+
+    def __init__(self, kind, loaded=False):
+        self.db = _build(kind)
+        if loaded:
+            self.db.bulk_ingest(KEYS, value_for=_value)
+        self.store = Gateway(self.db) if kind == "gateway" else self.db
+
+    def serving_tree(self):
+        """The tree serving the first shard's reads (rot and wounds go
+        here)."""
+        return _serving_trees(self.db)[0]
+
+
+def _serving_trees(db):
+    if isinstance(db, LSMTree):
+        return [db]
+    if isinstance(db, ReplicaGroup):
+        return [db.replicas[db.primary_index].tree]
+    return [tree for shard in db.shards for tree in _serving_trees(shard)]
+
+
+def _rot_first_block(tree):
+    _, meta = tree.version.all_files()[0]
+    tree.device.inject_rot(meta.table.name,
+                           meta.table.handles[0][1] // tree.device.block_size)
+
+
+def _quarantined_keys(db):
+    """Trip every quarantine; return the keys whose lookups now fail."""
+    failing = set()
+    for key in KEYS:
+        try:
+            _call(db, "get", key)
+        except QuarantinedBlockError:
+            failing.add(key)
+    return failing
+
+
+def _call(store, method, *args, **kwargs):
+    """Call ``method``; any error must be in ``RAISES[method]``."""
+    try:
+        return getattr(store, method)(*args, **kwargs)
+    except ReproError as exc:
+        assert isinstance(exc, RAISES[method]), \
+            f"{type(store).__name__}.{method} raised undeclared {exc!r}"
+        raise
+
+
+# -- the contract itself ---------------------------------------------------
+
+
+def test_virtual_clock_is_monotone():
+    clock = VirtualClock()
+    clock.advance_to(10.0)
+    clock.advance_to(5.0)
+    assert clock.now_us == 10.0
+
+
+def test_raises_covers_every_method_with_repro_errors():
+    methods = {name for name in vars(KVStore)
+               if not name.startswith("_") and callable(vars(KVStore)[name])}
+    assert set(RAISES) == methods
+    for errors in RAISES.values():
+        assert all(issubclass(error, ReproError) for error in errors)
+
+
+@pytest.mark.parametrize("kind", STORES)
+def test_every_store_is_a_kvstore(kind):
+    case = Case(kind)
+    assert isinstance(case.store, KVStore)
+    case.db.close()
+
+
+# -- behaviour, one suite over every store -----------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_read_your_writes_including_deletes(kind):
+    case = Case(kind)
+    store = case.store
+    batch = WriteBatch()
+    for key in range(40):
+        batch.put(key, _value(key))
+    for key in range(0, 40, 4):
+        batch.delete(key)
+    assert _call(store, "write", batch) == 50
+    expected = [None if key % 4 == 0 else _value(key) for key in range(40)]
+    assert [_call(store, "get", key) for key in range(40)] == expected
+    assert _call(store, "multi_get", list(range(40)) + [7, 7, 8]) \
+        == expected + [_value(7), _value(7), None]
+    if kind != "gateway":
+        _call(store, "put", 1, b"overwritten")
+        _call(store, "delete", 2)
+        _call(store, "flush")
+        assert _call(store, "get", 1) == b"overwritten"
+        assert _call(store, "get", 2) is None
+        assert _call(store, "multi_get", [1, 2, 5]) \
+            == [b"overwritten", None, _value(5)]
+    case.db.close()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_refused_batch_applies_nothing(kind):
+    case = Case(kind)
+    batch = WriteBatch()
+    for key in range(20):
+        batch.put(key, b"ok")
+    batch.put(20, b"x" * (case.db.options.value_capacity + 1))
+    with pytest.raises(InvalidOptionError):
+        _call(case.store, "write", batch)
+    # A read-only shard refuses the batch before any shard commits.
+    case.serving_tree()._enter_read_only("contract: wounded shard")
+    good = WriteBatch()
+    for key in range(20):
+        good.put(key, b"ok")
+    with pytest.raises((ReadOnlyModeError, CircuitOpenError)):
+        _call(case.store, "write", good)
+    assert [case.db.get(key) for key in range(21)] == [None] * 21
+    case.db.close()
+
+
+@pytest.mark.parametrize("kind", STORES)
+def test_scan_returns_live_entries_in_key_order(kind):
+    store = Case(kind).store
+    keys = random.Random(5).sample(range(1000), 60)
+    for key in keys:
+        _call(store, "put", key, _value(key))
+    for key in keys[:10]:
+        _call(store, "delete", key)
+    live = sorted(keys[10:])
+    assert _call(store, "scan", 0, 1000) == [(k, _value(k)) for k in live]
+    assert _call(store, "scan", live[5], 3) \
+        == [(k, _value(k)) for k in live[5:8]]
+    store.close()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_multi_get_errors_isolate_the_failing_keys(kind):
+    case = Case(kind, loaded=True)
+    _rot_first_block(case.serving_tree())
+    failing = _quarantined_keys(case.db)
+    assert failing and len(failing) < len(KEYS)
+    errors = {}
+    values = _call(case.store, "multi_get", KEYS, errors=errors)
+    assert set(errors) == failing
+    for key, value in zip(KEYS, values):
+        if key in failing:
+            assert isinstance(value, QuarantinedBlockError)
+        else:
+            assert value == _value(key)
+    # Without ``errors`` the first failing key fails the whole call.
+    with pytest.raises(QuarantinedBlockError):
+        _call(case.store, "multi_get", KEYS)
+    case.db.close()
+
+
+@pytest.mark.parametrize("kind", STORES)
+def test_health_status_vocabulary(kind):
+    case = Case(kind, loaded=True)
+    statuses = [_call(case.store, "health")["status"]]
+    _rot_first_block(case.serving_tree())
+    _quarantined_keys(case.db)
+    statuses.append(_call(case.store, "health")["status"])
+    case.serving_tree()._enter_read_only("contract: wounded shard")
+    statuses.append(_call(case.store, "health")["status"])
+    assert statuses == ["ok", "degraded", "read_only"]
+    assert set(statuses) <= set(HEALTH_STATUSES)
+    case.db.close()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_close_is_idempotent_and_every_later_call_raises(kind):
+    case = Case(kind)
+    batch = WriteBatch()
+    batch.put(1, b"x")
+    _call(case.store, "write", batch)
+    _call(case.db, "close")
+    _call(case.db, "close")
+    calls = [("get", (1,)), ("multi_get", ([1, 2],)), ("write", (batch,)),
+             ("write", (WriteBatch(),))]
+    if kind != "gateway":
+        calls += [("put", (1, b"y")), ("delete", (1,)), ("multi_get", ([],)),
+                  ("scan", (0, 5)), ("flush", ()), ("health", ())]
+    for method, args in calls:
+        with pytest.raises(DatabaseClosedError):
+            _call(case.store, method, *args)

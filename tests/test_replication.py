@@ -321,20 +321,21 @@ def test_anti_entropy_rewrites_a_drifted_follower():
 # -- facade / introspection --------------------------------------------
 
 
+def _assert_replication_view(replication, lags):
+    """The one schema for roles and lag: ``health()["replication"]``."""
+    assert replication["primary"] == 0
+    replicas = replication["replicas"]
+    assert [entry["role"] for entry in replicas] \
+        == ["primary", "follower", "follower"]
+    assert sum(entry["alive"] for entry in replicas) == 3
+    assert [entry["lag_frames"] for entry in replicas] == lags
+
+
 def test_replication_summary_reports_roles_and_lag():
     group, devices = _group(_config(ack=AckPolicy.ASYNC))
     for i in range(4):
         group.put(i, b"x")
-    summary = group.replication_summary()
-    assert summary["primary"] == 0
-    assert summary["roles"] == ["primary", "follower", "follower"]
-    assert summary["alive"] == 3
-    assert summary["max_lag_frames"] == 4
-    health = group.health()
-    assert health["replication"]["primary"] == 0
-    lags = [entry["lag_frames"]
-            for entry in health["replication"]["replicas"]]
-    assert lags == [0, 4, 4]
+    _assert_replication_view(group.health()["replication"], [0, 4, 4])
     group.close()
 
 
@@ -362,11 +363,9 @@ def test_gateway_health_surfaces_replica_roles_and_lag():
     batch = WriteBatch()
     batch.put(5, b"x")
     gateway.write(batch)
-    for shard in range(2):
-        entry = gateway.shard_health(shard)
-        assert entry["replica_roles"].count("primary") == 1
-        assert entry["replicas_alive"] == 3
-        assert entry["replication_lag"] == 0
+    for entry in db.health()["shards"]:
+        assert entry["breaker"] == "closed"
+        _assert_replication_view(entry["replication"], [0, 0, 0])
     db.close()
 
 
