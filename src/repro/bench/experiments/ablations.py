@@ -23,7 +23,6 @@ from typing import Sequence
 
 from repro.bench.report import ExperimentResult, ResultTable
 from repro.bench.runner import get_scale, loaded_testbed, sample_queries
-from repro.core.config import BenchConfig
 from repro.indexes.plex import PLEXIndex
 from repro.indexes.registry import IndexKind
 from repro.indexes.rmi import RMIIndex
@@ -52,11 +51,6 @@ def run(scale="smoke", dataset: str = "random",
     _plex_self_tuning(result, keys)
     _rmi_quantile(result, keys)
     return result
-
-
-def _config(scale, kind: IndexKind, dataset: str, **index_params) -> BenchConfig:
-    base = scale.config(kind, _BOUNDARY, dataset=dataset)
-    return BenchConfig(**{**base.__dict__})
 
 
 def _pgm_epsilon_recursive(result, scale, dataset, keys, queries,

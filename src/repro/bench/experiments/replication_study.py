@@ -55,7 +55,6 @@ from repro.storage.stats import (
     REPL_BACKPRESSURE,
     REPL_FRAMES_LOST,
     REPL_PROMOTIONS,
-    REPL_WRITES_ACKED,
 )
 
 EXPERIMENT_ID = "replication"

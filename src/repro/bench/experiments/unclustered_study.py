@@ -18,7 +18,6 @@ free).
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from repro.bench.report import ExperimentResult, ResultTable
 from repro.bench.runner import get_scale

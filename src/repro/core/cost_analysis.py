@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
+from repro.indexes import btree
 from repro.indexes.registry import IndexFactory, IndexKind
 from repro.storage.cost_model import CostModel
 
@@ -118,7 +119,6 @@ def estimate_index_memory(kind: IndexKind, sample_keys: Sequence[int],
 
 def inner_index_cost_us(kind: IndexKind, cost: CostModel,
                         segments_hint: int = 1024,
-                        btree_order: int = 16,
                         epsilon_recursive: int = 4,
                         pgm_levels: int = 2,
                         cht_height: int = 3) -> float:
@@ -132,9 +132,9 @@ def inner_index_cost_us(kind: IndexKind, cost: CostModel,
     if kind is IndexKind.PLR:
         return cost.binary_search_us(segments_hint) + cost.model_eval_us
     if kind is IndexKind.FT:
-        height = max(1, math.ceil(math.log(max(2, segments_hint),
-                                           max(2, btree_order))))
-        per_node = cost.index_compare_us * (math.log2(btree_order) + 1)
+        order = btree.DEFAULT_ORDER
+        height = max(1, math.ceil(math.log(max(2, segments_hint), order)))
+        per_node = cost.index_compare_us * (math.log2(order) + 1)
         return height * per_node + cost.model_eval_us
     if kind is IndexKind.PGM:
         window = 2 * epsilon_recursive + 2

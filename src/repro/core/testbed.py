@@ -1,8 +1,8 @@
 """The unified testbed: load a database, run workloads, collect metrics.
 
 This is the reproduction of the paper's Section 4.2 platform: a single
-object that materialises an :class:`~repro.lsm.db.LSMTree` from a
-:class:`~repro.core.config.BenchConfig`, bulk-loads a dataset through
+object that materialises an :class:`~repro.lsm.db.LSMTree` from
+:class:`~repro.lsm.options.Options`, loads a dataset through
 the normal write path (so flushes and compactions build the learned
 indexes exactly as in production), and executes measured workload
 phases.  Every phase returns simulated-time metrics broken down into
@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.config import BenchConfig
 from repro.lsm.db import LSMTree
 from repro.lsm.options import Options
 from repro.obs.registry import MetricsRegistry, MetricsWindow, global_registry
@@ -23,13 +22,10 @@ from repro.obs.trace import Tracer
 from repro.storage.block_device import BlockDevice
 from repro.storage.stats import (
     BLOCKS_READ,
-    COMPACT_BYTES_IN,
     COMPACTION_STAGES,
-    SEGMENTS_FETCHED,
     Stage,
     StatsSnapshot,
 )
-from repro.workloads import datasets as dataset_mod
 from repro.workloads.ycsb import YCSBWorkload, replay
 
 
@@ -62,15 +58,6 @@ class PhaseMetrics:
         """Total counter change during the phase."""
         return self.counters.get(name, 0.0)
 
-    def percentile(self, op: str, name: str) -> float:
-        """A recorded latency percentile (e.g. ``("get", "p99")``).
-
-        Returns 0.0 when tracing was disabled or the op never ran.
-        """
-        if not self.percentiles:
-            return 0.0
-        return self.percentiles.get(op, {}).get(name, 0.0)
-
     def blocks_read_per_op(self) -> float:
         """Mean device blocks fetched per operation."""
         if not self.ops:
@@ -85,11 +72,6 @@ class MemoryMetrics:
     index_bytes: int
     bloom_bytes: int
     buffer_bytes: int
-
-    @property
-    def total_bytes(self) -> int:
-        """Sum over all components."""
-        return self.index_bytes + self.bloom_bytes + self.buffer_bytes
 
 
 @dataclass
@@ -121,15 +103,6 @@ class Testbed:
                           tracer=self.tracer)
         self._rng = random.Random(self.seed)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_config(cls, config: BenchConfig,
-                    device: Optional[BlockDevice] = None) -> "Testbed":
-        """Materialise a testbed for one configuration point."""
-        return cls(options=config.to_options(), device=device,
-                   seed=config.seed)
-
     # -- loading -----------------------------------------------------------
 
     def value_for(self, key: int) -> bytes:
@@ -153,21 +126,9 @@ class Testbed:
             put(key, value_for(key))
         self.settle()
 
-    def load_dataset(self, name: str, n: int) -> List[int]:
-        """Generate and load a named dataset; returns its sorted keys."""
-        keys = dataset_mod.generate(name, n, seed=self.seed)
-        self.load_keys(keys)
-        return keys
-
     def bulk_load(self, keys: Sequence[int]) -> None:
         """Offline leveled fill (no compaction churn) for read phases."""
         self.db.bulk_ingest(keys, value_for=self.value_for, seed=self.seed)
-
-    def bulk_load_dataset(self, name: str, n: int) -> List[int]:
-        """Generate a dataset and bulk-load it; returns its sorted keys."""
-        keys = dataset_mod.generate(name, n, seed=self.seed)
-        self.bulk_load(keys)
-        return keys
 
     def level_keys(self) -> Dict[int, List[int]]:
         """Per-level key sets recorded by the last bulk load."""
@@ -211,22 +172,6 @@ class Testbed:
         get = self.db.get
         for key in keys:
             get(key)
-        return self._phase(before, len(keys), base)
-
-    def run_multi_get(self, keys: Sequence[int], batch_size: int,
-                      coalesce: bool = True) -> PhaseMetrics:
-        """Execute point lookups in ``batch_size`` MultiGet batches.
-
-        The same key stream as :meth:`run_point_lookups`, drained
-        through :meth:`~repro.lsm.db.LSMTree.multi_get` instead of one
-        ``get`` per key; compare the two phases' metrics to see what a
-        batch amortizes.
-        """
-        before = self.db.stats.snapshot()
-        base = self._hist_base()
-        multi_get = self.db.multi_get
-        for start in range(0, len(keys), batch_size):
-            multi_get(keys[start:start + batch_size], coalesce=coalesce)
         return self._phase(before, len(keys), base)
 
     def run_range_lookups(self, start_keys: Sequence[int],
@@ -313,14 +258,6 @@ class Testbed:
         return MemoryMetrics(index_bytes=breakdown["index"],
                              bloom_bytes=breakdown["bloom"],
                              buffer_bytes=breakdown["buffer"])
-
-    def segments_fetched(self) -> float:
-        """Total segments fetched since the database opened."""
-        return self.db.stats.get(SEGMENTS_FETCHED)
-
-    def compaction_bytes_in(self) -> float:
-        """Total bytes read into compactions since open."""
-        return self.db.stats.get(COMPACT_BYTES_IN)
 
     def close(self) -> None:
         """Release the database."""

@@ -38,7 +38,6 @@ from repro.indexes.registry import (
     IndexFactory,
     IndexKind,
     deserialize_index,
-    kind_from_name,
 )
 from repro.indexes.rmi import RMIIndex, RmiTuningCache
 
@@ -68,5 +67,4 @@ __all__ = [
     "ALL_KINDS",
     "LEARNED_KINDS",
     "deserialize_index",
-    "kind_from_name",
 ]

@@ -4,29 +4,27 @@ ALEX (Figure 3 A of the paper) is the canonical updatable learned
 index: inner nodes use a linear model to route to children; data nodes
 store key-value pairs in *gapped arrays* — sorted arrays interleaved
 with empty slots so inserts shift only to the nearest gap — and locate
-keys by model prediction plus exponential search.  Nodes split when
-they get too dense, growing the tree.
+keys by model prediction plus exponential search.
 
-This implementation keeps those mechanics (gapped arrays, per-node
-linear models, exponential search, splits, a leaf chain for scans)
-at reduced engineering scale: routing corrections use the sorted
-first-key array, and cost-based adaptive splitting is replaced by a
-density threshold.  What the Section 3.3 study measures — pointer hops
+The paper studies ALEX only for its layout, so this implementation is
+bulk-built once over an immutable key set and takes no inserts: it
+keeps the gapped arrays, per-node linear models, exponential search and
+the leaf chain for scans, and routing corrections use the sorted
+first-key array.  What the Section 3.3 study measures — pointer hops
 per lookup, scatter during scans, slot overhead — is preserved.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import IndexBuildError
 from repro.indexes.linear import LinearModel, fit_endpoints
 from repro.indexes.unclustered import UnclusteredIndex
 
-_MAX_NODE_KEYS = 128
+#: Pairs per data node at bulk load.
+_LEAF_KEYS = 64
 _TARGET_DENSITY = 0.7
-_SPLIT_DENSITY = 0.9
 _INNER_FANOUT = 64
 
 
@@ -41,18 +39,13 @@ def _fit_slots(keys: Sequence[int], capacity: int) -> LinearModel:
 class _DataNode:
     """A gapped array of key-value pairs with a slot-prediction model."""
 
-    __slots__ = ("slots", "model", "count", "next")
+    __slots__ = ("slots", "model", "next")
 
     def __init__(self, pairs: Sequence[Tuple[int, bytes]]) -> None:
         self.next: Optional["_DataNode"] = None
-        self._rebuild_from(pairs)
-
-    def _rebuild_from(self, pairs: Sequence[Tuple[int, bytes]]) -> None:
-        """(Re)initialise slots and model from sorted pairs, in place."""
         capacity = max(8, int(len(pairs) / _TARGET_DENSITY))
         self.slots: List[Optional[Tuple[int, bytes]]] = [None] * capacity
         self.model = _fit_slots([key for key, _ in pairs], capacity)
-        self.count = 0
         # Model-based placement: predict each key's slot, then enforce
         # strictly increasing slots (keys arrive sorted) with enough
         # room left for every remaining key — slot order always equals
@@ -74,17 +67,12 @@ class _DataNode:
             previous = desired[i]
         for (key, value), slot in zip(pairs, desired):
             self.slots[slot] = (key, value)
-            self.count += 1
 
     # -- helpers ----------------------------------------------------------
 
     @property
     def capacity(self) -> int:
         return len(self.slots)
-
-    @property
-    def density(self) -> float:
-        return self.count / self.capacity
 
     def min_key(self) -> int:
         for entry in self.slots:
@@ -95,17 +83,10 @@ class _DataNode:
     def pairs(self) -> List[Tuple[int, bytes]]:
         return [entry for entry in self.slots if entry is not None]
 
-    def _predict_slot(self, key: int) -> int:
-        slot = int(self.model.predict(float(key)))
-        return max(0, min(slot, self.capacity - 1))
-
     def find(self, key: int, counters) -> Optional[bytes]:
         """Exponential search around the predicted slot."""
-        slot = self._find_slot(key, counters)
-        return self.slots[slot][1] if slot is not None else None
-
-    def _find_slot(self, key: int, counters) -> Optional[int]:
-        slot = self._predict_slot(key)
+        slot = int(self.model.predict(float(key)))
+        slot = max(0, min(slot, self.capacity - 1))
         probes = 0
         # Walk outward until we bracket the key among occupied slots.
         for offset in self._exponential_offsets():
@@ -115,19 +96,11 @@ class _DataNode:
                     entry = self.slots[candidate]
                     if entry is not None and entry[0] == key:
                         counters.slot_probes += probes
-                        return candidate
+                        return entry[1]
             if offset > self.capacity:
                 break
         counters.slot_probes += probes
         return None
-
-    def overwrite(self, key: int, value: bytes, counters) -> bool:
-        """Replace an existing key's value in place; False when absent."""
-        slot = self._find_slot(key, counters)
-        if slot is None:
-            return False
-        self.slots[slot] = (key, value)
-        return True
 
     def _exponential_offsets(self):
         yield 0
@@ -139,112 +112,6 @@ class _DataNode:
             if offset > self.capacity:
                 return
 
-    def insert(self, key: int, value: bytes, counters) -> bool:
-        """Insert via predicted slot + shift to nearest gap.
-
-        Returns False when the node should split first.
-        """
-        if self.density >= _SPLIT_DENSITY or self.count >= _MAX_NODE_KEYS:
-            return False
-        slot = self._predict_slot(key)
-        # Find the correct sorted position around the prediction.
-        insert_at = self._sorted_position(key, value, slot, counters)
-        if insert_at is None:
-            return True  # overwrote an existing entry in place
-        gap = self._nearest_gap(insert_at)
-        if gap is None:
-            return False
-        # Shift entries between the gap and the insertion point.  When
-        # the gap is to the left, occupants below ``insert_at`` move
-        # down one slot, so the new key lands at ``insert_at - 1`` —
-        # still directly before the first larger key.
-        if gap >= insert_at:
-            for i in range(gap, insert_at, -1):
-                self.slots[i] = self.slots[i - 1]
-                counters.slot_probes += 1
-            self.slots[insert_at] = (key, value)
-        else:
-            for i in range(gap, insert_at - 1):
-                self.slots[i] = self.slots[i + 1]
-                counters.slot_probes += 1
-            self.slots[insert_at - 1] = (key, value)
-        self.count += 1
-        return True
-
-    def _sorted_position(self, key: int, value: bytes, hint: int,
-                         counters) -> Optional[int]:
-        """Slot index where ``key`` belongs to keep slot order sorted.
-
-        Overwrites in place (returning None) when the key already
-        exists.
-        """
-        # Move left while the previous occupied key is larger; right
-        # while the slot's occupied key is smaller.
-        position = hint
-        while position > 0:
-            entry = self._prev_occupied(position - 1)
-            if entry is None:
-                break
-            idx, (found, _) = entry
-            counters.slot_probes += 1
-            if found > key:
-                position = idx
-            elif found == key:
-                self.slots[idx] = (key, value)
-                return None
-            else:
-                break
-        while position < self.capacity:
-            entry = self.slots[position]
-            if entry is None:
-                return position
-            counters.slot_probes += 1
-            if entry[0] == key:
-                self.slots[position] = (key, value)
-                return None
-            if entry[0] > key:
-                return position
-            position += 1
-        # Larger than every occupied slot through the end: the logical
-        # insertion point is past the array; the shift path below moves
-        # occupants down into the nearest left gap.
-        return self.capacity
-
-    def _prev_occupied(self, start: int):
-        for idx in range(start, -1, -1):
-            if self.slots[idx] is not None:
-                return idx, self.slots[idx]
-        return None
-
-    def _nearest_gap(self, position: int) -> Optional[int]:
-        right = position
-        while right < self.capacity and self.slots[right] is not None:
-            right += 1
-        left = position - 1
-        while left >= 0 and self.slots[left] is not None:
-            left -= 1
-        if right < self.capacity and (left < 0
-                                      or right - position <= position - left):
-            return right
-        if left >= 0:
-            return left
-        return right if right < self.capacity else None
-
-    def split(self) -> Tuple["_DataNode", "_DataNode"]:
-        """Split into two half-full nodes.
-
-        The upper half moves to a fresh node; this node is rebuilt in
-        place as the lower half, so leaf-chain predecessors (which
-        still point here) stay correct without back-pointers.
-        """
-        pairs = self.pairs()
-        mid = len(pairs) // 2
-        right = _DataNode(pairs[mid:])
-        right.next = self.next
-        self._rebuild_from(pairs[:mid])
-        self.next = right
-        return self, right
-
 
 class _InnerNode:
     """Model-routed inner node with a sorted first-key array."""
@@ -254,14 +121,10 @@ class _InnerNode:
     def __init__(self, first_keys: List[int], children: List[object]) -> None:
         self.first_keys = first_keys
         self.children = children
-        self._refit()
-
-    def _refit(self) -> None:
-        n = len(self.first_keys)
+        n = len(first_keys)
         if n >= 2:
-            self.model = fit_endpoints(float(self.first_keys[0]), 0.0,
-                                       float(self.first_keys[-1]),
-                                       float(n - 1))
+            self.model = fit_endpoints(float(first_keys[0]), 0.0,
+                                       float(first_keys[-1]), float(n - 1))
         else:
             self.model = LinearModel(0.0, 0.0)
 
@@ -279,19 +142,9 @@ class _InnerNode:
             counters.slot_probes += 1
         return idx
 
-    def replace_child(self, idx: int, left, right, split_key: int) -> None:
-        """Install a split child pair."""
-        self.children[idx:idx + 1] = [left, right]
-        self.first_keys[idx:idx + 1] = [self.first_keys[idx], split_key]
-        self._refit()
-
-    @property
-    def overflowing(self) -> bool:
-        return len(self.children) > _INNER_FANOUT
-
 
 class ALEXIndex(UnclusteredIndex):
-    """The updatable, data-unclustered ALEX index."""
+    """The data-unclustered ALEX index, bulk-built once."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -303,10 +156,9 @@ class ALEXIndex(UnclusteredIndex):
     def bulk_load(self, pairs: Sequence[Tuple[int, bytes]]) -> None:
         if not pairs:
             raise IndexBuildError("ALEX bulk_load needs at least one pair")
-        chunk = max(8, _MAX_NODE_KEYS // 2)
         leaves: List[_DataNode] = []
-        for start in range(0, len(pairs), chunk):
-            leaves.append(_DataNode(pairs[start:start + chunk]))
+        for start in range(0, len(pairs), _LEAF_KEYS):
+            leaves.append(_DataNode(pairs[start:start + _LEAF_KEYS]))
         for left, right in zip(leaves, leaves[1:]):
             left.next = right
         self._size = len(pairs)
@@ -331,74 +183,22 @@ class ALEXIndex(UnclusteredIndex):
 
     # -- operations -----------------------------------------------------------
 
-    def _descend(self, key: int) -> Tuple[_DataNode, List[Tuple[_InnerNode, int]]]:
-        path: List[Tuple[_InnerNode, int]] = []
+    def _descend(self, key: int) -> _DataNode:
         node = self._root
         while isinstance(node, _InnerNode):
             self.counters.node_hops += 1
-            idx = node.route(key, self.counters)
-            path.append((node, idx))
-            node = node.children[idx]
+            node = node.children[node.route(key, self.counters)]
         self.counters.node_hops += 1
-        return node, path
+        return node
 
     def get(self, key: int) -> Optional[bytes]:
         self.counters.operations += 1
-        leaf, _ = self._descend(key)
-        return leaf.find(key, self.counters)
-
-    def insert(self, key: int, value: bytes) -> None:
-        self.counters.operations += 1
-        leaf, _ = self._descend(key)
-        # Overwrites replace in place and never need a gap or a split.
-        if leaf.overwrite(key, value, self.counters):
-            return
-        self._size += 1
-        # Splits (and the occasional full rebuild they trigger) change
-        # the structure, so re-descend after each one.
-        for _ in range(8):
-            leaf, path = self._descend(key)
-            if leaf.insert(key, value, self.counters):
-                return
-            left, right = leaf.split()
-            self._install_split(left, right, path)
-        raise IndexBuildError("ALEX insert failed after repeated splits")
-
-    def _install_split(self, left: _DataNode, right: _DataNode,
-                       path) -> None:
-        # ``left`` is the original node rebuilt in place, so the leaf
-        # chain and the parent's child pointer are already correct;
-        # only ``right`` needs installing.
-        if path:
-            parent, idx = path[-1]
-            parent.replace_child(idx, left, right, right.min_key())
-            if parent.overflowing:
-                self._rebuild()
-        else:
-            self._root = _InnerNode(
-                [left.min_key(), right.min_key()], [left, right])
-
-    def _rebuild(self) -> None:
-        """Full rebuild when an inner node overflows (simplified SMO)."""
-        pairs = list(self._iter_pairs())
-        self.bulk_load(pairs)
-
-    def _first_leaf(self) -> _DataNode:
-        node = self._root
-        while isinstance(node, _InnerNode):
-            node = node.children[0]
-        return node
-
-    def _iter_pairs(self):
-        leaf = self._first_leaf()
-        while leaf is not None:
-            yield from leaf.pairs()
-            leaf = leaf.next
+        return self._descend(key).find(key, self.counters)
 
     def range_scan(self, start_key: int,
                    count: int) -> List[Tuple[int, bytes]]:
         self.counters.operations += 1
-        leaf, _ = self._descend(start_key)
+        leaf = self._descend(start_key)
         out: List[Tuple[int, bytes]] = []
         while leaf is not None and len(out) < count:
             for key, value in leaf.pairs():
@@ -428,12 +228,3 @@ class ALEXIndex(UnclusteredIndex):
 
     def __len__(self) -> int:
         return self._size
-
-    def depth(self) -> int:
-        """Tree depth (inner levels + leaf)."""
-        depth = 1
-        node = self._root
-        while isinstance(node, _InnerNode):
-            depth += 1
-            node = node.children[0]
-        return depth

@@ -28,7 +28,7 @@ from __future__ import annotations
 import bisect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from repro.errors import IndexBuildError, IndexLookupError
 from repro.storage.cost_model import CostModel
@@ -184,16 +184,6 @@ def floor_index(sorted_keys: Sequence[int], key: int) -> int:
     return 0 if idx < 0 else idx
 
 
-def validate_strictly_increasing(keys: Sequence[int]) -> None:
-    """Raise :class:`IndexBuildError` unless keys strictly increase."""
-    previous = None
-    for key in keys:
-        if previous is not None and key <= previous:
-            raise IndexBuildError(
-                f"keys must be strictly increasing; saw {previous} then {key}")
-        previous = key
-
-
 @dataclass
 class Segment:
     """One linear segment: ``first_key`` plus its model and start position.
@@ -231,8 +221,3 @@ def segments_to_bound(segment: Segment, key: int, epsilon: int) -> SearchBound:
             hi = segment.start + segment.length
             lo = max(segment.start, hi - 2 * epsilon - 1)
     return SearchBound(lo, hi)
-
-
-def first_keys(segments: List[Segment]) -> List[int]:
-    """The per-segment first-key array used by inner indexes."""
-    return [segment.first_key for segment in segments]

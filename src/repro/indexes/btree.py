@@ -3,8 +3,8 @@
 FITing-Tree (Figure 2 B of the paper) indexes its segments with a
 B+-tree rather than a flat array — faster segment lookup, more memory.
 This module provides that tree: bulk loading from sorted pairs,
-point/floor search, ordered iteration, and single-key insertion (used
-by tests and by downstream users who want a classic index).
+point/floor search and ordered iteration.  Like every index here it is
+built once per immutable table and takes no inserts.
 
 Keys are arbitrary Python ints; values are non-negative ints (segment
 ids, positions).  Nodes hold up to ``order`` keys.
@@ -12,12 +12,13 @@ ids, positions).  Nodes hold up to ``order`` keys.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IndexBuildError
 from repro.indexes import codec
 
+#: Node order of every FITing-Tree inner tree; no option sets another.
 DEFAULT_ORDER = 16
 
 
@@ -60,8 +61,9 @@ class BPlusTree:
         tree = cls(order)
         if not pairs:
             return tree
-        # Fill leaves at ~ 2/3 occupancy so subsequent inserts do not
-        # split immediately.
+        # Fill nodes to ~ 2/3 of ``order``, the occupancy a B+-tree
+        # built by inserts settles at, so node count and serialized
+        # size are those of a classic tree.
         per_leaf = max(2, (2 * order) // 3)
         leaves: List[_Node] = []
         for i in range(0, len(pairs), per_leaf):
@@ -138,64 +140,6 @@ class BPlusTree:
                 idx += 1
             leaf = leaf.next
             idx = 0
-
-    # -- mutation -----------------------------------------------------------
-
-    def insert(self, key: int, value: int) -> None:
-        """Insert or overwrite ``key``."""
-        split = self._insert_into(self._root, key, value)
-        if split is not None:
-            separator, right = split
-            new_root = _Node(is_leaf=False)
-            new_root.keys = [separator]
-            new_root.children = [self._root, right]
-            self._root = new_root
-            self._height += 1
-
-    def _insert_into(self, node: _Node, key: int,
-                     value: int) -> Optional[Tuple[int, _Node]]:
-        if node.is_leaf:
-            idx = bisect_left(node.keys, key)
-            if idx < len(node.keys) and node.keys[idx] == key:
-                node.values[idx] = value
-                return None
-            node.keys.insert(idx, key)
-            node.values.insert(idx, value)
-            self._size += 1
-            if len(node.keys) <= self.order:
-                return None
-            return self._split_leaf(node)
-        idx = bisect_right(node.keys, key)
-        split = self._insert_into(node.children[idx], key, value)
-        if split is None:
-            return None
-        separator, right = split
-        node.keys.insert(idx, separator)
-        node.children.insert(idx + 1, right)
-        if len(node.keys) <= self.order:
-            return None
-        return self._split_inner(node)
-
-    def _split_leaf(self, node: _Node) -> Tuple[int, _Node]:
-        mid = len(node.keys) // 2
-        right = _Node(is_leaf=True)
-        right.keys = node.keys[mid:]
-        right.values = node.values[mid:]
-        node.keys = node.keys[:mid]
-        node.values = node.values[:mid]
-        right.next = node.next
-        node.next = right
-        return right.keys[0], right
-
-    def _split_inner(self, node: _Node) -> Tuple[int, _Node]:
-        mid = len(node.keys) // 2
-        separator = node.keys[mid]
-        right = _Node(is_leaf=False)
-        right.keys = node.keys[mid + 1:]
-        right.children = node.children[mid + 1:]
-        node.keys = node.keys[:mid]
-        node.children = node.children[:mid + 1]
-        return separator, right
 
     # -- introspection ------------------------------------------------------
 

@@ -15,7 +15,7 @@ can be deserialised without out-of-band information.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import CorruptionError
 
@@ -131,26 +131,3 @@ class Reader:
     def exhausted(self) -> bool:
         """True when every byte has been consumed."""
         return self._pos == len(self._data)
-
-    def remaining(self) -> int:
-        """Bytes not yet consumed."""
-        return len(self._data) - self._pos
-
-
-def pack_pairs(pairs: Iterable[Tuple[int, float, float]]) -> bytes:
-    """Pack ``(key, slope, intercept)`` triples — the common segment shape."""
-    writer = Writer()
-    items = list(pairs)
-    writer.put_u32(len(items))
-    for key, slope, intercept in items:
-        writer.put_u64(key)
-        writer.put_f64(slope)
-        writer.put_f64(intercept)
-    return writer.getvalue()
-
-
-def unpack_pairs(reader: Reader) -> List[Tuple[int, float, float]]:
-    """Inverse of :func:`pack_pairs`."""
-    count = reader.get_u32()
-    return [(reader.get_u64(), reader.get_f64(), reader.get_f64())
-            for _ in range(count)]

@@ -18,7 +18,9 @@ distribution-driven fanout at reduced scale:
 
 Like ALEX and LIPP it is *data-unclustered*: pairs live inside node
 payloads, so it joins them in the Section 3.3 compatibility study
-rather than plugging into SSTables.
+rather than plugging into SSTables.  That study looks only at the
+layout, so the index is bulk-built once over an immutable key set and
+takes no inserts.
 """
 
 from __future__ import annotations
@@ -59,12 +61,6 @@ class _DiliLeaf:
         return self.keys[0]
 
     def find(self, key: int, counters) -> Optional[bytes]:
-        idx = self._locate(key, counters)
-        if idx is not None:
-            return self.values[idx]
-        return None
-
-    def _locate(self, key: int, counters) -> Optional[int]:
         n = len(self.keys)
         idx = self.model.predict_clamped(float(key), n)
         counters.slot_probes += 1
@@ -74,33 +70,7 @@ class _DiliLeaf:
         while idx + 1 < n and self.keys[idx + 1] <= key:
             idx += 1
             counters.slot_probes += 1
-        return idx if self.keys[idx] == key else None
-
-    def insert(self, key: int, value: bytes, counters) -> bool:
-        """Insert keeping order; returns True when a new key was added."""
-        idx = bisect_right(self.keys, key)
-        counters.slot_probes += 1
-        if idx > 0 and self.keys[idx - 1] == key:
-            self.values[idx - 1] = value
-            return False
-        self.keys.insert(idx, key)
-        self.values.insert(idx, value)
-        self.model = self._fit()
-        return True
-
-    def should_split(self) -> bool:
-        return len(self.keys) > 2 * _BASE_LEAF_KEYS
-
-    def split(self) -> "_DiliLeaf":
-        """Move the upper half to a fresh leaf; self keeps the lower."""
-        mid = len(self.keys) // 2
-        upper = _DiliLeaf(list(zip(self.keys[mid:], self.values[mid:])))
-        self.keys = self.keys[:mid]
-        self.values = self.values[:mid]
-        self.model = self._fit()
-        upper.next = self.next
-        self.next = upper
-        return upper
+        return self.values[idx] if self.keys[idx] == key else None
 
 
 class _DiliInner:
@@ -216,28 +186,6 @@ class DILIIndex(UnclusteredIndex):
     def get(self, key: int) -> Optional[bytes]:
         self.counters.operations += 1
         return self._descend(key).find(key, self.counters)
-
-    def insert(self, key: int, value: bytes) -> None:
-        self.counters.operations += 1
-        leaf = self._descend(key)
-        if leaf.insert(key, value, self.counters):
-            self._size += 1
-        if leaf.should_split():
-            # Flexible structure adjustment: rebuild the routing tree
-            # over the (cheaply) split leaves.
-            leaf.split()
-            leaves = []
-            node = self._first_leaf()
-            while node is not None:
-                leaves.append(node)
-                node = node.next
-            self._root = self._phase2_tree(list(leaves))
-
-    def _first_leaf(self) -> _DiliLeaf:
-        node = self._root
-        while isinstance(node, _DiliInner):
-            node = node.children[0]
-        return node
 
     def range_scan(self, start_key: int,
                    count: int) -> List[Tuple[int, bytes]]:

@@ -1,16 +1,16 @@
-"""Linear and cubic models shared by every learned index.
+"""The linear model the unclustered indexes route and place keys with.
 
-All eight indexes the paper revisits bottom out in the same primitive:
-a model mapping a key to an approximate position in a sorted array.
-This module provides that primitive — plain slope/intercept lines with
-least-squares and two-point fitting — plus the monotone cubic model RMI
-implementations commonly use for root nodes.
+Every learned index bottoms out in the same primitive: a model mapping
+a key to an approximate position in a sorted array.  This module
+provides that primitive for ALEX and DILI — a plain slope/intercept
+line fitted through two points.  Like the indexes that use it, a model
+is fitted once when its node is bulk-built and never refitted: no index
+here takes inserts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,6 @@ class LinearModel:
             return n - 1
         return pos
 
-    def shifted(self, delta: float) -> "LinearModel":
-        """A copy with ``delta`` added to the intercept."""
-        return LinearModel(self.slope, self.intercept + delta)
-
 
 def fit_endpoints(x0: float, y0: float, x1: float, y1: float) -> LinearModel:
     """Fit the line through two points; vertical input degrades to flat."""
@@ -44,151 +40,3 @@ def fit_endpoints(x0: float, y0: float, x1: float, y1: float) -> LinearModel:
         return LinearModel(0.0, (y0 + y1) / 2.0)
     slope = (y1 - y0) / (x1 - x0)
     return LinearModel(slope, y0 - slope * x0)
-
-
-def fit_least_squares(xs: Sequence[float], ys: Sequence[float]) -> LinearModel:
-    """Ordinary least-squares line fit.
-
-    Runs in one pass with running sums — the same single-pass shape the
-    paper's training cost accounting assumes.  Degenerate inputs (one
-    point, or all-equal x) fall back to a flat line through the mean.
-    """
-    n = len(xs)
-    if n == 0:
-        return LinearModel(0.0, 0.0)
-    if n == 1:
-        return LinearModel(0.0, float(ys[0]))
-    # Centre on the first x to keep the sums well-conditioned for large
-    # 64-bit keys.
-    x_base = float(xs[0])
-    sum_x = 0.0
-    sum_y = 0.0
-    sum_xx = 0.0
-    sum_xy = 0.0
-    for x_raw, y in zip(xs, ys):
-        x = float(x_raw) - x_base
-        sum_x += x
-        sum_y += y
-        sum_xx += x * x
-        sum_xy += x * y
-    denom = n * sum_xx - sum_x * sum_x
-    if denom == 0.0:
-        return LinearModel(0.0, sum_y / n)
-    slope = (n * sum_xy - sum_x * sum_y) / denom
-    intercept = (sum_y - slope * sum_x) / n - slope * x_base
-    return LinearModel(slope, intercept)
-
-
-def max_abs_error(model: LinearModel, xs: Sequence[float],
-                  ys: Sequence[float]) -> float:
-    """Largest absolute residual of ``model`` over the points."""
-    worst = 0.0
-    for x, y in zip(xs, ys):
-        err = abs(model.predict(float(x)) - y)
-        if err > worst:
-            worst = err
-    return worst
-
-
-def recenter(model: LinearModel, xs: Sequence[float],
-             ys: Sequence[float]) -> Tuple[LinearModel, float]:
-    """Shift the intercept so positive/negative residuals balance.
-
-    Returns the recentred model and its max absolute residual.  Used by
-    the corridor-based segmenters to convert a feasible line into one
-    with the tightest symmetric error bound.
-    """
-    lo = float("inf")
-    hi = float("-inf")
-    for x, y in zip(xs, ys):
-        resid = y - model.predict(float(x))
-        if resid < lo:
-            lo = resid
-        if resid > hi:
-            hi = resid
-    if lo > hi:  # no points
-        return model, 0.0
-    shift = (lo + hi) / 2.0
-    return model.shifted(shift), (hi - lo) / 2.0
-
-
-@dataclass(frozen=True)
-class CubicModel:
-    """A cubic ``position = a k^3 + b k^2 + c k + d`` on normalised keys.
-
-    RMI root models are often cubic; the key is normalised to ``[0, 1]``
-    over the observed range before evaluation so the polynomial stays
-    well conditioned on 64-bit keys.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    key_min: float
-    key_scale: float
-
-    def predict(self, key: float) -> float:
-        """Approximate position for ``key`` (unclamped)."""
-        t = (key - self.key_min) * self.key_scale
-        return ((self.a * t + self.b) * t + self.c) * t + self.d
-
-
-def fit_cubic(xs: Sequence[float], ys: Sequence[float]) -> CubicModel:
-    """Least-squares cubic over normalised keys.
-
-    Uses the closed-form normal equations on a 4x4 system; falls back to
-    a linear fit when the system is singular (e.g. tiny inputs).
-    """
-    n = len(xs)
-    if n < 4:
-        line = fit_least_squares(xs, ys)
-        key_min = float(xs[0]) if n else 0.0
-        return CubicModel(0.0, 0.0, line.slope, line.intercept + line.slope * key_min,
-                          key_min, 1.0) if False else _cubic_from_line(line, xs)
-    key_min = float(xs[0])
-    key_max = float(xs[-1])
-    scale = 1.0 / (key_max - key_min) if key_max > key_min else 1.0
-
-    # Accumulate the moments needed by the 4x4 normal equations.
-    s = [0.0] * 7      # sum t^0 .. t^6
-    sy = [0.0] * 4     # sum y * t^0 .. t^3
-    for x, y in zip(xs, ys):
-        t = (float(x) - key_min) * scale
-        tp = 1.0
-        for power in range(7):
-            s[power] += tp
-            if power < 4:
-                sy[power] += y * tp
-            tp *= t
-
-    # Solve M @ coeffs = sy where M[i][j] = s[i + j] via Gaussian
-    # elimination with partial pivoting.
-    matrix = [[s[i + j] for j in range(4)] + [sy[i]] for i in range(4)]
-    for col in range(4):
-        pivot = max(range(col, 4), key=lambda r: abs(matrix[r][col]))
-        if abs(matrix[pivot][col]) < 1e-12:
-            line = fit_least_squares(xs, ys)
-            return _cubic_from_line(line, xs)
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        for row in range(col + 1, 4):
-            factor = matrix[row][col] / matrix[col][col]
-            for k in range(col, 5):
-                matrix[row][k] -= factor * matrix[col][k]
-    coeffs = [0.0] * 4
-    for row in range(3, -1, -1):
-        acc = matrix[row][4]
-        for k in range(row + 1, 4):
-            acc -= matrix[row][k] * coeffs[k]
-        coeffs[row] = acc / matrix[row][row]
-    d, c, b, a = coeffs
-    return CubicModel(a, b, c, d, key_min, scale)
-
-
-def _cubic_from_line(line: LinearModel, xs: Sequence[float]) -> CubicModel:
-    """Wrap a linear model in the cubic container (degenerate inputs)."""
-    key_min = float(xs[0]) if len(xs) else 0.0
-    # position = slope * key + intercept = slope * (t / scale + key_min) + i
-    # with scale = 1 => c = slope, d = slope * key_min + intercept.
-    return CubicModel(0.0, 0.0, line.slope, line.intercept + line.slope * key_min,
-                      key_min, 1.0)

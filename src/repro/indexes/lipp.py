@@ -4,16 +4,16 @@ LIPP (Figure 3 B of the paper) removes the "last mile" search
 entirely: each node's linear model maps a key to *exactly one slot*.
 A slot is NULL (empty), DATA (holds one key-value pair) or NODE
 (points to a child built from the keys that collided there).  Lookups
-never search — they follow at most ``depth`` pointers; inserts either
-fill a NULL slot, or convert a DATA slot into a child node holding
-both conflicting keys.
+never search — they follow at most ``depth`` pointers.
 
 The original uses the FMCD algorithm to pick node models minimising
 conflicts; this implementation fits the model over the node's key
 range with a configurable slot-per-key expansion, which is FMCD's
 behaviour for near-uniform key subsets and preserves everything the
 Section 3.3 study measures: pointer-chased lookups, scattered storage,
-and memory paid for empty slots.
+and memory paid for empty slots.  The study looks only at that layout,
+so the index is bulk-built once over an immutable key set and takes no
+inserts.
 """
 
 from __future__ import annotations
@@ -90,35 +90,6 @@ class _LippNode:
         counters.node_hops += 1
         return self.payload[slot].get(key, counters)
 
-    def insert(self, key: int, value: bytes, counters,
-               depth: int = 1) -> bool:
-        """Insert; returns True when a *new* key was added."""
-        slot = self._slot(key)
-        counters.slot_probes += 1
-        kind = self.kinds[slot]
-        if kind == _NULL:
-            self.kinds[slot] = _DATA
-            self.payload[slot] = (key, value)
-            self.size += 1
-            return True
-        if kind == _DATA:
-            found_key, _ = self.payload[slot]
-            if found_key == key:
-                self.payload[slot] = (key, value)
-                return False
-            # Build a child node from both conflicting pairs, sorted.
-            pairs = sorted([self.payload[slot], (key, value)])
-            child = _LippNode(pairs, depth + 1)
-            self.kinds[slot] = _NODE
-            self.payload[slot] = child
-            self.size += 1
-            return True
-        counters.node_hops += 1
-        added = self.payload[slot].insert(key, value, counters, depth + 1)
-        if added:
-            self.size += 1
-        return added
-
     def iter_from(self, start_key: int, counters):
         """Yield pairs with key >= start_key in order (DFS over slots)."""
         for slot in range(self._slot(start_key), len(self.kinds)):
@@ -152,7 +123,7 @@ class _LippNode:
 
 
 class LIPPIndex(UnclusteredIndex):
-    """The updatable, precise-position LIPP index."""
+    """The precise-position LIPP index, bulk-built once."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -172,11 +143,6 @@ class LIPPIndex(UnclusteredIndex):
         self.counters.operations += 1
         self.counters.node_hops += 1  # root access
         return self._require_root().get(key, self.counters)
-
-    def insert(self, key: int, value: bytes) -> None:
-        self.counters.operations += 1
-        self.counters.node_hops += 1
-        self._require_root().insert(key, value, self.counters)
 
     def range_scan(self, start_key: int,
                    count: int) -> List[Tuple[int, bytes]]:

@@ -16,7 +16,9 @@ short local search.
 
 Like the other Section 3.2 structures this is data-unclustered (pairs
 live in bucket payloads), so it joins ALEX/LIPP/DILI in the
-compatibility study rather than plugging into SSTables.
+compatibility study rather than plugging into SSTables.  That study
+looks only at the layout, so the index is bulk-built once over an
+immutable key set and takes no inserts.
 """
 
 from __future__ import annotations
@@ -121,9 +123,13 @@ class NFLIndex(UnclusteredIndex):
         self._flow = NumericalFlow(keys, bins=self.flow_bins)
         n_buckets = max(1, len(pairs) // self.bucket_target)
         self._buckets = [_Bucket() for _ in range(n_buckets)]
-        self._size = 0
+        # Keys arrive sorted and the flow is monotone, so each bucket
+        # receives its keys in order: appending keeps it sorted.
         for key, value in pairs:
-            self._place(key, value)
+            bucket = self._bucket_for(key)
+            bucket.keys.append(key)
+            bucket.values.append(value)
+        self._size = len(pairs)
 
     def _bucket_for(self, key: int) -> _Bucket:
         assert self._flow is not None
@@ -131,17 +137,6 @@ class NFLIndex(UnclusteredIndex):
         idx = min(len(self._buckets) - 1,
                   int(position * len(self._buckets)))
         return self._buckets[idx]
-
-    def _place(self, key: int, value: bytes) -> bool:
-        bucket = self._bucket_for(key)
-        idx = bisect_right(bucket.keys, key)
-        if idx > 0 and bucket.keys[idx - 1] == key:
-            bucket.values[idx - 1] = value
-            return False
-        bucket.keys.insert(idx, key)
-        bucket.values.insert(idx, value)
-        self._size += 1
-        return True
 
     # -- operations -----------------------------------------------------------
 
@@ -156,14 +151,6 @@ class NFLIndex(UnclusteredIndex):
         if idx >= 0 and bucket.keys[idx] == key:
             return bucket.values[idx]
         return None
-
-    def insert(self, key: int, value: bytes) -> None:
-        self.counters.operations += 1
-        if self._flow is None:
-            raise IndexBuildError("NFL used before bulk_load")
-        self.counters.node_hops += 1
-        self.counters.slot_probes += 1
-        self._place(key, value)
 
     def range_scan(self, start_key: int,
                    count: int) -> List[Tuple[int, bytes]]:

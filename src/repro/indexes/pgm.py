@@ -31,6 +31,8 @@ PGM_TAG = 4
 
 #: The paper's default internal error bound.
 DEFAULT_EPSILON_RECURSIVE = 4
+#: The smallest internal error bound the index accepts.
+MIN_EPSILON_RECURSIVE = 1
 
 
 class PGMIndex(ClusteredIndex):
@@ -43,9 +45,10 @@ class PGMIndex(ClusteredIndex):
         super().__init__()
         if epsilon < 1:
             raise IndexBuildError(f"PGM epsilon must be >= 1, got {epsilon}")
-        if epsilon_recursive < 1:
+        if epsilon_recursive < MIN_EPSILON_RECURSIVE:
             raise IndexBuildError(
-                f"PGM epsilon_recursive must be >= 1, got {epsilon_recursive}")
+                f"PGM epsilon_recursive must be >= {MIN_EPSILON_RECURSIVE}, "
+                f"got {epsilon_recursive}")
         self.epsilon = epsilon
         self.epsilon_recursive = epsilon_recursive
         #: levels[0] are the leaf segments over the data; levels[-1] has

@@ -13,8 +13,8 @@ table is pure memory overhead — so 1 is the default here.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import List, Sequence, Tuple
+from bisect import bisect_right
+from typing import List, Sequence
 
 from repro.errors import IndexBuildError
 from repro.indexes import codec
@@ -23,6 +23,10 @@ from repro.indexes.segmentation import greedy_spline_points
 from repro.storage.cost_model import CostModel
 
 RADIX_SPLINE_TAG = 5
+
+#: The radix-table widths the index accepts, in bits.
+MIN_RADIX_BITS = 1
+MAX_RADIX_BITS = 24
 
 
 def interpolate(x0: int, y0: int, x1: int, y1: int, key: int) -> float:
@@ -42,9 +46,10 @@ class RadixSplineIndex(ClusteredIndex):
         super().__init__()
         if epsilon < 1:
             raise IndexBuildError(f"RS epsilon must be >= 1, got {epsilon}")
-        if not 1 <= radix_bits <= 24:
+        if not MIN_RADIX_BITS <= radix_bits <= MAX_RADIX_BITS:
             raise IndexBuildError(
-                f"RS radix_bits must be in [1, 24], got {radix_bits}")
+                f"RS radix_bits must be in [{MIN_RADIX_BITS}, "
+                f"{MAX_RADIX_BITS}], got {radix_bits}")
         self.epsilon = epsilon
         self.radix_bits = radix_bits
         self._spline_keys: List[int] = []
@@ -162,27 +167,3 @@ class RadixSplineIndex(ClusteredIndex):
         index._spline_pos = reader.get_u32_array()
         index._built = True
         return index
-
-
-def spline_segment_for(spline_keys: List[int], key: int,
-                       lo: int = 0, hi: int | None = None) -> Tuple[int, int]:
-    """Return the knot pair (left, right) bracketing ``key``.
-
-    Shared by PLEX; ``lo``/``hi`` restrict the binary search when a
-    higher-level structure has already narrowed the range.
-    """
-    count = len(spline_keys)
-    if hi is None:
-        hi = count
-    insertion = bisect_right(spline_keys, key, lo, hi)
-    if insertion == 0:
-        insertion = 1
-    elif insertion >= count:
-        insertion = count - 1
-    return insertion - 1, insertion
-
-
-def first_spline_at_or_after(spline_keys: List[int], key: int) -> int:
-    """Index of the first knot with key >= ``key`` (clamped to len-1)."""
-    idx = bisect_left(spline_keys, key)
-    return min(idx, len(spline_keys) - 1)

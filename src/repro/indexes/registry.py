@@ -15,7 +15,7 @@ paper's parameter mapping:
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 from repro.errors import IndexBuildError
 from repro.indexes import codec
@@ -62,7 +62,6 @@ class IndexFactory:
     def __init__(self, kind: IndexKind | str, boundary: int, *,
                  epsilon_recursive: int = DEFAULT_EPSILON_RECURSIVE,
                  radix_bits: int = 1,
-                 btree_order: int = 16,
                  plex_leaf_threshold: int = 4) -> None:
         self.kind = IndexKind(kind)
         if boundary < 2:
@@ -72,7 +71,6 @@ class IndexFactory:
         self.epsilon = max(1, boundary // 2)
         self.epsilon_recursive = epsilon_recursive
         self.radix_bits = radix_bits
-        self.btree_order = btree_order
         self.plex_leaf_threshold = plex_leaf_threshold
         self._rmi_cache = RmiTuningCache()
 
@@ -84,7 +82,7 @@ class IndexFactory:
         if kind is IndexKind.PLR:
             return PLRIndex(self.epsilon)
         if kind is IndexKind.FT:
-            return FITingTreeIndex(self.epsilon, order=self.btree_order)
+            return FITingTreeIndex(self.epsilon)
         if kind is IndexKind.PGM:
             return PGMIndex(self.epsilon,
                             epsilon_recursive=self.epsilon_recursive)
@@ -127,13 +125,3 @@ def deserialize_index(data: bytes) -> ClusteredIndex:
     if loader is None:
         raise IndexBuildError(f"unknown index type tag: {tag}")
     return loader(reader)
-
-
-def kind_from_name(name: str) -> IndexKind:
-    """Parse an index-kind name case-insensitively."""
-    try:
-        return IndexKind(name.upper())
-    except ValueError:
-        valid = ", ".join(kind.value for kind in ALL_KINDS)
-        raise IndexBuildError(
-            f"unknown index kind {name!r}; expected one of: {valid}") from None

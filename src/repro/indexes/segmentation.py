@@ -261,20 +261,3 @@ def greedy_spline_points(
     if points[-1][0] != keys[-1]:
         points.append((keys[-1], n - 1))
     return points, n
-
-
-def verify_segments(keys: Sequence[int], segments: List[Segment],
-                    epsilon: int) -> float:
-    """Return the max absolute prediction error of a segmentation.
-
-    Test helper: scans every key against its covering segment.  The
-    result should never exceed ``epsilon`` (plus a whisker of float
-    round-off).
-    """
-    worst = 0.0
-    for segment in segments:
-        for pos in range(segment.start, segment.start + segment.length):
-            err = abs(segment.predict(keys[pos]) - pos)
-            if err > worst:
-                worst = err
-    return worst

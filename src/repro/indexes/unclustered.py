@@ -12,13 +12,15 @@ this interface, which counts the two costs the clustered layout never
 pays: *node hops* (pointer dereferences = cache/disk jumps) and
 *scatter jumps* during range scans (a contiguous segment scan performs
 zero).  The unclustered-study experiment turns these counters into the
-paper's Section 3.3 comparison table.
+paper's Section 3.3 comparison table.  Like every index here, these are
+bulk-built once per immutable key set and take no inserts: the study
+compares layouts, not update paths.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -42,13 +44,14 @@ class AccessCounters:
         """Mean pointer dereferences per operation."""
         return self.node_hops / self.operations if self.operations else 0.0
 
-    def probes_per_op(self) -> float:
-        """Mean slot probes per operation."""
-        return self.slot_probes / self.operations if self.operations else 0.0
-
 
 class UnclusteredIndex(ABC):
-    """A dynamic in-memory learned index over (int key -> bytes value)."""
+    """An in-memory learned index over (int key -> bytes value).
+
+    Built once by :meth:`bulk_load` over an immutable key set, the way
+    the paper builds every index per immutable SSTable; it takes no
+    inserts.
+    """
 
     def __init__(self) -> None:
         self.counters = AccessCounters()
@@ -60,10 +63,6 @@ class UnclusteredIndex(ABC):
     @abstractmethod
     def get(self, key: int) -> Optional[bytes]:
         """Point lookup."""
-
-    @abstractmethod
-    def insert(self, key: int, value: bytes) -> None:
-        """Insert or overwrite."""
 
     @abstractmethod
     def range_scan(self, start_key: int,

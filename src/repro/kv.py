@@ -41,7 +41,7 @@ class KVStore(Protocol):
     def get(self, key: int) -> Optional[bytes]: ...
     def delete(self, key: int) -> None: ...
     def multi_get(self, keys: Sequence[int], *,
-                  coalesce: Optional[bool] = None,
+                  coalesce: bool = True,
                   errors: Optional[Dict[int, ReproError]] = None) -> List: ...
     def write(self, batch) -> int: ...
     def scan(self, start_key: int, count: int) -> List[Tuple[int, bytes]]: ...

@@ -17,7 +17,6 @@ from repro.lsm.db import LevelIterator, LSMTree
 from repro.lsm.iterators import (
     DBIterator,
     KVIterator,
-    ListIterator,
     MemTableIterator,
     MergingIterator,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "LevelModel",
     "LevelModelManager",
     "KVIterator",
-    "ListIterator",
     "MemTableIterator",
     "MergingIterator",
     "DBIterator",

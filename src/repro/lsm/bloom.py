@@ -142,10 +142,3 @@ class BloomFilter:
                 f"bloom filter bit array length {len(body)} != {expected}")
         bloom._bits = bytearray(body)
         return bloom
-
-    def false_positive_rate(self, nkeys: int) -> float:
-        """Theoretical FPR after inserting ``nkeys`` keys."""
-        if nkeys == 0:
-            return 0.0
-        fill = 1.0 - math.exp(-self.nprobes * nkeys / self.nbits)
-        return fill ** self.nprobes

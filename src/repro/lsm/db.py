@@ -753,7 +753,7 @@ class LSMTree:
 
     def multi_get(
         self, keys: Sequence[int], *,
-        coalesce: Optional[bool] = None,
+        coalesce: bool = True,
         errors: Optional[Dict[int, ReproError]] = None,
     ) -> List[Union[bytes, ReproError, None]]:
         """Batched point lookups; results in request order.
@@ -773,8 +773,8 @@ class LSMTree:
           into a single pread charging one seek plus sequential blocks
           (:meth:`~repro.lsm.sstable.Table.multi_get_in_bounds`).
 
-        ``coalesce`` overrides ``options.multiget_coalesce`` for one
-        call (the ``multiget`` experiment's control arm).
+        ``coalesce=False`` keeps per-key reads for one call (the
+        ``multiget`` experiment's control arm).
 
         Pass an ``errors`` dict to get per-key fault isolation: a key
         whose lookup hits a quarantined block — or whose turn comes
@@ -787,8 +787,6 @@ class LSMTree:
         self._check_open()
         if not keys:
             return []
-        if coalesce is None:
-            coalesce = self.options.multiget_coalesce
         tracer = self.stats.tracer
         span = (tracer.begin(OpType.MULTI_GET, f"{len(keys)} keys")
                 if tracer is not None else None)

@@ -65,48 +65,6 @@ class KVIterator(ABC):
     def advance(self) -> None:
         """Move to the next record."""
 
-    def drain(self) -> Iterator[Record]:
-        """Yield every remaining record (testing convenience)."""
-        while self.valid():
-            yield self.record()
-            self.advance()
-
-
-class ListIterator(KVIterator):
-    """Iterator over an in-memory, pre-sorted record list."""
-
-    def __init__(self, records: List[Record]) -> None:
-        self._records = records
-        self._pos = len(records)
-
-    def seek_to_first(self) -> None:
-        self._pos = 0
-
-    def seek(self, key: int) -> None:
-        lo, hi = 0, len(self._records)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._records[mid].key < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._pos = lo
-
-    def valid(self) -> bool:
-        return 0 <= self._pos < len(self._records)
-
-    def key(self) -> int:
-        return self._records[self._pos].key
-
-    def seq(self) -> int:
-        return self._records[self._pos].seq
-
-    def record(self) -> Record:
-        return self._records[self._pos]
-
-    def advance(self) -> None:
-        self._pos += 1
-
 
 class MemTableIterator(KVIterator):
     """Iterator over the live memtable (snapshot-free, single threaded)."""

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.errors import InvalidOptionError
-from repro.indexes.pgm import DEFAULT_EPSILON_RECURSIVE
+from repro.indexes.pgm import DEFAULT_EPSILON_RECURSIVE, MIN_EPSILON_RECURSIVE
+from repro.indexes.radix_spline import MAX_RADIX_BITS, MIN_RADIX_BITS
 from repro.indexes.registry import IndexFactory, IndexKind
 from repro.lsm.record import entry_size
 from repro.storage.cost_model import DEFAULT_COST_MODEL, CostModel
@@ -114,20 +115,12 @@ class Options:
     #: segment blocks are served from memory instead of simulated disk;
     #: hit/miss counters land in :class:`~repro.storage.stats.Stats`.
     cache_bytes: int = 0
-    #: Coalesce overlapping/adjacent predicted segments of one table
-    #: into a single pread during :meth:`~repro.lsm.db.LSMTree.multi_get`
-    #: (one seek + sequential blocks instead of one seek per key).  Off,
-    #: batched lookups keep per-key reads — the control arm of the
-    #: ``multiget`` experiment.
-    multiget_coalesce: bool = True
 
     # -- index parameters -------------------------------------------------
     #: PGM internal error bound (the paper keeps the default 4).
     epsilon_recursive: int = DEFAULT_EPSILON_RECURSIVE
     #: RadixSpline radix table bits (the paper tunes 1 for LSM use).
     radix_bits: int = 1
-    #: FITing-Tree B+-tree order.
-    btree_order: int = 16
 
     #: Simulated hardware profile.
     cost_model: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
@@ -173,7 +166,6 @@ class Options:
             self.position_boundary,
             epsilon_recursive=self.epsilon_recursive,
             radix_bits=self.radix_bits,
-            btree_order=self.btree_order,
         )
 
     def validate(self) -> None:
@@ -223,6 +215,14 @@ class Options:
         if self.data_block_bytes < 1:
             raise InvalidOptionError(
                 f"data_block_bytes must be >= 1, got {self.data_block_bytes}")
+        if self.epsilon_recursive < MIN_EPSILON_RECURSIVE:
+            raise InvalidOptionError(
+                f"epsilon_recursive must be >= {MIN_EPSILON_RECURSIVE}, got "
+                f"{self.epsilon_recursive}")
+        if not MIN_RADIX_BITS <= self.radix_bits <= MAX_RADIX_BITS:
+            raise InvalidOptionError(
+                f"radix_bits must be in [{MIN_RADIX_BITS}, {MAX_RADIX_BITS}], "
+                f"got {self.radix_bits}")
         from repro.storage.compression import codec_names
         if self.block_codec not in codec_names():
             raise InvalidOptionError(

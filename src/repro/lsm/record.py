@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.errors import CorruptionError, InvalidOptionError
 
@@ -49,10 +48,6 @@ class Record:
     def is_tombstone(self) -> bool:
         """True when this record deletes its key."""
         return self.kind == KIND_TOMBSTONE
-
-    def newer_than(self, other: "Record") -> bool:
-        """True when this record supersedes ``other`` for the same key."""
-        return self.seq > other.seq
 
 
 def make_value(key: int, seq: int, value: bytes) -> Record:
@@ -110,20 +105,3 @@ def decode_key(buf: bytes, offset: int) -> int:
     if offset + 8 > len(buf):
         raise CorruptionError(f"truncated entry key at offset {offset}")
     return struct.unpack_from("<Q", buf, offset)[0]
-
-
-def compare_versions(a: Record, b: Record) -> int:
-    """Ordering for two records: by key, then newest (highest seq) first.
-
-    Returns negative when ``a`` sorts before ``b``.
-    """
-    if a.key != b.key:
-        return -1 if a.key < b.key else 1
-    if a.seq != b.seq:
-        return -1 if a.seq > b.seq else 1
-    return 0
-
-
-def split_meta(meta: int) -> Tuple[int, int]:
-    """Unpack a ``seq<<8 | kind`` word."""
-    return meta >> 8, meta & 0xFF

@@ -533,11 +533,6 @@ class Table:
         """Largest user key."""
         return self.footer.max_key
 
-    @property
-    def file_bytes(self) -> int:
-        """Total file size."""
-        return self.device.size(self.name)
-
     def index_bytes(self) -> int:
         """Serialized size of the per-table index (0 under level model)."""
         return self.footer.index_len

@@ -89,10 +89,6 @@ class WriteAheadLog:
         for payload in payloads:
             yield from _decode_records(payload)
 
-    def replay_all(self) -> List[Record]:
-        """Eager version of :meth:`replay`."""
-        return list(self.replay())
-
     def reset(self) -> None:
         """Truncate the log (called after a successful flush)."""
         self.device.delete(self.name)

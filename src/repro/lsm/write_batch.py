@@ -67,7 +67,3 @@ class WriteBatch:
     def keys(self) -> List[int]:
         """The staged keys, in application order (with duplicates)."""
         return [key for _, key, _ in self._ops]
-
-    def payload_bytes(self) -> int:
-        """Total staged value bytes (a rough batch-size gauge)."""
-        return sum(len(value) for _, _, value in self._ops)

@@ -18,7 +18,7 @@ is pure observation — simulated-time totals are byte-identical with it
 on or off.  See ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs.histogram import Histogram, merge_all, percentile_keys
+from repro.obs.histogram import Histogram, percentile_keys
 from repro.obs.registry import (
     MetricsRegistry,
     MetricsWindow,
@@ -34,6 +34,5 @@ __all__ = [
     "Span",
     "Tracer",
     "global_registry",
-    "merge_all",
     "percentile_keys",
 ]

@@ -25,7 +25,7 @@ with the bounded relative error.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 #: Linear sub-buckets per octave: 2**5 = 32 -> <= ~3.1% relative error.
 SUB_BUCKET_BITS = 5
@@ -80,11 +80,6 @@ class Histogram:
             self.min_us = us
         if us > self.max_us:
             self.max_us = us
-
-    def record_many(self, samples: Iterable[float]) -> None:
-        """Record every sample in ``samples``."""
-        for us in samples:
-            self.record(us)
 
     def merge(self, other: "Histogram") -> None:
         """Fold ``other`` into this histogram (exact on bucket counts).
@@ -191,14 +186,6 @@ class Histogram:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Histogram(count={self.count}, mean={self.mean_us:.2f}us, "
                 f"p99={self.percentile(0.99):.2f}us)")
-
-
-def merge_all(histograms: Iterable[Histogram]) -> Histogram:
-    """A fresh histogram holding every input's samples."""
-    total = Histogram()
-    for histogram in histograms:
-        total.merge(histogram)
-    return total
 
 
 def percentile_keys() -> List[str]:

@@ -27,10 +27,9 @@ format: counters, per-stage time, and one summary per op type).
 from __future__ import annotations
 
 import heapq
-import json
 import re
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Tuple
 
 from repro.obs.histogram import Histogram, percentile_keys
 
@@ -162,11 +161,6 @@ class MetricsRegistry:
                                sorted(stats.stage_us.items(),
                                       key=lambda item: item[0].value)}
         return doc
-
-    def to_json(self, stats=None, indent: int = 2) -> str:
-        """The JSON text of :meth:`to_json_dict`."""
-        return json.dumps(self.to_json_dict(stats), indent=indent,
-                          sort_keys=False)
 
     def to_prometheus(self, stats=None, prefix: str = "repro") -> str:
         """Prometheus text exposition format.

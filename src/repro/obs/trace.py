@@ -126,11 +126,6 @@ class Tracer:
         if self.sample_every and (span.index % self.sample_every == 0):
             self.registry.keep_sampled(span)
 
-    @property
-    def active_depth(self) -> int:
-        """How many spans are currently open (0 when idle)."""
-        return len(self._stack)
-
     # -- stats hooks (called by Stats.charge / Stats.add) --------------
 
     def on_charge(self, stage, us: float) -> None:

@@ -23,7 +23,7 @@ or corrupt sidecar is never fatal: :meth:`ModelStore.load` returns
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.storage.block_device import BlockDevice
 from repro.storage.cost_model import CostModel
@@ -65,11 +65,6 @@ class ModelStore:
     @staticmethod
     def _name(level: int, epoch: int) -> str:
         return f"{MODEL_FILE_PREFIX}L{level:02d}-{epoch:06d}"
-
-    def list_sidecars(self) -> List[str]:
-        """Every ``mdl-*`` file currently on the device."""
-        return [name for name in self.device.list_files()
-                if name.startswith(MODEL_FILE_PREFIX)]
 
     # -- writing -------------------------------------------------------
 

@@ -36,7 +36,6 @@ from repro.service.gateway import (
     GatewayReport,
     Request,
     RetryBudget,
-    requests_from_ycsb,
 )
 from repro.service.replication import (
     AckPolicy,
@@ -58,7 +57,6 @@ __all__ = [
     "RetryBudget",
     "Request",
     "VirtualClock",
-    "requests_from_ycsb",
     "AckPolicy",
     "ReplicaGroup",
     "ReplicationConfig",

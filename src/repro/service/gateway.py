@@ -24,7 +24,7 @@ latency into queueing vs. service.  See ``docs/OVERLOAD.md``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -61,7 +61,6 @@ from repro.storage.stats import (
     RETRY_CLIENT_RESUBMITS,
     Stats,
 )
-from repro.workloads.ycsb import Operation, OpKind
 
 #: Histogram names the gateway records into its registry.
 QUEUE_DELAY_OP = "gw.queue_delay"
@@ -274,25 +273,6 @@ class Request:
         self.outcome: Optional[str] = None
         self.error: Optional[ReproError] = None
         self.result: Optional[bytes] = None
-
-
-def requests_from_ycsb(ops: Sequence[Operation], times: Sequence[float],
-                       deadline_us: float,
-                       value: bytes = b"v") -> List[Request]:
-    """Pair a YCSB operation stream with an arrival plan.
-
-    Reads map to ``get``; updates/inserts/read-modify-writes map to
-    ``put`` (the gateway simulates point ops; scans stay closed-loop).
-    """
-    if len(ops) != len(times):
-        raise InvalidOptionError(
-            f"{len(ops)} operations but {len(times)} arrival times")
-    out = []
-    for op, at_us in zip(ops, times):
-        kind = "get" if op.kind in (OpKind.READ, OpKind.SCAN) else "put"
-        out.append(Request(kind, op.key, at_us, at_us + deadline_us,
-                           value=value))
-    return out
 
 
 class _ShardServer:
@@ -708,7 +688,3 @@ class Gateway:
             "expired": counters["expired"],
             "deadline_exceeded": counters["deadline"],
         }
-
-    def metrics(self) -> MetricsRegistry:
-        """The gateway's own registry (queue delay / service / request)."""
-        return self.registry

@@ -480,7 +480,7 @@ class ReplicaGroup:
         return self._serve_read(lambda tree: tree.get(key))
 
     def multi_get(self, keys: Sequence[int], *,
-                  coalesce: Optional[bool] = None,
+                  coalesce: bool = True,
                   errors: Optional[Dict[int, ReproError]] = None,
                   ) -> List[Union[bytes, ReproError, None]]:
         """Batched point lookups on the serving replica."""

@@ -159,7 +159,7 @@ class ShardedDB:
         self.shards[self.router.shard_for(key)].delete(key)
 
     def multi_get(self, keys: Sequence[int], *,
-                  coalesce: Optional[bool] = None,
+                  coalesce: bool = True,
                   errors: Optional[Dict[int, ReproError]] = None,
                   ) -> List[Optional[bytes]]:
         """Batched point lookups; results reassembled in request order.

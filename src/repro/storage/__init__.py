@@ -15,7 +15,7 @@ from repro.storage.block_device import (
 )
 from repro.storage.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.storage.faults import FaultPlan, FaultyBlockDevice
-from repro.storage.profiles import PROFILES, get_profile, io_cpu_ratio
+from repro.storage.profiles import PROFILES, io_cpu_ratio
 from repro.storage.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.storage.stats import (
     COMPACTION_STAGES,
@@ -40,7 +40,6 @@ __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
     "PROFILES",
-    "get_profile",
     "io_cpu_ratio",
     "Stats",
     "StatsSnapshot",

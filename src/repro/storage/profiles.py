@@ -56,17 +56,6 @@ PROFILES: Dict[str, CostModel] = {
 }
 
 
-def get_profile(name: str) -> CostModel:
-    """Look up a profile by name."""
-    try:
-        return PROFILES[name]
-    except KeyError:
-        valid = ", ".join(sorted(PROFILES))
-        raise KeyError(
-            f"unknown hardware profile {name!r}; expected one of: {valid}"
-        ) from None
-
-
 def io_cpu_ratio(model: CostModel, boundary: int = 10,
                  entry_bytes: int = 1024) -> float:
     """The profile's segment-fetch : CPU-stage ratio for one lookup."""

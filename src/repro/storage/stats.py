@@ -138,21 +138,6 @@ class Stats:
         """Route every subsequent charge/add event into ``tracer``."""
         self.tracer = tracer
 
-    def detach_tracer(self) -> None:
-        """Stop observing (totals are untouched either way)."""
-        self.tracer = None
-
-    def begin_op(self, op, detail: str = ""):
-        """Open a root/nested span for ``op``; None when untraced."""
-        if self.tracer is None:
-            return None
-        return self.tracer.begin(op, detail)
-
-    def end_op(self, span) -> None:
-        """Close a span from :meth:`begin_op` (no-op on None)."""
-        if span is not None:
-            self.tracer.end(span)
-
     def stage_time(self, stage: Stage) -> float:
         """Simulated microseconds accumulated under ``stage``."""
         return self.stage_us.get(stage, 0.0)
@@ -172,10 +157,6 @@ class Stats:
         return (get(_TABLE_LOOKUP, 0.0) + get(_PREDICTION, 0.0)
                 + get(_IO, 0.0) + get(_SEARCH, 0.0) + get(_SCAN, 0.0)
                 + get(_DECOMPRESS, 0.0))
-
-    def compaction_time(self) -> float:
-        """Simulated microseconds across the compaction stages."""
-        return sum(self.stage_us.get(stage, 0.0) for stage in COMPACTION_STAGES)
 
     def cache_hit_rate(self) -> float:
         """Block-cache hit fraction (0.0 when no cached reads happened)."""

@@ -1,10 +1,6 @@
 """Workload generation: SOSD-style datasets and YCSB operation streams."""
 
-from repro.workloads.arrivals import (
-    BurstyArrivals,
-    PoissonArrivals,
-    index_of_dispersion,
-)
+from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.datasets import (
     DATASET_NAMES,
     KEY_SPACE,
@@ -22,7 +18,6 @@ from repro.workloads.distributions import (
     make_picker,
 )
 from repro.workloads.trace import (
-    load_trace,
     read_trace,
     record_ycsb,
     replay,
@@ -39,8 +34,6 @@ from repro.workloads.ycsb import (
 
 __all__ = [
     "PoissonArrivals",
-    "BurstyArrivals",
-    "index_of_dispersion",
     "DATASET_NAMES",
     "KEY_SPACE",
     "generate",
@@ -61,7 +54,6 @@ __all__ = [
     "workload",
     "write_trace",
     "read_trace",
-    "load_trace",
     "record_ycsb",
     "replay",
 ]

@@ -8,17 +8,12 @@ regime that separates index designs in production is saturation, where
 queueing dominates p99/p999.
 
 This module generates deterministic arrival timestamps (simulated
-microseconds) for the request gateway:
+microseconds) for the request gateway: :class:`PoissonArrivals` —
+memoryless arrivals at a fixed offered rate, the canonical open-loop
+model.
 
-* :class:`PoissonArrivals` — memoryless arrivals at a fixed offered
-  rate, the canonical open-loop model;
-* :class:`BurstyArrivals` — a two-state modulated Poisson process
-  (quiet/burst), whose index of dispersion exceeds Poisson's 1.0: the
-  same mean rate arrives in bursts that overflow bounded queues even
-  when mean utilisation looks safe.
-
-All generators are pure functions of their parameters and seed — the
-same plan replays byte-identically, which is what lets the ``overload``
+The generator is a pure function of its parameters and seed — the same
+plan replays byte-identically, which is what lets the ``overload``
 experiment assert determinism end to end.
 """
 
@@ -55,79 +50,3 @@ class PoissonArrivals:
             now += rng.expovariate(1.0) * mean_gap_us
             out.append(now)
         return out
-
-
-@dataclass(frozen=True)
-class BurstyArrivals:
-    """Two-state modulated Poisson: quiet baseline plus load bursts.
-
-    The process alternates between a *quiet* state arriving at
-    ``rate_per_sec`` and a *burst* state arriving at ``burst_factor``
-    times that; state holding times are exponential with means
-    ``mean_quiet_us`` / ``mean_burst_us``.  Mean offered rate is the
-    duty-cycle-weighted blend; variance is strictly super-Poisson, so
-    a bounded queue provisioned for the mean still sheds during bursts.
-    """
-
-    rate_per_sec: float
-    burst_factor: float = 8.0
-    mean_quiet_us: float = 200_000.0
-    mean_burst_us: float = 25_000.0
-    seed: int = 0
-
-    def validate(self) -> None:
-        """Raise :class:`WorkloadError` on nonsensical parameters."""
-        if self.rate_per_sec <= 0:
-            raise WorkloadError(
-                f"arrival rate must be > 0 ops/s, got {self.rate_per_sec}")
-        if self.burst_factor < 1.0:
-            raise WorkloadError(
-                f"burst_factor must be >= 1, got {self.burst_factor}")
-        if self.mean_quiet_us <= 0 or self.mean_burst_us <= 0:
-            raise WorkloadError("state holding times must be > 0 us")
-
-    def times(self, count: int) -> List[float]:
-        """``count`` strictly increasing arrival timestamps (sim µs)."""
-        self.validate()
-        rng = random.Random(self.seed)
-        quiet_gap_us = 1e6 / self.rate_per_sec
-        burst_gap_us = quiet_gap_us / self.burst_factor
-        now = 0.0
-        in_burst = False
-        state_ends = rng.expovariate(1.0) * self.mean_quiet_us
-        out: List[float] = []
-        while len(out) < count:
-            gap = rng.expovariate(1.0) * (burst_gap_us if in_burst
-                                          else quiet_gap_us)
-            if now + gap >= state_ends:
-                # Cross into the next state; arrivals restart there
-                # (memorylessness makes discarding the partial gap fair).
-                now = state_ends
-                in_burst = not in_burst
-                mean = self.mean_burst_us if in_burst else self.mean_quiet_us
-                state_ends = now + rng.expovariate(1.0) * mean
-                continue
-            now += gap
-            out.append(now)
-        return out
-
-
-def index_of_dispersion(times: List[float], window_us: float) -> float:
-    """Variance-to-mean ratio of arrival counts per ``window_us`` bin.
-
-    ~1.0 for Poisson, >1.0 for bursty processes — the statistic tests
-    use to tell the two generators apart without eyeballing plots.
-    """
-    if not times or window_us <= 0:
-        return 0.0
-    horizon = times[-1]
-    bins = max(1, int(horizon // window_us))
-    counts = [0] * bins
-    for t in times:
-        idx = min(bins - 1, int(t // window_us))
-        counts[idx] += 1
-    mean = sum(counts) / len(counts)
-    if mean == 0:
-        return 0.0
-    var = sum((c - mean) ** 2 for c in counts) / len(counts)
-    return var / mean

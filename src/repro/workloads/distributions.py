@@ -10,7 +10,6 @@ recency, exactly as in the YCSB core package.
 
 from __future__ import annotations
 
-import math
 import random
 from abc import ABC, abstractmethod
 

@@ -22,7 +22,7 @@ The format is a line-oriented text file (easy to diff and version):
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from repro.errors import WorkloadError
 from repro.workloads.ycsb import Operation, OpKind
@@ -107,11 +107,6 @@ def _parse_key(token: str, line_no: int) -> int:
 def record_ycsb(workload, n_ops: int, sink: TextIO) -> int:
     """Record ``n_ops`` operations of a YCSB workload into ``sink``."""
     return write_trace(workload.operations(n_ops), sink)
-
-
-def load_trace(source: TextIO) -> List[Operation]:
-    """Eagerly load a whole trace."""
-    return list(read_trace(source))
 
 
 def replay(db, operations: Iterable[Operation],

@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 from repro.errors import WorkloadError
 from repro.lsm.write_batch import WriteBatch
 from repro.storage.stats import MULTIGET_READ_YOUR_WRITES, Stage
-from repro.workloads.distributions import KeyPicker, make_picker
+from repro.workloads.distributions import make_picker
 
 
 class OpKind(str, enum.Enum):

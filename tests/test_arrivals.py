@@ -1,13 +1,9 @@
-"""Open-loop arrival generators: determinism, rates, burstiness."""
+"""Open-loop arrival generator: determinism, rate, validation."""
 
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.arrivals import (
-    BurstyArrivals,
-    PoissonArrivals,
-    index_of_dispersion,
-)
+from repro.workloads.arrivals import PoissonArrivals
 
 
 def test_poisson_deterministic():
@@ -36,37 +32,3 @@ def test_poisson_rejects_bad_rate():
         PoissonArrivals(rate_per_sec=0).times(10)
     with pytest.raises(WorkloadError):
         PoissonArrivals(rate_per_sec=-5.0).times(10)
-
-
-def test_bursty_deterministic_and_monotone():
-    gen = BurstyArrivals(rate_per_sec=5_000, burst_factor=10.0, seed=5)
-    a = gen.times(2_000)
-    b = BurstyArrivals(rate_per_sec=5_000, burst_factor=10.0, seed=5) \
-        .times(2_000)
-    assert a == b
-    assert all(y > x for x, y in zip(a, a[1:]))
-
-
-def test_bursty_is_overdispersed():
-    # Same mean-ish rate: the modulated process must show a larger
-    # variance-to-mean ratio of per-window counts than Poisson's ~1.
-    window = 10_000.0
-    poisson = PoissonArrivals(rate_per_sec=10_000, seed=9).times(5_000)
-    bursty = BurstyArrivals(rate_per_sec=10_000, burst_factor=8.0,
-                            seed=9).times(5_000)
-    d_poisson = index_of_dispersion(poisson, window)
-    d_bursty = index_of_dispersion(bursty, window)
-    assert d_poisson < 2.0
-    assert d_bursty > 2.0 * d_poisson
-
-
-def test_bursty_rejects_bad_parameters():
-    with pytest.raises(WorkloadError):
-        BurstyArrivals(rate_per_sec=1_000, burst_factor=0.5).times(10)
-    with pytest.raises(WorkloadError):
-        BurstyArrivals(rate_per_sec=1_000, mean_quiet_us=0).times(10)
-
-
-def test_index_of_dispersion_degenerate_inputs():
-    assert index_of_dispersion([], 100.0) == 0.0
-    assert index_of_dispersion([1.0, 2.0], 0.0) == 0.0

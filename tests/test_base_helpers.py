@@ -1,7 +1,5 @@
 """Tests for the shared index-base helpers and error types."""
 
-import pytest
-
 import repro
 from repro.errors import (
     BenchmarkError,
@@ -20,7 +18,6 @@ from repro.indexes.base import (
     Segment,
     floor_index,
     segments_to_bound,
-    validate_strictly_increasing,
 )
 
 
@@ -70,14 +67,6 @@ def test_segments_to_bound_clamps_into_segment():
     far = segments_to_bound(segment, 10_000, epsilon=3)
     assert far.hi <= 60
     assert far.width > 0
-
-
-def test_validate_strictly_increasing():
-    validate_strictly_increasing([1, 2, 5])
-    with pytest.raises(IndexBuildError):
-        validate_strictly_increasing([1, 1])
-    with pytest.raises(IndexBuildError):
-        validate_strictly_increasing([2, 1])
 
 
 def test_package_exports():

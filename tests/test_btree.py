@@ -1,7 +1,5 @@
 """Unit + property tests for the B+-tree."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,26 +43,6 @@ def test_range_items():
     assert list(tree.range_items(2000, 100)) == []
 
 
-def test_insert_then_get():
-    tree = BPlusTree(order=4)
-    keys = list(range(0, 1000, 7))
-    random.Random(3).shuffle(keys)
-    for key in keys:
-        tree.insert(key, key * 2)
-    for key in keys:
-        assert tree.get(key) == key * 2
-    assert len(tree) == len(keys)
-    assert [key for key, _ in tree.items()] == sorted(keys)
-
-
-def test_insert_overwrites():
-    tree = BPlusTree()
-    tree.insert(1, 10)
-    tree.insert(1, 20)
-    assert tree.get(1) == 20
-    assert len(tree) == 1
-
-
 def test_height_grows_logarithmically():
     tree, _ = _bulk(2000, order=8)
     assert 3 <= tree.height <= 6
@@ -106,17 +84,3 @@ def test_property_bulk_load_floor_matches_bisect(keys):
         idx = bisect.bisect_right(keys, probe) - 1
         expected = (keys[idx], idx) if idx >= 0 else None
         assert tree.floor(probe) == expected
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.integers(min_value=0, max_value=1 << 20),
-                          st.integers(min_value=0, max_value=100)),
-                max_size=200))
-def test_property_inserts_match_dict(ops):
-    tree = BPlusTree(order=4)
-    reference = {}
-    for key, value in ops:
-        tree.insert(key, value)
-        reference[key] = value
-    assert len(tree) == len(reference)
-    assert list(tree.items()) == sorted(reference.items())

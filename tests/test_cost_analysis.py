@@ -78,8 +78,9 @@ def test_analytic_latency_matches_measurement():
     config = BenchConfig(index_kind=IndexKind.PLR, position_boundary=32,
                          value_capacity=108, write_buffer_bytes=64 * 128,
                          sstable_bytes=512 * 128, size_ratio=4, n_keys=4000)
-    bed = Testbed.from_config(config)
-    keys = bed.bulk_load_dataset("random", 4000)
+    bed = Testbed(options=config.to_options(), seed=config.seed)
+    keys = generate("random", 4000, seed=config.seed)
+    bed.bulk_load(keys)
     metrics = bed.run_point_lookups(keys[::5])
     measured = metrics.avg_us
     inner = inner_index_cost_us(IndexKind.PLR, DEFAULT_COST_MODEL,

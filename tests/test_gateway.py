@@ -28,7 +28,6 @@ from repro.service.gateway import (
     OUTCOME_SHED,
     Request,
     RetryBudget,
-    requests_from_ycsb,
 )
 from repro.service.sharded import ShardedDB
 from repro.storage.block_device import MemoryBlockDevice
@@ -45,7 +44,6 @@ from repro.storage.stats import (
     Stats,
 )
 from repro.workloads.arrivals import PoissonArrivals
-from repro.workloads.ycsb import Operation, OpKind
 
 N_KEYS = 600
 
@@ -420,14 +418,3 @@ def test_failing_sync_lookups_open_the_breaker_by_error_rate(call):
     with pytest.raises(CircuitOpenError):
         lookup(bad)
     db.close()
-
-
-def test_requests_from_ycsb_maps_kinds():
-    ops = [Operation(OpKind.READ, 1), Operation(OpKind.UPDATE, 2),
-           Operation(OpKind.INSERT, 3)]
-    times = [10.0, 20.0, 30.0]
-    reqs = requests_from_ycsb(ops, times, deadline_us=100.0)
-    assert [r.op for r in reqs] == ["get", "put", "put"]
-    assert [r.deadline_us for r in reqs] == [110.0, 120.0, 130.0]
-    with pytest.raises(InvalidOptionError):
-        requests_from_ycsb(ops, times[:2], deadline_us=100.0)

@@ -235,14 +235,6 @@ def test_factory_shares_rmi_cache(uniform_keys):
     assert second.train_key_visits <= first.train_key_visits
 
 
-def test_kind_from_name_case_insensitive():
-    from repro.indexes.registry import kind_from_name
-    assert kind_from_name("pgm") is IndexKind.PGM
-    assert kind_from_name("Plex") is IndexKind.PLEX
-    with pytest.raises(IndexBuildError):
-        kind_from_name("btree")
-
-
 def test_deserialize_unknown_tag():
     from repro.indexes.registry import deserialize_index
     with pytest.raises(IndexBuildError):

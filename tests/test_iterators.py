@@ -3,8 +3,53 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm.iterators import DBIterator, ListIterator, MergingIterator
-from repro.lsm.record import make_tombstone, make_value
+from repro.lsm.iterators import DBIterator, KVIterator, MergingIterator
+from repro.lsm.record import Record, make_tombstone, make_value
+
+
+class ListIterator(KVIterator):
+    """Reference iterator over an in-memory, pre-sorted record list."""
+
+    def __init__(self, records) -> None:
+        self._records = records
+        self._pos = len(records)
+
+    def seek_to_first(self) -> None:
+        self._pos = 0
+
+    def seek(self, key: int) -> None:
+        lo, hi = 0, len(self._records)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._records[mid].key < key:
+                lo = mid + 1
+            else:
+                hi = mid
+        self._pos = lo
+
+    def valid(self) -> bool:
+        return 0 <= self._pos < len(self._records)
+
+    def key(self) -> int:
+        return self._records[self._pos].key
+
+    def seq(self) -> int:
+        return self._records[self._pos].seq
+
+    def record(self) -> Record:
+        return self._records[self._pos]
+
+    def advance(self) -> None:
+        self._pos += 1
+
+
+def drain(it):
+    """Every remaining record of ``it``, in order."""
+    out = []
+    while it.valid():
+        out.append(it.record())
+        it.advance()
+    return out
 
 
 def _list_iter(records):
@@ -28,7 +73,7 @@ def test_merging_iterator_interleaves_sorted():
     b = _list_iter([make_value(k, 2, b"b") for k in (2, 4, 8)])
     merged = MergingIterator([a, b])
     merged.seek_to_first()
-    out = [(r.key, r.seq) for r in merged.drain()]
+    out = [(r.key, r.seq) for r in drain(merged)]
     assert out == [(1, 1), (2, 2), (4, 2), (4, 1), (7, 1), (8, 2)]
 
 
@@ -107,7 +152,7 @@ def test_property_merge_equals_sorted_union(sources):
         iterators.append(_list_iter(records))
     merged = MergingIterator(iterators)
     merged.seek_to_first()
-    out = [(r.key, r.seq) for r in merged.drain()]
+    out = [(r.key, r.seq) for r in drain(merged)]
     assert out == sorted(((r.key, r.seq) for r in everything),
                          key=lambda pair: (pair[0], -pair[1]))
 

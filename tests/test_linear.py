@@ -1,18 +1,8 @@
-"""Unit + property tests for the shared linear/cubic model fits."""
+"""Unit tests for the shared linear model and its two-point fit."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.indexes.linear import (
-    CubicModel,
-    LinearModel,
-    fit_cubic,
-    fit_endpoints,
-    fit_least_squares,
-    max_abs_error,
-    recenter,
-)
+from repro.indexes.linear import LinearModel, fit_endpoints
 
 
 def test_linear_predict_and_clamp():
@@ -33,77 +23,3 @@ def test_fit_endpoints_degenerate_x():
     model = fit_endpoints(5, 0, 5, 10)
     assert model.slope == 0.0
     assert model.predict(5) == pytest.approx(5.0)
-
-
-def test_least_squares_recovers_line():
-    xs = list(range(100))
-    ys = [3.0 * x + 7.0 for x in xs]
-    model = fit_least_squares(xs, ys)
-    assert model.slope == pytest.approx(3.0)
-    assert model.intercept == pytest.approx(7.0)
-
-
-def test_least_squares_large_keys_conditioning():
-    base = 1 << 62
-    xs = [base + i * (1 << 20) for i in range(200)]
-    ys = list(range(200))
-    model = fit_least_squares(xs, ys)
-    assert max_abs_error(model, xs, ys) < 1.0
-
-
-def test_least_squares_degenerate_inputs():
-    assert fit_least_squares([], []).predict(0) == 0.0
-    assert fit_least_squares([5], [9]).predict(123) == 9.0
-    flat = fit_least_squares([5, 5, 5], [1, 2, 3])
-    assert flat.slope == 0.0
-    assert flat.predict(5) == pytest.approx(2.0)
-
-
-def test_recenter_balances_residuals():
-    xs = list(range(10))
-    ys = [float(x) for x in xs]
-    biased = LinearModel(1.0, 5.0)  # constant +5 residual on ys
-    centered, err = recenter(biased, xs, ys)
-    assert err == pytest.approx(0.0, abs=1e-12)
-    assert centered.intercept == pytest.approx(0.0)
-
-
-def test_shifted():
-    model = LinearModel(1.0, 2.0).shifted(3.0)
-    assert model.intercept == 5.0
-
-
-def test_cubic_fits_cubic_data():
-    xs = list(range(50))
-    ys = [0.001 * x ** 3 - 0.2 * x ** 2 + x + 4 for x in xs]
-    model = fit_cubic(xs, ys)
-    worst = max(abs(model.predict(x) - y) for x, y in zip(xs, ys))
-    assert worst < 1e-6
-
-
-def test_cubic_small_input_falls_back_to_line():
-    model = fit_cubic([1, 2], [10.0, 20.0])
-    assert isinstance(model, CubicModel)
-    assert model.predict(1) == pytest.approx(10.0)
-    assert model.predict(2) == pytest.approx(20.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(min_value=-100, max_value=100),
-       st.floats(min_value=-100, max_value=100))
-def test_least_squares_property_exact_on_lines(slope, intercept):
-    xs = list(range(0, 64, 3))
-    ys = [slope * x + intercept for x in xs]
-    model = fit_least_squares(xs, ys)
-    assert max_abs_error(model, xs, ys) < 1e-6 * (1 + abs(slope) * 64)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2,
-                max_size=64))
-def test_recenter_never_increases_error(ys):
-    xs = list(range(len(ys)))
-    model = fit_least_squares(xs, ys)
-    before = max_abs_error(model, xs, ys)
-    _, after = recenter(model, xs, ys)
-    assert after <= before + 1e-9

@@ -238,4 +238,4 @@ def test_model_store_delete_is_idempotent():
     name = store.save(1, b"x")
     store.delete(name)
     store.delete(name)  # second delete of a missing sidecar is a no-op
-    assert store.list_sidecars() == []
+    assert not device.exists(name)

@@ -249,27 +249,6 @@ def test_multi_get_coalesce_off_disables_merging():
         db.close()
 
 
-def test_testbed_run_multi_get_matches_per_key_phase():
-    from repro.core.config import BenchConfig
-    from repro.core.testbed import Testbed
-
-    bed = Testbed.from_config(BenchConfig(
-        index_kind=IndexKind.PGM, position_boundary=16, value_capacity=44,
-        write_buffer_bytes=64 * 64, sstable_bytes=128 * 64, size_ratio=4,
-        n_keys=3000))
-    try:
-        keys = bed.bulk_load_dataset("random", 3000)
-        queries = keys[::10]
-        per_key = bed.run_point_lookups(queries)
-        batched = bed.run_multi_get(queries, batch_size=16)
-        assert batched.ops == per_key.ops == len(queries)
-        assert batched.counter(MULTIGET_BATCHES) == -(-len(queries) // 16)
-        assert batched.counter(MULTIGET_KEYS) == len(queries)
-        assert batched.counter(SEEKS) <= per_key.counter(SEEKS)
-    finally:
-        bed.close()
-
-
 def test_replay_counts_read_your_writes():
     from repro.storage.stats import MULTIGET_READ_YOUR_WRITES
     from repro.workloads.ycsb import OpKind, Operation, replay

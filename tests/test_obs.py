@@ -24,16 +24,25 @@ from hypothesis import strategies as st
 
 from repro.lsm.db import LSMTree
 from repro.lsm.options import small_test_options
-from repro.obs.histogram import (
-    Histogram,
-    bucket_bounds,
-    bucket_index,
-    merge_all,
-)
+from repro.obs.histogram import Histogram, bucket_bounds, bucket_index
 from repro.obs.registry import MetricsRegistry, MetricsWindow
 from repro.obs.trace import OpType, Tracer
 from repro.service.sharded import ShardedDB
 from repro.storage.stats import BLOOM_PROBES, Stage, Stats
+
+
+def _record(histogram, samples):
+    """Feed every sample to ``histogram``."""
+    for us in samples:
+        histogram.record(us)
+
+
+def _merged(histograms):
+    """A fresh histogram with every input folded in."""
+    total = Histogram()
+    for histogram in histograms:
+        total.merge(histogram)
+    return total
 
 
 # -- histogram buckets -----------------------------------------------------
@@ -61,7 +70,7 @@ def test_histogram_basics():
     h = Histogram()
     assert h.percentile(0.5) == 0.0
     assert h.mean_us == 0.0
-    h.record_many([1.0, 2.0, 3.0, 4.0])
+    _record(h, [1.0, 2.0, 3.0, 4.0])
     assert h.count == 4
     assert h.mean_us == pytest.approx(2.5)
     assert h.min_us == 1.0
@@ -80,7 +89,7 @@ def test_histogram_rejects_negative():
 def test_percentiles_monotone_in_rank():
     rng = random.Random(7)
     h = Histogram()
-    h.record_many(rng.expovariate(0.01) for _ in range(5_000))
+    _record(h, (rng.expovariate(0.01) for _ in range(5_000)))
     values = [h.percentile(q) for q in (0.1, 0.5, 0.9, 0.99, 0.999, 1.0)]
     assert values == sorted(values)
     assert values[-1] == h.max_us
@@ -90,7 +99,7 @@ def test_percentile_relative_error_bound():
     rng = random.Random(11)
     samples = sorted(rng.uniform(0.5, 500.0) for _ in range(2_000))
     h = Histogram()
-    h.record_many(samples)
+    _record(h, samples)
     for q in (0.5, 0.9, 0.99):
         exact = samples[max(0, int(round(q * len(samples))) - 1)]
         assert h.percentile(q) == pytest.approx(exact, rel=0.05)
@@ -98,9 +107,9 @@ def test_percentile_relative_error_bound():
 
 def test_since_isolates_window():
     h = Histogram()
-    h.record_many([1.0, 2.0])
+    _record(h, [1.0, 2.0])
     base = h.copy()
-    h.record_many([100.0, 200.0])
+    _record(h, [100.0, 200.0])
     delta = h.since(base)
     assert delta.count == 2
     assert delta.percentile(0.5) == pytest.approx(100.0, rel=0.05)
@@ -116,11 +125,11 @@ def test_since_isolates_window():
 def test_merged_shards_equal_single_histogram(samples, n_shards, rng):
     """The acceptance-criterion property: sharded merge is lossless."""
     single = Histogram()
-    single.record_many(samples)
+    _record(single, samples)
     shards = [Histogram() for _ in range(n_shards)]
     for us in samples:
         shards[rng.randrange(n_shards)].record(us)
-    merged = merge_all(shards)
+    merged = _merged(shards)
     assert merged.state() == single.state()
     for q in (0.5, 0.9, 0.99, 0.999):
         assert merged.percentile(q) == single.percentile(q)
@@ -142,12 +151,12 @@ def test_merge_order_independent(samples, data):
     forward = Histogram()
     for part in parts:
         piece = Histogram()
-        piece.record_many(part)
+        _record(piece, part)
         forward.merge(piece)
     backward = Histogram()
     for part in reversed(parts):
         piece = Histogram()
-        piece.record_many(part)
+        _record(piece, part)
         backward.merge(piece)
     assert forward.state() == backward.state()
 
@@ -165,7 +174,7 @@ def test_untraced_stats_hold_no_observer_state():
     detached = Stats()
     tracer = Tracer()
     detached.attach_tracer(tracer)
-    detached.detach_tracer()
+    detached.attach_tracer(None)
     detached.charge(Stage.IO, 2.0)
     detached.add(BLOOM_PROBES, 3)
     assert detached.tracer is None
@@ -175,14 +184,15 @@ def test_untraced_stats_hold_no_observer_state():
 
 
 def test_tracer_is_pure_observer_on_stats():
+    tracer = Tracer()
     traced = Stats()
-    traced.attach_tracer(Tracer())
+    traced.attach_tracer(tracer)
     plain = Stats()
+    span = tracer.begin(OpType.GET)
     for stats in (traced, plain):
-        span = stats.begin_op(OpType.GET)
         stats.charge(Stage.IO, 4.0)
         stats.add(BLOOM_PROBES)
-        stats.end_op(span)
+    tracer.end(span)
     assert traced.counters == plain.counters
     assert traced.stage_us == plain.stage_us
 
@@ -302,7 +312,7 @@ def test_registry_merge_is_lossless_and_rebounds_exemplars():
     merged.merge(a)
     merged.merge(b)
     single = Histogram()
-    single.record_many([1.0, 10.0, 3.0, 2.0, 20.0])
+    _record(single, [1.0, 10.0, 3.0, 2.0, 20.0])
     assert merged.histogram("get").state() == single.state()
     assert [s.total_us for s in merged.exemplars()] == [20.0, 10.0]
 
@@ -323,7 +333,7 @@ def test_registry_json_and_prometheus_exports():
     assert doc["exemplars"][0]["counters"][BLOOM_PROBES] == 1
     assert doc["counters"][BLOOM_PROBES] == 1
     assert doc["stage_us"][Stage.IO.value] == pytest.approx(2.5)
-    json.loads(registry.to_json(stats))  # round-trips as valid JSON
+    json.loads(json.dumps(doc))  # round-trips as valid JSON
 
     text = registry.to_prometheus(stats)
     assert 'repro_op_latency_us{op="get",quantile="0.99"}' in text
@@ -386,7 +396,7 @@ def test_sharded_metrics_merge_is_lossless():
     _drive_sharded(db)
     merged = db.metrics()
     for op, histogram in merged.histograms.items():
-        single = merge_all(reg.histogram(op) for reg in db.registries)
+        single = _merged(reg.histogram(op) for reg in db.registries)
         assert histogram.state() == single.state()
     total_ops = sum(reg.histogram("get").count + reg.histogram("put").count
                     for reg in db.registries)

@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import InvalidOptionError
 from repro.indexes.registry import IndexKind
+from repro.lsm.db import LSMTree
 from repro.lsm.options import Granularity, Options, small_test_options
+from repro.storage.block_device import MemoryBlockDevice
 
 
 def test_defaults_validate():
@@ -44,6 +46,22 @@ def test_invalid_fields_rejected(field, value):
     options = Options(**{field: value})
     with pytest.raises(InvalidOptionError):
         options.validate()
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    (IndexKind.RS, "radix_bits", 0),
+    (IndexKind.RS, "radix_bits", 25),
+    (IndexKind.PGM, "epsilon_recursive", 0),
+])
+def test_bad_index_parameters_rejected_before_open(kind, field, value):
+    """A bad index parameter fails at open, not at the first flush."""
+    options = small_test_options(kind).with_changes(**{field: value})
+    with pytest.raises(InvalidOptionError, match=field):
+        options.validate()
+    device = MemoryBlockDevice()
+    with pytest.raises(InvalidOptionError, match=field):
+        LSMTree(options, device=device)
+    assert device.list_files() == []
 
 
 def test_sstable_must_hold_one_entry():

@@ -1,14 +1,11 @@
 """Tests for hardware cost-model profiles."""
 
-import pytest
-
 from repro.storage.profiles import (
     CLOUD_OBJECT,
     FAST_NVME,
     PAPER_NVME,
     PROFILES,
     SATA_SSD,
-    get_profile,
     io_cpu_ratio,
 )
 
@@ -16,9 +13,7 @@ from repro.storage.profiles import (
 def test_profiles_registered():
     assert set(PROFILES) == {"paper-nvme", "fast-nvme", "sata-ssd",
                              "cloud-object"}
-    assert get_profile("paper-nvme") is PAPER_NVME
-    with pytest.raises(KeyError):
-        get_profile("floppy")
+    assert PROFILES["paper-nvme"] is PAPER_NVME
 
 
 def test_ratio_ordering():

@@ -9,14 +9,12 @@ from repro.lsm.record import (
     KIND_TOMBSTONE,
     KIND_VALUE,
     Record,
-    compare_versions,
     decode_entry,
     decode_key,
     encode_entry,
     entry_size,
     make_tombstone,
     make_value,
-    split_meta,
 )
 
 
@@ -69,20 +67,6 @@ def test_truncated_buffer_raises():
         decode_entry(blob[:-10], 0, 8)
     with pytest.raises(CorruptionError):
         decode_key(b"short", 0)
-
-
-def test_version_ordering():
-    newer = make_value(5, 10, b"x")
-    older = make_value(5, 3, b"y")
-    assert compare_versions(newer, older) < 0  # newest first
-    assert compare_versions(older, newer) > 0
-    assert compare_versions(newer, newer) == 0
-    assert compare_versions(make_value(1, 1, b""), make_value(2, 9, b"")) < 0
-    assert newer.newer_than(older)
-
-
-def test_split_meta():
-    assert split_meta((7 << 8) | KIND_TOMBSTONE) == (7, KIND_TOMBSTONE)
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,8 +17,24 @@ from repro.indexes.segmentation import (
     greedy_corridor_segments,
     greedy_spline_points,
     optimal_pla_segments,
-    verify_segments,
 )
+
+
+def verify_segments(keys, segments, epsilon):
+    """Return the max absolute prediction error of a segmentation.
+
+    The oracle every segmenter is checked against: scans every key
+    against its covering segment.  The result should never exceed
+    ``epsilon`` (plus a whisker of float round-off).
+    """
+    worst = 0.0
+    for segment in segments:
+        for pos in range(segment.start, segment.start + segment.length):
+            err = abs(segment.predict(keys[pos]) - pos)
+            if err > worst:
+                worst = err
+    return worst
+
 
 sorted_keys = st.lists(
     st.integers(min_value=0, max_value=(1 << 62)),

@@ -117,7 +117,10 @@ def test_iterator_full_scan(sample_keys):
     table, _, _, _, _ = _build(sample_keys)
     it = table.iterator()
     it.seek_to_first()
-    out = [record.key for record in it.drain()]
+    out = []
+    while it.valid():
+        out.append(it.key())
+        it.advance()
     assert out == sample_keys
 
 

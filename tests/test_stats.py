@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.storage.stats import (
     BLOCKS_READ,
-    COMPACTION_STAGES,
     READ_STAGES,
     Stage,
     Stats,
@@ -93,14 +92,6 @@ def test_read_time_is_the_exact_sum_over_read_stages(ops):
         assert untraced.read_time() == _summed_read_time(untraced)
         assert traced.read_time() == untraced.read_time()
         assert traced == untraced
-
-
-def test_compaction_time_covers_only_compaction_stages():
-    stats = Stats()
-    for stage in COMPACTION_STAGES:
-        stats.charge(stage, 2.0)
-    stats.charge(Stage.IO, 50.0)
-    assert stats.compaction_time() == pytest.approx(2.0 * len(COMPACTION_STAGES))
 
 
 def test_snapshot_delta_isolates_window():

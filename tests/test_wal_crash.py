@@ -38,7 +38,7 @@ def _replay_truncated(raw, cut):
     device = MemoryBlockDevice(block_size=256)
     device.create("wal")
     device.append("wal", bytes(raw[:cut]))
-    return WriteAheadLog(device).replay_all()
+    return list(WriteAheadLog(device).replay())
 
 
 def test_every_truncation_offset_recovers_a_batch_prefix():

@@ -33,7 +33,6 @@ def test_batch_staging_and_introspection():
     batch.put(1, b"a").put(2, b"b").delete(1)
     assert len(batch) == 3
     assert batch.keys() == [1, 2, 1]
-    assert batch.payload_bytes() == 2
     batch.clear()
     assert not batch
 
@@ -142,7 +141,7 @@ def test_wal_append_batch_roundtrip():
     wal = WriteAheadLog(MemoryBlockDevice())
     records = [make_value(i, i, b"r%d" % i) for i in range(1, 6)]
     wal.append_batch(records)
-    assert wal.replay_all() == records
+    assert list(wal.replay()) == records
 
 
 def test_wal_mixed_single_and_batch_frames_replay_in_order():
@@ -150,7 +149,7 @@ def test_wal_mixed_single_and_batch_frames_replay_in_order():
     wal.append(make_value(1, 1, b"a"))
     wal.append_batch([make_value(2, 2, b"b"), make_value(3, 3, b"c")])
     wal.append(make_value(4, 4, b"d"))
-    assert [record.key for record in wal.replay_all()] == [1, 2, 3, 4]
+    assert [record.key for record in wal.replay()] == [1, 2, 3, 4]
 
 
 def test_crash_recovery_replays_batch():
@@ -171,6 +170,6 @@ def test_torn_batch_frame_drops_whole_batch():
     data = device.pread("wal", 0, device.size("wal"))
     device.create("wal")
     device.append("wal", data[:-3])  # chop the final frame
-    survivors = WriteAheadLog(device).replay_all()
+    survivors = list(WriteAheadLog(device).replay())
     # All-or-nothing: the second batch vanishes entirely.
     assert [record.key for record in survivors] == [1, 2]
