@@ -54,6 +54,8 @@ class SearchBound:
         """The bound intersected with the valid position range ``[0, n)``."""
         lo = max(0, min(self.lo, n))
         hi = max(lo, min(self.hi, n))
+        if lo == self.lo and hi == self.hi:
+            return self  # already inside: frozen, so shareable
         return SearchBound(lo, hi)
 
     def block_aligned(self, entries_per_block: int, n: int) -> "SearchBound":

@@ -13,6 +13,14 @@ PGM differs from the greedy family in two ways the paper leans on:
 
 The paper keeps ``EpsilonRecursive = 4`` (it "has little impact" in
 LSM systems); that is the default here too.
+
+Here the leaf a key falls in is found with one bisect over the leaf
+first keys: the descent's windowed searches end at exactly that floor,
+and in Python one C-level bisect beats a walk of interpreted levels.
+The recursive levels remain — they are built, charged
+(:meth:`PGMIndex.expected_lookup_cost_us`), counted in memory and
+serialized as in the paper; the test suite keeps the descent as the
+reference the bisect is checked against.
 """
 
 from __future__ import annotations
@@ -54,7 +62,8 @@ class PGMIndex(ClusteredIndex):
         #: levels[0] are the leaf segments over the data; levels[-1] has
         #: exactly one segment (the root).
         self._levels: List[List[Segment]] = []
-        self._level_firsts: List[List[int]] = []
+        #: First key of each leaf segment: what a lookup bisects.
+        self._leaf_firsts: List[int] = []
 
     # -- construction ------------------------------------------------------
 
@@ -68,50 +77,18 @@ class PGMIndex(ClusteredIndex):
                 seg_keys, self.epsilon_recursive)
             self._record_visits(upper_visits)
             if len(upper) >= len(seg_keys):
-                # No compression possible (pathological keys): stop and
-                # binary-search this level directly.
+                # No compression possible (pathological keys): stop,
+                # leaving the top level unrooted.
                 break
             levels.append(upper)
         self._levels = levels
-        self._level_firsts = [[segment.first_key for segment in level]
-                              for level in levels]
+        self._leaf_firsts = [segment.first_key for segment in leaves]
 
     # -- lookup ------------------------------------------------------------
 
     def _predict(self, key: int) -> SearchBound:
-        top = len(self._levels) - 1
-        if len(self._levels[top]) == 1:
-            seg_idx = 0
-        else:
-            # Root level left unrooted by the compression guard: plain
-            # binary search over its first keys.
-            seg_idx = max(0, bisect_right(self._level_firsts[top], key) - 1)
-        for level in range(top, 0, -1):
-            segment = self._levels[level][seg_idx]
-            bound = segments_to_bound(segment, key, self.epsilon_recursive)
-            seg_idx = self._windowed_floor(
-                self._level_firsts[level - 1], key, bound)
-        leaf = self._levels[0][seg_idx]
-        return segments_to_bound(leaf, key, self.epsilon)
-
-    @staticmethod
-    def _windowed_floor(firsts: List[int], key: int, bound: SearchBound) -> int:
-        """Floor search restricted to ``bound``, with safety fix-up.
-
-        The PLA guarantee puts the true floor inside the window for
-        monotone models; the fix-up loops cover float corner cases so
-        correctness never rests on rounding.
-        """
-        lo = max(0, min(bound.lo, len(firsts) - 1))
-        hi = max(lo + 1, min(bound.hi, len(firsts)))
-        idx = bisect_right(firsts, key, lo, hi) - 1
-        if idx < lo:
-            idx = lo
-        while idx > 0 and firsts[idx] > key:
-            idx -= 1
-        while idx + 1 < len(firsts) and firsts[idx + 1] <= key:
-            idx += 1
-        return idx
+        leaf_no = max(0, bisect_right(self._leaf_firsts, key) - 1)
+        return segments_to_bound(self._levels[0][leaf_no], key, self.epsilon)
 
     # -- introspection -----------------------------------------------------
 
@@ -166,8 +143,8 @@ class PGMIndex(ClusteredIndex):
             levels.append(level)
             size = len(level)
         index._levels = levels
-        index._level_firsts = [[segment.first_key for segment in level]
-                               for level in levels]
+        index._leaf_firsts = [segment.first_key
+                              for segment in (levels[0] if levels else ())]
         index._n = n
         index._built = True
         return index

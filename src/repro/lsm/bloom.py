@@ -7,6 +7,10 @@ derived from one 64-bit mix of the key, and probe ``k = bits_per_key *
 ln 2`` slots.  No false negatives, ever — a property the test suite
 checks with hypothesis.
 
+A lookup mixes its key once (:func:`key_hashes`) and hands the
+``(h1, h2)`` pair to every filter it probes, so a key that reaches
+several tables pays for one mix, not one per table.
+
 Two ways in, one bit layout.  :meth:`BloomFilter.add` is the
 incremental API: one key, ``nprobes`` interpreted probes.
 :meth:`BloomFilter.build` — what every table build calls — is a numpy
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,12 +36,14 @@ _MASK64 = (1 << 64) - 1
 _U64 = np.uint64
 
 
-def _splitmix64(value: int) -> int:
-    """SplitMix64 finaliser: a fast, well-distributed 64-bit mix."""
-    value = (value + 0x9E3779B97F4A7C15) & _MASK64
+def key_hashes(key: int) -> Tuple[int, int]:
+    """``(h1, h2)`` of ``key``: the probe start and the odd probe stride,
+    the low and high halves of one SplitMix64 mix."""
+    value = (key + 0x9E3779B97F4A7C15) & _MASK64
     value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return value ^ (value >> 31)
+    value ^= value >> 31
+    return value & 0xFFFFFFFF, (value >> 32) | 1  # odd: no short cycles
 
 
 class BloomFilter:
@@ -88,9 +94,7 @@ class BloomFilter:
 
     def add(self, key: int) -> None:
         """Insert ``key``."""
-        mixed = _splitmix64(key)
-        h1 = mixed & 0xFFFFFFFF
-        h2 = (mixed >> 32) | 1  # odd increment avoids short cycles
+        h1, h2 = key_hashes(key)
         bits = self._bits
         nbits = self.nbits
         for _ in range(self.nprobes):
@@ -98,11 +102,11 @@ class BloomFilter:
             bits[slot >> 3] |= 1 << (slot & 7)
             h1 = (h1 + h2) & 0xFFFFFFFF
 
-    def may_contain(self, key: int) -> bool:
-        """False means definitely absent; True means possibly present."""
-        mixed = _splitmix64(key)
-        h1 = mixed & 0xFFFFFFFF
-        h2 = (mixed >> 32) | 1
+    def may_contain(self, key: int,
+                    hashes: Optional[Tuple[int, int]] = None) -> bool:
+        """False means definitely absent; True means possibly present.
+        Pass ``hashes=key_hashes(key)`` when the caller mixed it already."""
+        h1, h2 = key_hashes(key) if hashes is None else hashes
         bits = self._bits
         nbits = self.nbits
         for _ in range(self.nprobes):

@@ -33,6 +33,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.lsm.deadline import DeadlineToken
+from repro.lsm.bloom import key_hashes
 from repro.lsm.compaction import CompactionOutcome, Compactor
 from repro.lsm.iterators import (
     DBIterator,
@@ -44,7 +45,9 @@ from repro.lsm.level_index import LevelModelManager
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import CompactionPolicy, Granularity, Options
 from repro.lsm.record import (
+    KIND_TOMBSTONE,
     KIND_VALUE,
+    MAX_KEY,
     Record,
     make_tombstone,
     make_value,
@@ -85,6 +88,10 @@ from repro.storage.stats import (
     Stage,
     Stats,
 )
+
+_TABLE_LOOKUP = Stage.TABLE_LOOKUP  # one global read, not an enum lookup
+#: ``key -> key_hashes(key)`` of a batch: one mix per key per batch.
+_Hashes = Dict[int, Tuple[int, int]]
 
 
 class LSMTree:
@@ -523,8 +530,7 @@ class LSMTree:
 
     def delete(self, key: int) -> None:
         """Delete ``key`` (writes a tombstone)."""
-        self._check_open()
-        self._check_writable()
+        self.check_write(((KIND_TOMBSTONE, key, b""),))
         tracer = self.stats.tracer
         span = (tracer.begin(OpType.DELETE, f"key={key}")
                 if tracer is not None else None)
@@ -579,10 +585,13 @@ class LSMTree:
 
     def check_write(self, batch) -> None:
         """Raise what :meth:`write` would refuse ``batch`` with (closed,
-        read-only, an oversized value), applying nothing."""
+        read-only, a key outside ``[0, MAX_KEY]``, an oversized value),
+        applying nothing."""
         self._check_open()
         self._check_writable()
-        for kind, _, value in batch:
+        for kind, key, value in batch:
+            if not 0 <= key <= MAX_KEY:
+                raise InvalidOptionError(f"key out of range: {key}")
             if kind == KIND_VALUE and len(value) > self.options.value_capacity:
                 raise InvalidOptionError(
                     f"value of {len(value)} bytes exceeds value_capacity "
@@ -812,6 +821,7 @@ class LSMTree:
                 self.cost.index_compare_us * self.memtable.comparison_depth())
             resolved.update(self.memtable.get_many(unique))
         remaining = [key for key in unique if key not in resolved]
+        hashes = {key: key_hashes(key) for key in remaining}
         # One reading per level boundary: nothing is charged between one
         # level's end and the next one's start.
         before = self.stats.read_time()
@@ -836,8 +846,8 @@ class LSMTree:
                     errors[key] = overdue
                 remaining = []
                 break
-            found = self._search_level_batch(level, remaining, coalesce,
-                                             errors)
+            found = self._search_level_batch(level, remaining, hashes,
+                                             coalesce, errors)
             after = self.stats.read_time()
             elapsed, before = after - before, after
             self._level_read_us[level] = (
@@ -863,13 +873,13 @@ class LSMTree:
         return out
 
     def _search_level_batch(
-        self, level: int, keys: List[int], coalesce: bool,
+        self, level: int, keys: List[int], hashes: _Hashes, coalesce: bool,
         errors: Optional[Dict[int, QuarantinedBlockError]] = None,
     ) -> Dict[int, Record]:
         """Search one level for a sorted key batch; ``{key: record}``."""
         if self.level_models is not None and level >= 1:
-            return self._search_level_model_batch(level, keys, coalesce,
-                                                  errors)
+            return self._search_level_model_batch(level, keys, hashes,
+                                                  coalesce, errors)
         found: Dict[int, Record] = {}
         if self._level_overlapping(level):
             # Newest file first; a key found in a newer file must not be
@@ -887,7 +897,7 @@ class LSMTree:
                 candidates = [key for key in unresolved
                               if meta.min_key <= key <= meta.max_key]
                 hits = self._probe_table_batch(meta.table, candidates,
-                                               coalesce, errors)
+                                               hashes, coalesce, errors)
                 if hits:
                     found.update(hits)
                     unresolved = [key for key in unresolved
@@ -913,7 +923,7 @@ class LSMTree:
                 grouped.setdefault(file_idx, []).append(key)
         for idx, group in grouped.items():
             found.update(self._probe_table_batch(files[idx].table, group,
-                                                 coalesce, errors))
+                                                 hashes, coalesce, errors))
         return found
 
     def _level_overlapping(self, level: int) -> bool:
@@ -921,12 +931,13 @@ class LSMTree:
                               is CompactionPolicy.TIERING)
 
     def _probe_table_batch(
-        self, table: Table, candidates: List[int], coalesce: bool,
+        self, table: Table, candidates: List[int], hashes: _Hashes,
+        coalesce: bool,
         errors: Optional[Dict[int, QuarantinedBlockError]] = None,
     ) -> Dict[int, Record]:
         """One bloom pass then one coalesced multi-read for a table."""
         admitted = [key for key in candidates
-                    if self._bloom_admits(table, key)]
+                    if self._bloom_admits(table, key, hashes[key])]
         if not admitted:
             return {}
         hits = table.multi_get(admitted, coalesce=coalesce, errors=errors)
@@ -938,7 +949,7 @@ class LSMTree:
         return hits
 
     def _search_level_model_batch(
-        self, level: int, keys: List[int], coalesce: bool,
+        self, level: int, keys: List[int], hashes: _Hashes, coalesce: bool,
         errors: Optional[Dict[int, QuarantinedBlockError]] = None,
     ) -> Dict[int, Record]:
         assert self.level_models is not None
@@ -949,7 +960,7 @@ class LSMTree:
                 if key not in found
                 and (errors is None or key not in errors)
                 and meta.table.key_range_contains(key)
-                and self._bloom_admits(meta.table, key)]
+                and self._bloom_admits(meta.table, key, hashes[key])]
             if not admitted:
                 continue
             hits = meta.table.multi_get_in_bounds(admitted,
@@ -968,11 +979,12 @@ class LSMTree:
         # no probe, no descent charge.
         if not self.memtable.is_empty():
             self.stats.charge(
-                Stage.TABLE_LOOKUP,
+                _TABLE_LOOKUP,
                 self.cost.index_compare_us * self.memtable.comparison_depth())
             hit = self.memtable.get(key)
             if hit is not None:
                 return hit
+        hashes = key_hashes(key)  # one mix for every bloom probed below
         # One reading per level boundary: nothing is charged between one
         # level's end and the next one's start.
         before = self.stats.read_time()
@@ -984,7 +996,7 @@ class LSMTree:
             # instead of walking the rest of the tree for a dead client.
             if self.deadline is not None:
                 self.deadline.check(where=f"get level {level}")
-            record = self._search_level(level, key)
+            record = self._search_level(level, key, hashes)
             after = self.stats.read_time()
             elapsed, before = after - before, after
             self._level_read_us[level] = (
@@ -995,17 +1007,18 @@ class LSMTree:
                 return record
         return None
 
-    def _search_level(self, level: int, key: int) -> Optional[Record]:
+    def _search_level(self, level: int, key: int,
+                      hashes: Tuple[int, int]) -> Optional[Record]:
         use_level_model = (self.level_models is not None and level >= 1)
         if use_level_model:
-            return self._search_level_model(level, key)
+            return self._search_level_model(level, key, hashes)
         candidates = self.version.files_for_key(level, key)
         if level >= 1:
             # Charge the binary search over the level's file ranges.
-            self.stats.charge(Stage.TABLE_LOOKUP,
+            self.stats.charge(_TABLE_LOOKUP,
                               self._file_range_search_us(level))
         for meta in candidates:
-            if not self._bloom_admits(meta.table, key):
+            if not self._bloom_admits(meta.table, key, hashes):
                 continue
             record = meta.table.get(key)
             if record is not None:
@@ -1013,13 +1026,14 @@ class LSMTree:
             self.stats.add(BLOOM_FALSE_POSITIVES)
         return None
 
-    def _search_level_model(self, level: int, key: int) -> Optional[Record]:
+    def _search_level_model(self, level: int, key: int,
+                            hashes: Tuple[int, int]) -> Optional[Record]:
         assert self.level_models is not None
         pairs = self.level_models.lookup(level, key)
         for meta, bound in pairs:
             if not meta.table.key_range_contains(key):
                 continue
-            if not self._bloom_admits(meta.table, key):
+            if not self._bloom_admits(meta.table, key, hashes):
                 continue
             record = meta.table.get_in_bound(key, bound)
             if record is not None:
@@ -1036,11 +1050,12 @@ class LSMTree:
                 max(1, count))
         return us
 
-    def _bloom_admits(self, table: Table, key: int) -> bool:
+    def _bloom_admits(self, table: Table, key: int,
+                      hashes: Tuple[int, int]) -> bool:
         stats = self.stats
         stats.add(BLOOM_PROBES)
-        stats.charge(Stage.TABLE_LOOKUP, self.cost.bloom_probe_us)
-        if table.bloom.may_contain(key):
+        stats.charge(_TABLE_LOOKUP, self.cost.bloom_probe_us)
+        if table.bloom.may_contain(key, hashes):
             return True
         stats.add(BLOOM_NEGATIVES)
         return False

@@ -31,10 +31,13 @@ from repro.storage.stats import TRAIN_KEY_VISITS, Stage, Stats
 class LevelModel:
     """One learned index spanning every file of one level."""
 
-    def __init__(self, files: List[FileMetaData],
-                 index: ClusteredIndex) -> None:
+    def __init__(self, files: List[FileMetaData], index: ClusteredIndex,
+                 cost: CostModel) -> None:
         self.files = files
         self.index = index
+        #: PREDICTION charge of one lookup: a pure function of the built
+        #: index and the cost model, both fixed for this object's life.
+        self.prediction_us = index.expected_lookup_cost_us(cost)
         self.starts: List[int] = []
         total = 0
         for meta in files:
@@ -166,7 +169,7 @@ class LevelModelManager:
         payload = index.serialize()
         self.stats.charge(Stage.COMPACT_WRITE_MODEL,
                           self.cost.model_write_us(len(payload)))
-        self._models[level] = LevelModel(ordered, index)
+        self._models[level] = LevelModel(ordered, index, self.cost)
         self._retire(level)
         name = self.model_store.save(level, payload)
         self._persisted[level] = name
@@ -183,7 +186,7 @@ class LevelModelManager:
         ``files`` (sorted by key) spans.
         """
         ordered = sorted(files, key=lambda meta: meta.min_key)
-        self._models[level] = LevelModel(ordered, index)
+        self._models[level] = LevelModel(ordered, index, self.cost)
         if sidecar is not None:
             self._persisted[level] = sidecar
 
@@ -212,8 +215,7 @@ class LevelModelManager:
         model = self._models.get(level)
         if model is None:
             return []
-        self.stats.charge(Stage.PREDICTION,
-                          model.index.expected_lookup_cost_us(self.cost))
+        self.stats.charge(Stage.PREDICTION, model.prediction_us)
         return model.lookup(key)
 
     def lookup_batch(
@@ -228,9 +230,7 @@ class LevelModelManager:
         model = self._models.get(level)
         if model is None:
             return []
-        self.stats.charge(
-            Stage.PREDICTION,
-            model.index.expected_lookup_cost_us(self.cost) * len(keys))
+        self.stats.charge(Stage.PREDICTION, model.prediction_us * len(keys))
         return model.lookup_batch(keys)
 
     def memory_bytes(self, level: Optional[int] = None) -> int:

@@ -32,8 +32,8 @@ Checksums are verified on a block's *first* fetch by each open table
 (memoised in one state byte per block), so hot blocks do not pay the
 verification cost per read — the same trade RocksDB's
 ``verify_checksums`` block cache makes.  The memo covers the whole
-authenticated trailer: a block verified as stored raw is afterwards
-sliced straight out of the read buffer.  Any mismatch raises a typed
+authenticated trailer: a point lookup whose blocks were all verified as
+stored raw binary-searches them in place in the one read buffer.  Any mismatch raises a typed
 :class:`~repro.errors.ChecksumError` naming the file, region and block.
 A file in any other format version is refused at open with a
 :class:`~repro.errors.CorruptionError`, never reinterpreted.
@@ -42,8 +42,9 @@ A file in any other format version is refused at open with a
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
@@ -60,7 +61,6 @@ from repro.lsm.record import (
     ENTRY_HEADER_BYTES,
     Record,
     decode_entry,
-    decode_key,
     encode_entry,
 )
 from repro.persist.manifest import TABLE_FORMAT
@@ -92,6 +92,9 @@ from repro.storage.stats import (
 
 _MAGIC = 0x4C49545F4C534D33  # "LIT_LSM3"
 
+#: Point-read stages as globals: a global read, not an enum lookup.
+_PREDICTION, _IO, _SEARCH = Stage.PREDICTION, Stage.IO, Stage.SEARCH
+
 #: File header: magic, format_version, entry_bytes, CRC-32 of the rest.
 _HEADER = struct.Struct("<QIII")
 HEADER_BYTES = _HEADER.size
@@ -108,6 +111,12 @@ _UNVERIFIED, _VERIFIED_RAW, _VERIFIED_CODED, _QUARANTINED = range(4)
 
 #: One sparse-index row: first_key, file offset, stored len, raw len.
 _BLOCK_INDEX_ENTRY = struct.Struct("<QQII")
+
+#: The user key leading every entry: what a point search probes.
+_KEY = struct.Struct("<Q")
+
+#: A sparse-index row's first key: what a point search bisects blocks by.
+_FIRST_KEY = itemgetter(0)
 
 # magic, format_version, entry_count, entry_bytes, value_capacity,
 # entries_per_block, block_count, block_index (offset, len, crc),
@@ -640,18 +649,16 @@ class Table:
                 self.stats.add(DATA_CACHE_EVICTIONS, evicted)
         return raw
 
-    def _fetch_run(self, first_no: int, last_no: int, stage: Stage,
-                   *, seeks: int) -> List[bytes]:
-        """Fetch the contiguous run of data blocks [first_no, last_no]
-        with ONE pread.
+    def _pread_run(self, first_no: int, last_no: int, stage: Stage,
+                   *, seeks: int) -> bytes:
+        """The stored bytes of data blocks [first_no, last_no], read with
+        ONE pread.
 
         Data blocks are usually smaller than the device block, so a
         per-data-block pread would charge a device transfer several
         times for the same device block.  Reading the covering byte
         span in one call charges exactly the device blocks the run
-        spans, then verifies and decodes each data block out of the
-        buffer — or, when every block of the run is already verified
-        raw and no data cache wants the payloads, just slices them.
+        spans.
         """
         offset = self.handles[first_no][1]
         _, last_off, last_len, _ = self.handles[last_no]
@@ -676,34 +683,33 @@ class Table:
         if charged_seeks:
             self.stats.add(SEEKS, charged_seeks)
         self.stats.charge(stage, us)
-        run = self.handles[first_no:last_no + 1]
-        if (self.data_cache is None and len(run) == self._block_state.count(
-                _VERIFIED_RAW, first_no, last_no + 1)):
-            return [data[blk_off - offset:blk_off - offset + raw_len]
-                    for _, blk_off, _, raw_len in run]
+        return data
+
+    def _decode_run(self, data: bytes, first_no: int, last_no: int,
+                    stage: Stage) -> List[bytes]:
+        """Verify and decode every block of a :meth:`_pread_run` buffer."""
+        offset = self.handles[first_no][1]
         return [self._decode_stored(
                     block_no, data[blk_off - offset:
                                    blk_off - offset + stored_len],
                     raw_len, stage)
                 for block_no, (_, blk_off, stored_len, raw_len)
-                in enumerate(run, first_no)]
+                in enumerate(self.handles[first_no:last_no + 1], first_no)]
 
-    def read_entries(self, lo: int, hi: int, stage: Stage,
-                     *, seeks: int = 1) -> bytes:
-        """Fetch entries [lo, hi) from the device, charging ``stage``.
+    def _read_blocks(self, first: int, last: int, stage: Stage,
+                     *, seeks: int = 1) -> Tuple[bytes, Optional[int]]:
+        """Data blocks [first, last] in one buffer: ``(buf, base)``.
 
-        This resolves to whole data blocks — data cache, then device
-        (verify + decode on miss) — and slices the request out of the
-        covering span.  At most ``seeks`` seeks are charged per call:
-        one pread covers a contiguous block run.  Blocks served by a
-        cache tier are charged at memory-copy cost instead of seek +
-        transfer.
+        A run that is all verified-raw, read with no data cache, is the
+        pread buffer itself, trailers and all: ``base`` is its file
+        offset and block ``b`` starts at byte ``handles[b][1] - base``.
+        Any other run is resolved block by block — data cache, then
+        device (verify + decode on miss) — and joined: ``base`` is None
+        and block ``b`` starts at ``(b - first) * per * entry_bytes``.
+        At most ``seeks`` seeks are charged: misses coalesce into
+        contiguous runs of one pread each.  Blocks served by a cache tier
+        are charged at memory-copy cost instead of seek + transfer.
         """
-        if hi <= lo:
-            return b""
-        per = self.footer.entries_per_block
-        first = lo // per
-        last = (hi - 1) // per
         if _QUARANTINED in self._block_state:
             # Fail fast before touching the device: a quarantined block
             # is known-poisoned and must never be re-read or re-served.
@@ -713,7 +719,11 @@ class Table:
         cache = self.data_cache
         try:
             if cache is None:
-                payloads = self._fetch_run(first, last, stage, seeks=seeks)
+                data = self._pread_run(first, last, stage, seeks=seeks)
+                if last - first + 1 == self._block_state.count(
+                        _VERIFIED_RAW, first, last + 1):
+                    return data, self.handles[first][1]
+                payloads = self._decode_run(data, first, last, stage)
             else:
                 payloads = [None] * (last - first + 1)
                 pending: List[int] = []
@@ -728,22 +738,38 @@ class Table:
                         continue
                     self.stats.add(DATA_CACHE_MISSES)
                     pending.append(block_no)
-                # Misses coalesce into contiguous runs, one pread (and at
-                # most ``seeks`` total seek charges) each.
                 seek_budget = seeks
                 run: List[int] = []
                 for block_no in pending + [-1]:
                     if run and block_no != run[-1] + 1:
                         payloads[run[0] - first:run[-1] - first + 1] = (
-                            self._fetch_run(run[0], run[-1], stage,
-                                            seeks=seek_budget))
+                            self._decode_run(
+                                self._pread_run(run[0], run[-1], stage,
+                                                seeks=seek_budget),
+                                run[0], run[-1], stage))
                         seek_budget = 0
                         run = []
                     if block_no >= 0:
                         run.append(block_no)
         except ChecksumError as exc:
             raise self._quarantine_block(exc) from exc
-        data = payloads[0] if len(payloads) == 1 else b"".join(payloads)
+        return b"".join(payloads), None
+
+    def read_entries(self, lo: int, hi: int, stage: Stage,
+                     *, seeks: int = 1) -> bytes:
+        """Entries [lo, hi) as one contiguous buffer, charging ``stage``
+        (see :meth:`_read_blocks` for how blocks are fetched)."""
+        if hi <= lo:
+            return b""
+        per = self.footer.entries_per_block
+        first = lo // per
+        last = (hi - 1) // per
+        data, base = self._read_blocks(first, last, stage, seeks=seeks)
+        if base is not None and first < last:
+            # Served in place: cut the trailers out from between blocks.
+            data = b"".join([data[blk_off - base:blk_off - base + raw_len]
+                             for _, blk_off, _, raw_len
+                             in self.handles[first:last + 1]])
         entry_bytes = self.footer.entry_bytes
         start = (lo - first * per) * entry_bytes
         return data[start:start + (hi - lo) * entry_bytes]
@@ -754,7 +780,7 @@ class Table:
                 f"table {self.name} has no per-table index; lookups must "
                 "go through the level model")
         bound = self.index.lookup(key)
-        self.stats.charge(Stage.PREDICTION, self._prediction_us)
+        self.stats.charge(_PREDICTION, self._prediction_us)
         return bound
 
     def get(self, key: int) -> Optional[Record]:
@@ -772,35 +798,51 @@ class Table:
         if hi <= lo:
             return None
         per = footer.entries_per_block
-        lo -= lo % per
-        hi = min(-(-hi // per) * per, n)
-        data = self.read_entries(lo, hi, Stage.IO)
+        first = lo // per
+        last = (hi - 1) // per
+        buf, base = self._read_blocks(first, last, _IO)
         self.stats.add(SEGMENTS_FETCHED)
-        idx = self._binary_search(data, hi - lo, key)
-        self.stats.charge(Stage.SEARCH,
-                          self.cost.segment_search_us(hi - lo))
-        if idx is None:
+        lo = first * per
+        hi = min(last * per + per, n)
+        at = self._search(buf, first, base, lo, hi, key)
+        self.stats.charge(_SEARCH, self.cost.segment_search_us(hi - lo))
+        if at is None:
             return None
-        return decode_entry(data, idx * footer.entry_bytes,
-                            footer.value_capacity)
+        return decode_entry(buf, at, footer.value_capacity)
 
-    def _binary_search(self, data: bytes, count: int,
-                       key: int) -> Optional[int]:
-        return self._binary_search_range(data, 0, count, key)
-
-    def _binary_search_range(self, data: bytes, lo: int, hi: int,
-                             key: int) -> Optional[int]:
-        """Binary search entries [lo, hi) of a fetched buffer for ``key``."""
+    def _search(self, buf: bytes, first: int, base: Optional[int],
+                lo: int, hi: int, key: int) -> Optional[int]:
+        """Byte offset of ``key`` among entries [lo, hi) (``lo`` block
+        aligned) of the :meth:`_read_blocks` buffer of the run from block
+        ``first``, or None: bisect the block index by first key, then
+        binary-search that one block in place."""
+        per = self.footer.entries_per_block
+        block_no = bisect_right(self.handles, key, lo // per,
+                                (hi - 1) // per + 1, key=_FIRST_KEY) - 1
+        if block_no < lo // per:
+            return None
         entry_bytes = self.footer.entry_bytes
-        while lo < hi:
-            mid = (lo + hi) // 2
-            probe = decode_key(data, mid * entry_bytes)
-            if probe < key:
-                lo = mid + 1
-            elif probe > key:
-                hi = mid
-            else:
-                return mid
+        if base is not None:  # in place: the block lies at its file offset
+            at = self.handles[block_no][1] - base
+        else:  # joined: whole raw blocks back to back
+            at = (block_no - first) * per * entry_bytes
+        lo = 0
+        hi = min(per, hi - block_no * per)
+        unpack = _KEY.unpack_from
+        try:
+            while lo < hi:
+                mid = (lo + hi) // 2
+                probe = unpack(buf, at + mid * entry_bytes)[0]
+                if probe < key:
+                    lo = mid + 1
+                elif probe > key:
+                    hi = mid
+                else:
+                    return at + mid * entry_bytes
+        except struct.error as exc:
+            raise CorruptionError(
+                f"table {self.name}: entry {block_no * per + mid} lies "
+                f"outside the {len(buf)} bytes fetched for it") from exc
         return None
 
     # -- batched reads ----------------------------------------------------
@@ -874,7 +916,7 @@ class Table:
             else:
                 runs.append([bound.lo, bound.hi, [(key, bound)]])
         found: Dict[int, Record] = {}
-        entry_bytes = self.footer.entry_bytes
+        per = self.footer.entries_per_block
         value_capacity = self.footer.value_capacity
         # A stack, so a failed run's per-member retries go next.
         todo = [(run_lo, run_hi, members, False)
@@ -883,7 +925,8 @@ class Table:
             run_lo, run_hi, members, retried = todo.pop()
             seeks_before = self.stats.get(SEEKS)
             try:
-                data = self.read_entries(run_lo, run_hi, Stage.IO)
+                buf, base = self._read_blocks(
+                    run_lo // per, (run_hi - 1) // per, _IO)
             except QuarantinedBlockError as exc:
                 if not retried:
                     # Each member re-fetches only its own bound, so keys
@@ -903,13 +946,12 @@ class Table:
                 self.stats.add(MULTIGET_COALESCED)
                 self.stats.add(MULTIGET_SEEKS_SAVED, len(members) - 1)
             for key, bound in members:
-                idx = self._binary_search_range(
-                    data, bound.lo - run_lo, bound.hi - run_lo, key)
-                self.stats.charge(Stage.SEARCH,
+                at = self._search(buf, run_lo // per, base, bound.lo,
+                                  bound.hi, key)
+                self.stats.charge(_SEARCH,
                                   self.cost.segment_search_us(bound.width))
-                if idx is not None:
-                    found[key] = decode_entry(data, idx * entry_bytes,
-                                              value_capacity)
+                if at is not None:
+                    found[key] = decode_entry(buf, at, value_capacity)
         return found
 
     def iterator(self, refill_stage: Stage = Stage.SCAN) -> "TableIterator":

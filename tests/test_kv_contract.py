@@ -46,9 +46,10 @@ def _device(options, seed):
                              FaultPlan(seed=seed))
 
 
-def _build(kind):
+def _build(kind, **overrides):
     """The KVStore of ``kind`` (a gateway fronts a replicated fleet)."""
-    options = small_test_options(cache_bytes=0, data_cache_bytes=0)
+    options = small_test_options(cache_bytes=0, data_cache_bytes=0,
+                                 **overrides)
     if kind == "tree":
         return LSMTree(options, device=_device(options, 1))
     if kind == "group":
@@ -68,8 +69,8 @@ def _build(kind):
 class Case:
     """One store under test: ``store`` is called, ``db`` is beneath it."""
 
-    def __init__(self, kind, loaded=False):
-        self.db = _build(kind)
+    def __init__(self, kind, loaded=False, **overrides):
+        self.db = _build(kind, **overrides)
         if loaded:
             self.db.bulk_ingest(KEYS, value_for=_value)
         self.store = Gateway(self.db) if kind == "gateway" else self.db
@@ -185,6 +186,28 @@ def test_a_refused_batch_applies_nothing(kind):
     with pytest.raises((ReadOnlyModeError, CircuitOpenError)):
         _call(case.store, "write", good)
     assert [case.db.get(key) for key in range(21)] == [None] * 21
+    case.db.close()
+
+
+@pytest.mark.parametrize("wal", [False, True])
+@pytest.mark.parametrize("kind", KINDS)
+def test_out_of_range_keys_are_refused_before_anything_applies(kind, wal):
+    case = Case(kind, enable_wal=wal)
+    for key in (-1, 2**64):
+        batch = WriteBatch()
+        batch.put(1, b"ok")
+        batch.put(key, b"x")
+        with pytest.raises(InvalidOptionError):
+            _call(case.store, "write", batch)
+        if kind != "gateway":
+            with pytest.raises(InvalidOptionError):
+                _call(case.store, "put", key, b"x")
+            with pytest.raises(InvalidOptionError):
+                _call(case.store, "delete", key)
+    # Nothing was applied: the store still flushes, serves and is ok.
+    _call(case.db, "flush")
+    assert _call(case.store, "get", 1) is None
+    assert _call(case.db, "health")["status"] == "ok"
     case.db.close()
 
 
