@@ -34,10 +34,10 @@ def main(dataset: str = "random") -> None:
     points = []
     for kind in ALL_KINDS:
         for boundary in BOUNDARIES:
-            bed = loaded_testbed(scale.config(kind, boundary,
-                                              dataset=dataset), keys)
+            bed = loaded_testbed(scale.config(kind, boundary), keys,
+                                 scale.seed)
             metrics = bed.run_point_lookups(queries)
-            memory = bed.memory().index_bytes
+            memory = bed.db.index_memory_bytes()
             bed.close()
             table.add_row(kind.value, boundary, metrics.avg_us,
                           format_bytes(memory), memory / len(keys))

@@ -28,7 +28,7 @@ def main() -> None:
     keys = generate("random", scale.n_keys, seed=scale.seed)
     registry = MetricsRegistry()
     bed = loaded_testbed(scale.config(IndexKind.PGM, BOUNDARY), keys,
-                         registry=registry, sample_every=64)
+                         scale.seed, registry=registry, sample_every=64)
     mix = workload("C", keys, seed=9)  # 100% reads, Zipfian
     metrics = bed.run_ycsb(mix, scale.n_ops,
                            window_ops=max(1, scale.n_ops // 4))

@@ -26,8 +26,8 @@ BOUNDARY = 128  # the uniform starting point
 def main() -> None:
     scale = SCALES["smoke"]
     keys = generate("random", scale.n_keys, seed=scale.seed)
-    config = scale.config(IndexKind.PGM, BOUNDARY, size_ratio=4)
-    bed = loaded_testbed(config, keys)
+    bed = loaded_testbed(scale.config(IndexKind.PGM, BOUNDARY, size_ratio=4),
+                         keys, scale.seed)
     level_keys = bed.level_keys()
     levels = sorted(level_keys)
 

@@ -48,15 +48,11 @@ def main() -> None:
     print("\nvalidation on a live testbed:")
     queries = sample_queries(keys, 3000, seed=5)
     for label, (kind, boundary) in contenders.items():
-        config = scale.config(kind, boundary, dataset=DATASET)
-        config = config.__class__(**{**config.__dict__,
-                                     "n_keys": N_KEYS})
-        bed = loaded_testbed(config, keys)
+        bed = loaded_testbed(scale.config(kind, boundary), keys, scale.seed)
         metrics = bed.run_point_lookups(queries)
-        memory = bed.memory()
         print(f"  {label:<12s} {kind.value:>4s}@b={boundary:<4d} "
               f"latency={metrics.avg_us:6.2f} us/op  "
-              f"index={memory.index_bytes:>9,} B")
+              f"index={bed.db.index_memory_bytes():>9,} B")
         bed.close()
 
 

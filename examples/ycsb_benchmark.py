@@ -33,11 +33,12 @@ def main() -> None:
                                  "index_memory"])
     for name in WORKLOADS:
         for kind in (IndexKind.PGM, IndexKind.FP):
-            bed = loaded_testbed(scale.config(kind, BOUNDARY), loaded)
+            bed = loaded_testbed(scale.config(kind, BOUNDARY), loaded,
+                                 scale.seed)
             mix = workload(name, loaded, insert_reserve=reserve, seed=9)
             metrics = bed.run_ycsb(mix, n_ops)
             table.add_row(f"YCSB-{name}", kind.value, metrics.avg_us,
-                          format_bytes(bed.memory().index_bytes))
+                          format_bytes(bed.db.index_memory_bytes()))
             bed.close()
     print(f"{n_ops:,} operations per cell, boundary {BOUNDARY}\n")
     print(table.to_text())
@@ -48,7 +49,8 @@ def main() -> None:
     batch_table = ResultTable(columns=["read_batch", "avg_op_us",
                                        "seeks_saved"])
     for read_batch in (1, 16, 64):
-        bed = loaded_testbed(scale.config(IndexKind.PGM, BOUNDARY), loaded)
+        bed = loaded_testbed(scale.config(IndexKind.PGM, BOUNDARY), loaded,
+                             scale.seed)
         mix = workload("C", loaded, seed=9)
         metrics = bed.run_ycsb(mix, n_ops, read_batch_size=read_batch)
         batch_table.add_row(read_batch, metrics.avg_us,

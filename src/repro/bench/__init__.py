@@ -6,7 +6,6 @@ from repro.bench.report import (
     ResultTable,
     ShapeCheck,
     format_bytes,
-    require,
     sparkline,
 )
 from repro.bench.runner import (
@@ -23,7 +22,6 @@ __all__ = [
     "ExperimentResult",
     "ResultTable",
     "ShapeCheck",
-    "require",
     "sparkline",
     "format_bytes",
     "SCALES",

@@ -45,26 +45,24 @@ def run(scale="smoke", dataset: str = "random",
     keys = ds.generate(dataset, scale.n_keys, seed=scale.seed)
     queries = sample_queries(keys, scale.n_ops, seed=scale.seed + 1)
 
-    _pgm_epsilon_recursive(result, scale, dataset, keys, queries,
+    _pgm_epsilon_recursive(result, scale, keys, queries,
                            epsilon_recursive_values)
-    _rs_radix_bits(result, scale, dataset, keys, queries, radix_bits_values)
+    _rs_radix_bits(result, scale, keys, queries, radix_bits_values)
     _plex_self_tuning(result, keys)
     _rmi_quantile(result, keys)
     return result
 
 
-def _pgm_epsilon_recursive(result, scale, dataset, keys, queries,
-                           values) -> None:
+def _pgm_epsilon_recursive(result, scale, keys, queries, values) -> None:
     table = ResultTable(columns=["epsilon_recursive", "latency_us",
                                  "index_bytes"])
     stats = {}
     for eps_rec in values:
-        config = scale.config(IndexKind.PGM, _BOUNDARY, dataset=dataset)
-        options = config.to_options().with_changes(
+        options = scale.config(IndexKind.PGM, _BOUNDARY).with_changes(
             epsilon_recursive=eps_rec)
-        bed = loaded_testbed(config, keys, options=options)
+        bed = loaded_testbed(options, keys, scale.seed)
         metrics = bed.run_point_lookups(queries)
-        memory = bed.memory().index_bytes
+        memory = bed.db.index_memory_bytes()
         stats[eps_rec] = (metrics.avg_us, memory)
         table.add_row(eps_rec, metrics.avg_us, memory)
         bed.close()
@@ -77,15 +75,15 @@ def _pgm_epsilon_recursive(result, scale, dataset, keys, queries,
         f"latency spread={spread:.2%}")
 
 
-def _rs_radix_bits(result, scale, dataset, keys, queries, values) -> None:
+def _rs_radix_bits(result, scale, keys, queries, values) -> None:
     table = ResultTable(columns=["radix_bits", "latency_us", "index_bytes"])
     stats = {}
     for bits in values:
-        config = scale.config(IndexKind.RS, _BOUNDARY, dataset=dataset)
-        options = config.to_options().with_changes(radix_bits=bits)
-        bed = loaded_testbed(config, keys, options=options)
+        options = scale.config(IndexKind.RS, _BOUNDARY).with_changes(
+            radix_bits=bits)
+        bed = loaded_testbed(options, keys, scale.seed)
         metrics = bed.run_point_lookups(queries)
-        memory = bed.memory().index_bytes
+        memory = bed.db.index_memory_bytes()
         stats[bits] = (metrics.avg_us, memory)
         table.add_row(bits, metrics.avg_us, memory)
         bed.close()

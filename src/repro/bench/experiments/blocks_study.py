@@ -47,11 +47,9 @@ TITLE = "Block format: block size x compression x checksum overhead"
 _CACHE_ARM_BYTES = 256 * 1024
 
 
-def _measure(config, keys, query_keys, scan_starts, scan_len,
-             **option_changes):
+def _measure(options, keys, seed, query_keys, scan_starts, scan_len):
     """One cell: load, drain the read stream, return results + metrics."""
-    options = config.to_options().with_changes(**option_changes)
-    bed = loaded_testbed(config, keys, options=options)
+    bed = loaded_testbed(options, keys, seed)
     before = bed.db.stats.snapshot()
     gets = [bed.db.get(key) for key in query_keys]
     scans = [bed.db.scan(start, scan_len) for start in scan_starts]
@@ -102,11 +100,11 @@ def run(scale="smoke", dataset: str = "random",
 
     def cell(granularity, block, codec, **extra):
         nonlocal oracle, results_equal, failures_total, verified_min
-        config = scale.config(kind, boundary, granularity=granularity,
-                              dataset=dataset)
-        got, metrics = _measure(config, keys, query_keys, scan_starts,
-                                scan_len, data_block_bytes=block,
-                                block_codec=codec, **extra)
+        options = scale.config(kind, boundary,
+                               granularity=granularity).with_changes(
+            data_block_bytes=block, block_codec=codec, **extra)
+        got, metrics = _measure(options, keys, scale.seed, query_keys,
+                                scan_starts, scan_len)
         if oracle is None:
             oracle = got
         results_equal = results_equal and got == oracle

@@ -71,9 +71,8 @@ def _build_faulty(scale, kind, boundary, granularity, plan,
                   **option_changes):
     """An LSMTree over a fresh FaultyBlockDevice(MemoryBlockDevice)."""
     options = scale.config(kind, boundary,
-                           granularity=granularity).to_options()
-    if option_changes:
-        options = options.with_changes(**option_changes)
+                           granularity=granularity).with_changes(
+        **option_changes)
     inner = MemoryBlockDevice(block_size=options.block_size)
     faulty = FaultyBlockDevice(inner, plan)
     db = LSMTree(options, device=faulty)

@@ -49,9 +49,8 @@ def run(scale="smoke", dataset: str = "random",
                 f"{boundary}, size ratio {size_ratio} (lowered so the "
                 "scaled dataset spans several levels, as in the paper)")
     keys = ds.generate(dataset, scale.n_keys, seed=scale.seed)
-    config = scale.config(kind, boundary, dataset=dataset,
-                          size_ratio=size_ratio)
-    bed = loaded_testbed(config, keys)
+    bed = loaded_testbed(scale.config(kind, boundary, size_ratio=size_ratio),
+                         keys, scale.seed)
     level_keys = bed.level_keys()
     levels = sorted(level_keys)
     rng = random.Random(scale.seed + 9)

@@ -40,10 +40,10 @@ def run(scale="smoke", dataset: str = "random",
     memory: Dict[Tuple[IndexKind, int], float] = {}
     for kind in kinds:
         for boundary in boundaries:
-            config = scale.config(kind, boundary, dataset=dataset)
-            bed = loaded_testbed(config, keys,
-                                 options=with_paper_entries(scale, config))
-            memory[(kind, boundary)] = float(bed.memory().index_bytes)
+            bed = loaded_testbed(
+                with_paper_entries(scale, scale.config(kind, boundary)),
+                keys, scale.seed)
+            memory[(kind, boundary)] = float(bed.db.index_memory_bytes())
             for length in range_lengths:
                 metrics = bed.run_range_lookups(starts, length)
                 latency[(length, kind, boundary)] = metrics.avg_us

@@ -46,14 +46,14 @@ def run(scale="smoke", dataset: str = "random",
                                      "index_bytes"])
         for kind in kinds:
             for boundary in boundaries:
-                bed = loaded_testbed(scale.config(kind, boundary,
-                                                  dataset=dataset), loaded)
+                bed = loaded_testbed(scale.config(kind, boundary), loaded,
+                                     scale.seed)
                 mix = workload(name, loaded, insert_reserve=reserve,
                                seed=scale.seed + 13)
                 metrics = bed.run_ycsb(mix, n_ops)
                 latency[(name, kind, boundary)] = metrics.avg_us
                 memory[(name, kind, boundary)] = float(
-                    bed.memory().index_bytes)
+                    bed.db.index_memory_bytes())
                 table.add_row(kind.value, boundary, metrics.avg_us,
                               int(memory[(name, kind, boundary)]))
                 bed.close()

@@ -49,14 +49,14 @@ def run(scale="smoke", datasets: Sequence[str] = ("random",),
             "blocks/op"])
         for kind in kinds:
             for boundary in boundaries:
-                bed = loaded_testbed(scale.config(kind, boundary,
-                                                  dataset=dataset), keys)
+                bed = loaded_testbed(scale.config(kind, boundary), keys,
+                                     scale.seed)
                 metrics = bed.run_point_lookups(queries)
-                memory = bed.memory()
+                index_bytes = bed.db.index_memory_bytes()
                 bed.close()
                 cell = {
                     "latency": metrics.avg_us,
-                    "index_bytes": float(memory.index_bytes),
+                    "index_bytes": float(index_bytes),
                     "blocks": metrics.blocks_read_per_op(),
                 }
                 grid[(dataset, kind, boundary)] = cell

@@ -46,8 +46,8 @@ def run(scale="smoke", dataset: str = "random",
     for kind in sweep_kinds:
         for boundary in sorted(set(list(boundaries)
                                    + [_BREAKDOWN_BOUNDARY]), reverse=True):
-            bed = loaded_testbed(scale.config(kind, boundary,
-                                              dataset=dataset), keys)
+            bed = loaded_testbed(scale.config(kind, boundary), keys,
+                                 scale.seed)
             metrics = bed.run_point_lookups(queries)
             bed.close()
             io = metrics.stage_avg_us(Stage.IO)

@@ -60,10 +60,10 @@ def run(scale="smoke", dataset: str = "random",
             for boundary in boundaries:
                 bed = loaded_testbed(
                     scale.config(kind, boundary, granularity=granularity,
-                                 sstable_bytes=sst_bytes, dataset=dataset),
-                    keys)
+                                 sstable_bytes=sst_bytes),
+                    keys, scale.seed)
                 memory[(label, kind, boundary)] = float(
-                    bed.memory().index_bytes)
+                    bed.db.index_memory_bytes())
                 if boundary == _LATENCY_BOUNDARY or \
                         (boundary == boundaries[0]
                          and _LATENCY_BOUNDARY not in boundaries):

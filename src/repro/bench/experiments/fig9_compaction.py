@@ -48,9 +48,9 @@ def run(scale="smoke", dataset: str = "random",
     for kind in kinds:
         row = [kind.value]
         for boundary in boundaries:
-            config = scale.config(kind, boundary, dataset=dataset)
-            bed = Testbed(with_paper_entries(scale, config),
-                          seed=scale.seed)
+            bed = Testbed(
+                with_paper_entries(scale, scale.config(kind, boundary)),
+                seed=scale.seed)
             metrics = bed.run_writes(write_order)
             stage = metrics.stage_us
             kv_io = (stage.get(Stage.COMPACT_READ.value, 0.0)

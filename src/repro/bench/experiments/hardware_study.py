@@ -55,9 +55,9 @@ def run(scale="smoke", dataset: str = "random",
                                             entry_bytes=scale.entry_bytes)
         for kind in _KINDS:
             for boundary in _BOUNDARIES:
-                config = scale.config(kind, boundary, dataset=dataset)
-                options = config.to_options().with_changes(cost_model=model)
-                bed = loaded_testbed(config, keys, options=options)
+                options = scale.config(kind, boundary).with_changes(
+                    cost_model=model)
+                bed = loaded_testbed(options, keys, scale.seed)
                 metrics = bed.run_point_lookups(queries)
                 cells[(profile_name, kind, boundary)] = metrics.avg_us
                 table.add_row(profile_name, ratios[profile_name],

@@ -65,9 +65,9 @@ def run(scale="smoke", dataset: str = "random",
     results_equal = True
 
     for granularity in (Granularity.FILE, Granularity.LEVEL):
-        config = scale.config(kind, boundary, granularity=granularity,
-                              dataset=dataset)
-        bed = loaded_testbed(config, keys)
+        bed = loaded_testbed(
+            scale.config(kind, boundary, granularity=granularity), keys,
+            scale.seed)
         # The oracle get-loop *is* the per-key measurement: one pass
         # serves both the equivalence reference and the batch=1 row.
         before = bed.db.stats.snapshot()

@@ -64,10 +64,9 @@ def run(scale="smoke", dataset: str = "random",
     retention_detail = []
 
     for granularity in (Granularity.FILE, Granularity.LEVEL):
-        config = scale.config(kind, boundary, granularity=granularity,
-                              dataset=dataset)
+        options = scale.config(kind, boundary, granularity=granularity)
         # Untraced reference: what the stats registry must equal.
-        ref = loaded_testbed(config, keys, observe=False)
+        ref = loaded_testbed(options, keys, scale.seed, observe=False)
         ref.run_ycsb(workload("A", keys, seed=scale.seed + 23), n_ops)
         ref_counters = dict(ref.db.stats.counters)
         ref_stages = dict(ref.db.stats.stage_us)
@@ -76,7 +75,7 @@ def run(scale="smoke", dataset: str = "random",
         kept_by_rate = {}
         for sample_every in sample_rates:
             registry = MetricsRegistry()
-            bed = loaded_testbed(config, keys, observe=True,
+            bed = loaded_testbed(options, keys, scale.seed, observe=True,
                                  sample_every=sample_every,
                                  registry=registry)
             phase = bed.run_ycsb(

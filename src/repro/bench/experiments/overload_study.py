@@ -88,8 +88,7 @@ def _build_db(scale, kind: IndexKind, boundary: int,
     determinism check is not hostage to cross-run cache warmth.
     """
     options = scale.config(kind, boundary,
-                           granularity=granularity).to_options()
-    options = options.with_changes(
+                           granularity=granularity).with_changes(
         cache_bytes=0, data_cache_bytes=0,
         retry=RetryPolicy(max_attempts=max_attempts))
     devices = None

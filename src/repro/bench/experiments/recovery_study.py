@@ -74,9 +74,8 @@ def run(scale="smoke", dataset: str = "random",
         keys = ds.generate(dataset, n_keys, seed=scale.seed)
         for kind in kinds:
             for granularity in (Granularity.FILE, Granularity.LEVEL):
-                options = scale.config(
-                    kind, boundary,
-                    granularity=granularity).to_options()
+                options = scale.config(kind, boundary,
+                                       granularity=granularity)
                 device = MemoryBlockDevice(block_size=options.block_size)
                 db = LSMTree(options, device=device)
                 db.bulk_ingest(keys, seed=scale.seed)

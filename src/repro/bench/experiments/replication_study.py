@@ -76,8 +76,8 @@ def _build_fleet(scale, kind: IndexKind, boundary: int,
                  seed: int) -> Tuple[ShardedDB, List[List[FaultyBlockDevice]]]:
     """A loaded replicated fleet on fault-injectable devices."""
     options = scale.config(kind, boundary,
-                           granularity=granularity).to_options()
-    options = options.with_changes(cache_bytes=0, data_cache_bytes=0)
+                           granularity=granularity).with_changes(
+        cache_bytes=0, data_cache_bytes=0)
     devices = [
         [FaultyBlockDevice(MemoryBlockDevice(block_size=options.block_size),
                            FaultPlan(seed=seed + shard * 97 + r))

@@ -53,15 +53,13 @@ def run(scale="smoke", dataset: str = "random",
     scale = get_scale(scale)
     result = ExperimentResult(EXPERIMENT_ID, TITLE)
     keys = ds.generate(dataset, scale.n_keys, seed=scale.seed)
-    config = scale.config(kind, boundary, dataset=dataset)
-    options = config.to_options()
+    options = scale.config(kind, boundary)
     data_bytes = scale.n_keys * options.entry_bytes
     result.note(f"scale={scale.name}: {scale.n_keys} keys "
                 f"({format_bytes(data_bytes)} of data), {scale.n_ops} ops "
                 f"per cell, index={kind}, boundary={boundary}")
 
-    _cache_sweep(result, scale, config, options, keys, data_bytes,
-                 cache_fractions)
+    _cache_sweep(result, scale, options, keys, data_bytes, cache_fractions)
     _shard_sweep(result, scale, options, keys, shard_counts)
     _batch_sweep(result, scale, options, keys, batch_sizes)
     return result
@@ -69,16 +67,15 @@ def run(scale="smoke", dataset: str = "random",
 
 # -- block cache ---------------------------------------------------------
 
-def _cache_sweep(result, scale, config, options, keys, data_bytes,
+def _cache_sweep(result, scale, options, keys, data_bytes,
                  fractions) -> None:
     table = ResultTable(columns=["cache_bytes", "hit_rate", "blocks_per_op",
                                  "avg_op_us"])
     hit_rates, blocks_per_op, latencies = [], [], []
     for fraction in fractions:
         cache_bytes = int(data_bytes * fraction)
-        bed = loaded_testbed(
-            config, keys,
-            options=options.with_changes(cache_bytes=cache_bytes))
+        bed = loaded_testbed(options.with_changes(cache_bytes=cache_bytes),
+                             keys, scale.seed)
         mix = workload("C", keys, seed=scale.seed + 13)
         metrics = bed.run_ycsb(mix, scale.n_ops)
         hits = metrics.counter(CACHE_HITS)

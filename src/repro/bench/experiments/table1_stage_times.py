@@ -47,8 +47,8 @@ def run(scale="smoke", dataset: str = "random",
     for mib in paper_mib_sizes:
         bed = loaded_testbed(
             scale.config(IndexKind.PLR, boundary,
-                         sstable_bytes=scale.paper_sstable_bytes(mib),
-                         dataset=dataset), keys)
+                         sstable_bytes=scale.paper_sstable_bytes(mib)),
+            keys, scale.seed)
         metrics = bed.run_point_lookups(queries)
         per_sst[mib] = {stage: metrics.stage_avg_us(stage)
                         for _, stage in _STAGES}

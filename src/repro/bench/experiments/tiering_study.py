@@ -50,8 +50,7 @@ def run(scale="smoke", dataset: str = "random",
     cells: Dict[Tuple[CompactionPolicy, IndexKind], Dict[str, float]] = {}
     for policy in (CompactionPolicy.LEVELING, CompactionPolicy.TIERING):
         for kind in kinds:
-            config = scale.config(kind, _BOUNDARY, dataset=dataset)
-            options = config.to_options().with_changes(
+            options = scale.config(kind, _BOUNDARY).with_changes(
                 compaction_policy=policy)
             bed = Testbed(options, seed=scale.seed)
             bed.run_writes(write_order)
@@ -59,7 +58,7 @@ def run(scale="smoke", dataset: str = "random",
             deepest = bed.db.version.deepest_nonempty_level()
             runs = bed.db.version.file_count(deepest)
             metrics = bed.run_point_lookups(queries)
-            memory = bed.memory().index_bytes
+            memory = bed.db.index_memory_bytes()
             cells[(policy, kind)] = {
                 "compact_in": compact_in,
                 "lookup_us": metrics.avg_us,

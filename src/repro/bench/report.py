@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -101,14 +101,6 @@ class ResultTable:
             lines.append(",".join(format_cell(cell, self.float_digits)
                                   for cell in row))
         return "\n".join(lines) + "\n"
-
-    def filtered(self, column: str, value: Cell) -> "ResultTable":
-        """A copy containing only rows where ``column == value``."""
-        idx = self.columns.index(column)
-        table = ResultTable(columns=list(self.columns),
-                            float_digits=self.float_digits)
-        table.rows = [list(row) for row in self.rows if row[idx] == value]
-        return table
 
     def to_json_dict(self) -> Dict[str, object]:
         """Machine-readable form: list of column->cell row dicts."""
@@ -241,14 +233,3 @@ def render_waterfall(span, width: int = 32, indent: str = "") -> str:
     for child in span.children:
         out.write(render_waterfall(child, width=width, indent=indent + "    "))
     return out.getvalue()
-
-
-def require(result: ExperimentResult,
-            only: Optional[Sequence[str]] = None) -> None:
-    """Raise AssertionError when shape checks failed (bench helper)."""
-    failures = [check for check in result.failed_checks()
-                if only is None or check.name in only]
-    if failures:
-        summary = "; ".join(check.render() for check in failures)
-        raise AssertionError(
-            f"{result.experiment_id}: shape checks failed: {summary}")

@@ -4,7 +4,9 @@ The paper runs 6.4 M x ~1 KiB entries with 1 M operations per
 experiment on an NVMe testbed.  A Python reproduction keeps every
 *ratio* (SSTable/buffer, level fan-out, boundary sweep, ops/keys) while
 scaling absolute volume down.  A :class:`Scale` preset bundles the
-scaled parameters; ``paper_sstable_bytes`` maps the paper's "8 MiB ..
+scaled parameters; :meth:`Scale.config` turns one point of the paper's
+configuration space into the engine :class:`~repro.lsm.options.Options`
+at that scale, and ``paper_sstable_bytes`` maps the paper's "8 MiB ..
 128 MiB SSTable" axis onto the preset's proportional sizes.
 
 Presets:
@@ -21,11 +23,10 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.config import BenchConfig
 from repro.core.testbed import Testbed
 from repro.errors import BenchmarkError
 from repro.indexes.registry import IndexKind
-from repro.lsm.options import Granularity
+from repro.lsm.options import Granularity, Options
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,13 @@ class Scale:
     def config(self, kind: IndexKind, boundary: int,
                granularity: Granularity = Granularity.FILE,
                sstable_bytes: Optional[int] = None,
-               dataset: str = "random",
-               size_ratio: Optional[int] = None) -> BenchConfig:
-        """A BenchConfig at this scale."""
-        return BenchConfig(
+               size_ratio: Optional[int] = None) -> Options:
+        """Validated engine options for one configuration point here.
+
+        Data blocks hold four entries at every scale: the paper's
+        1 KiB-entry / 4 KiB-block ratio.
+        """
+        options = Options(
             index_kind=kind,
             position_boundary=boundary,
             granularity=granularity,
@@ -74,15 +78,15 @@ class Scale:
             value_capacity=self.value_capacity,
             size_ratio=size_ratio if size_ratio is not None
             else self.size_ratio,
-            dataset=dataset,
-            n_keys=self.n_keys,
-            seed=self.seed,
+            data_block_bytes=4 * self.entry_bytes,
         )
+        options.validate()
+        return options
 
 
 SCALES: Dict[str, Scale] = {
     # Data blocks scale with the entry (4 entries/block, the paper's
-    # 1 KiB-entry / 4 KiB-block ratio) — see BenchConfig.to_options.
+    # 1 KiB-entry / 4 KiB-block ratio) — see Scale.config.
     # entry 128 B -> 512 B blocks.
     "smoke": Scale(name="smoke", n_keys=12_000, n_ops=1_500,
                    value_capacity=108, write_buffer_bytes=32 * 1024,
@@ -121,30 +125,24 @@ def sample_queries(keys: Sequence[int], n_ops: int,
     return [keys[rng.randrange(len(keys))] for _ in range(n_ops)]
 
 
-def loaded_testbed(config: BenchConfig, keys: Sequence[int],
-                   bulk: bool = True, options=None,
+def loaded_testbed(options: Options, keys: Sequence[int], seed: int,
                    observe: bool = True, sample_every: int = 0,
                    registry=None) -> Testbed:
-    """A testbed with ``keys`` loaded (bulk by default).
+    """A testbed on ``options`` with ``keys`` bulk-loaded.
 
-    ``options`` overrides the engine options derived from ``config``
-    (used by experiments that pin the paper's entry size).
+    ``seed`` drives the fill's key-to-level assignment.
     ``observe``/``sample_every``/``registry`` pass through to
     :class:`~repro.core.testbed.Testbed` (the default feeds the
     process-wide metrics registry).
     """
-    bed = Testbed(options if options is not None else config.to_options(),
-                  seed=config.seed, observe=observe,
+    bed = Testbed(options, seed=seed, observe=observe,
                   sample_every=sample_every, registry=registry)
-    if bulk:
-        bed.bulk_load(keys)
-    else:
-        bed.load_keys(keys)
+    bed.bulk_load(keys)
     return bed
 
 
-def with_paper_entries(scale: Scale, config: BenchConfig):
-    """Engine options with the paper's ~1 KiB entries at this scale.
+def with_paper_entries(scale: Scale, options: Options) -> Options:
+    """``options`` with the paper's ~1 KiB entries at this scale.
 
     Entry *counts* per buffer/SSTable stay the scale's, so flush and
     compaction cadence is unchanged; only byte volumes grow.  Needed
@@ -152,8 +150,8 @@ def with_paper_entries(scale: Scale, config: BenchConfig):
     training shares, range-scan byte costs).
     """
     entry_scale = max(1, 1024 // scale.entry_bytes)
-    return config.to_options().with_changes(
+    return options.with_changes(
         value_capacity=1004,
         write_buffer_bytes=scale.write_buffer_bytes * entry_scale,
-        sstable_bytes=config.sstable_bytes * entry_scale,
+        sstable_bytes=options.sstable_bytes * entry_scale,
         data_block_bytes=4 * 1024)

@@ -1,7 +1,8 @@
-"""The paper's core contribution: configuration space, testbed, tuning.
+"""The paper's core contribution: sweep axes, testbed, tuning.
 
-* :mod:`repro.core.config` — the (index type, boundary, granularity)
-  configuration space of Section 4.1.
+* :mod:`repro.core.config` — the values the paper sweeps the Section 4.1
+  axes over (one point of that space is an
+  :class:`~repro.lsm.options.Options`).
 * :mod:`repro.core.testbed` — the unified measurement platform of
   Section 4.2.
 * :mod:`repro.core.cost_analysis` — the analytic cost model of
@@ -10,12 +11,7 @@
 * :mod:`repro.core.memory` — memory budget bookkeeping.
 """
 
-from repro.core.config import (
-    PAPER_BOUNDARIES,
-    PAPER_SSTABLE_MIB,
-    BenchConfig,
-    ConfigurationSpace,
-)
+from repro.core.config import PAPER_BOUNDARIES, PAPER_SSTABLE_MIB
 from repro.core.cost_analysis import (
     MemoryEstimate,
     analytic_frontier,
@@ -28,17 +24,14 @@ from repro.core.cost_analysis import (
     plateau_boundary,
 )
 from repro.core.memory import MemoryLedger
-from repro.core.testbed import MemoryMetrics, PhaseMetrics, Testbed
+from repro.core.testbed import PhaseMetrics, Testbed
 from repro.core.tuning import Recommendation, TuningAdvisor
 
 __all__ = [
-    "BenchConfig",
-    "ConfigurationSpace",
     "PAPER_BOUNDARIES",
     "PAPER_SSTABLE_MIB",
     "Testbed",
     "PhaseMetrics",
-    "MemoryMetrics",
     "MemoryLedger",
     "TuningAdvisor",
     "Recommendation",

@@ -1,115 +1,17 @@
-"""The paper's configuration space: index type x boundary x granularity.
+"""The paper's sweep axes over the Section 4.1 configuration space.
 
-Section 4.1 defines three tuning axes for learned indexes in
-LSM-trees.  :class:`BenchConfig` is one point in that space (plus the
-workload scale parameters), and :class:`ConfigurationSpace` enumerates
-a grid of them — the object every experiment sweeps over.
+One point of that space (index type x position boundary x granularity)
+is an :class:`~repro.lsm.options.Options`; experiments build it with
+:meth:`repro.bench.runner.Scale.config`.  This module holds the values
+the paper sweeps each axis over.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
-
-from repro.errors import BenchmarkError
-from repro.indexes.registry import ALL_KINDS, IndexKind
-from repro.lsm.options import Granularity, Options
+from typing import Tuple
 
 #: The boundary sweep of the paper's Figure 6.
 PAPER_BOUNDARIES: Tuple[int, ...] = (256, 128, 64, 32, 16, 8)
 
 #: The SSTable sizes of the paper's Figure 8 (MiB).
 PAPER_SSTABLE_MIB: Tuple[int, ...] = (8, 16, 32, 64, 128)
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """One configuration point plus the scale it runs at."""
-
-    index_kind: IndexKind = IndexKind.FP
-    position_boundary: int = 32
-    granularity: Granularity = Granularity.FILE
-    sstable_bytes: int = 2 * 1024 * 1024
-    write_buffer_bytes: int = 512 * 1024
-    value_capacity: int = 1004
-    size_ratio: int = 10
-    bloom_bits_per_key: int = 10
-    #: Data-block size; None scales with the entry so every scale keeps
-    #: the paper's ~4 x 1 KiB entries per 4 KiB LevelDB block.
-    data_block_bytes: Optional[int] = None
-    dataset: str = "random"
-    n_keys: int = 100_000
-    seed: int = 0
-
-    def to_options(self) -> Options:
-        """Materialise the engine options for this configuration."""
-        options = Options(
-            index_kind=self.index_kind,
-            position_boundary=self.position_boundary,
-            granularity=self.granularity,
-            sstable_bytes=self.sstable_bytes,
-            write_buffer_bytes=self.write_buffer_bytes,
-            value_capacity=self.value_capacity,
-            size_ratio=self.size_ratio,
-            bloom_bits_per_key=self.bloom_bits_per_key,
-            data_block_bytes=(self.data_block_bytes
-                              if self.data_block_bytes is not None
-                              else 4 * (20 + self.value_capacity)),
-        )
-        options.validate()
-        return options
-
-    def label(self) -> str:
-        """Short human-readable description for report rows."""
-        gran = "L" if self.granularity is Granularity.LEVEL else \
-            f"{self.sstable_bytes // (1024 * 1024)}MiB"
-        return (f"{self.index_kind.value}/b={self.position_boundary}"
-                f"/sst={gran}")
-
-
-@dataclass
-class ConfigurationSpace:
-    """A grid over the three axes (plus dataset), iterated lazily."""
-
-    index_kinds: Sequence[IndexKind] = field(default_factory=lambda: ALL_KINDS)
-    boundaries: Sequence[int] = field(
-        default_factory=lambda: PAPER_BOUNDARIES)
-    granularities: Sequence[Granularity] = field(
-        default_factory=lambda: (Granularity.FILE,))
-    sstable_sizes: Sequence[int] = field(
-        default_factory=lambda: (2 * 1024 * 1024,))
-    datasets: Sequence[str] = field(default_factory=lambda: ("random",))
-    base: BenchConfig = field(default_factory=BenchConfig)
-
-    def __post_init__(self) -> None:
-        if not self.index_kinds or not self.boundaries:
-            raise BenchmarkError("configuration space axes cannot be empty")
-
-    def __iter__(self) -> Iterator[BenchConfig]:
-        for kind, boundary, granularity, sstable, dataset in \
-                itertools.product(self.index_kinds, self.boundaries,
-                                  self.granularities, self.sstable_sizes,
-                                  self.datasets):
-            yield BenchConfig(
-                index_kind=kind,
-                position_boundary=boundary,
-                granularity=granularity,
-                sstable_bytes=sstable,
-                write_buffer_bytes=self.base.write_buffer_bytes,
-                value_capacity=self.base.value_capacity,
-                size_ratio=self.base.size_ratio,
-                bloom_bits_per_key=self.base.bloom_bits_per_key,
-                dataset=dataset,
-                n_keys=self.base.n_keys,
-                seed=self.base.seed,
-            )
-
-    def __len__(self) -> int:
-        return (len(self.index_kinds) * len(self.boundaries)
-                * len(self.granularities) * len(self.sstable_sizes)
-                * len(self.datasets))
-
-    def configs(self) -> List[BenchConfig]:
-        """Eager list of every configuration in the grid."""
-        return list(self)

@@ -65,15 +65,6 @@ class PhaseMetrics:
         return self.counters.get(BLOCKS_READ, 0.0) / self.ops
 
 
-@dataclass(frozen=True)
-class MemoryMetrics:
-    """In-memory footprint by component after a phase."""
-
-    index_bytes: int
-    bloom_bytes: int
-    buffer_bytes: int
-
-
 @dataclass
 class Testbed:
     """One database under measurement."""
@@ -132,7 +123,7 @@ class Testbed:
 
     def level_keys(self) -> Dict[int, List[int]]:
         """Per-level key sets recorded by the last bulk load."""
-        return getattr(self.db, "last_ingest_levels", {})
+        return self.db.last_ingest_levels
 
     def settle(self) -> None:
         """Flush the buffer and run every due compaction."""
@@ -249,15 +240,6 @@ class Testbed:
                             counters=dict(delta.counters),
                             percentiles=self._phase_percentiles(base),
                             windows=windows)
-
-    # -- memory ------------------------------------------------------------
-
-    def memory(self) -> MemoryMetrics:
-        """Current in-memory footprint by component."""
-        breakdown = self.db.memory_breakdown()
-        return MemoryMetrics(index_bytes=breakdown["index"],
-                             bloom_bytes=breakdown["bloom"],
-                             buffer_bytes=breakdown["buffer"])
 
     def close(self) -> None:
         """Release the database."""

@@ -128,19 +128,6 @@ class BPlusTree:
             yield from zip(node.keys, node.values)
             node = node.next
 
-    def range_items(self, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
-        """All pairs with ``lo <= key < hi`` in key order."""
-        leaf = self._descend(lo)
-        idx = bisect_left(leaf.keys, lo)
-        while leaf is not None:
-            while idx < len(leaf.keys):
-                if leaf.keys[idx] >= hi:
-                    return
-                yield leaf.keys[idx], leaf.values[idx]
-                idx += 1
-            leaf = leaf.next
-            idx = 0
-
     # -- introspection ------------------------------------------------------
 
     def __len__(self) -> int:

@@ -21,6 +21,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.errors import (
     DatabaseClosedError,
     DeadlineExceededError,
@@ -162,6 +164,9 @@ class LSMTree:
         #: Names of tables scrub retired as unsalvageable (renamed to a
         #: ``quar-`` prefix on the device for offline forensics).
         self._quarantined_tables: List[str] = []
+        #: Level -> sorted keys placed there by the last bulk_ingest
+        #: (for level-aware query mixes, the paper's Figure 10).
+        self.last_ingest_levels: Dict[int, List[int]] = {}
         self.wal: Optional[WriteAheadLog] = None
         if self.options.enable_wal:
             self.wal = WriteAheadLog(self.device)
@@ -672,48 +677,34 @@ class LSMTree:
     def bulk_ingest(self, keys, value_for=None, seed: int = 0) -> None:
         """Offline leveled fill for benchmarks: no compaction churn.
 
-        Distributes sorted unique ``keys`` across levels 1..L in
+        Distributes unique ``keys`` (in any order) across levels 1..L in
         steady-state proportions (each level filled proportionally to
         its capacity, so deeper levels hold geometrically more data,
         like a long-running database), builds the SSTables and indexes
         directly, and leaves L0 and the memtable empty.  Key-to-level
         assignment is a seeded shuffle, matching the random interleave
-        compaction produces.
+        compaction produces.  Input that :meth:`check_ingest` refuses
+        raises before any table is built.
 
-        The per-level key sets are recorded in ``last_ingest_levels``
-        (level -> sorted keys) for workloads that need level-aware
-        query mixes (the paper's Figure 10).
+        The per-level key sets are recorded in ``last_ingest_levels``.
         """
         import random as _random
 
-        self._check_open()
-        if self.entry_count():
-            raise InvalidOptionError("bulk_ingest requires an empty database")
+        self.check_ingest(keys)
         n = len(keys)
         if n == 0:
             return
         options = self.options
-        capacities: List[int] = []
-        depth = 0
-        total = 0
-        while total < n:
-            depth += 1
-            if depth >= options.max_levels:
-                raise InvalidOptionError(
-                    f"{n} keys exceed capacity of {options.max_levels - 1} "
-                    "levels; raise max_levels or write_buffer_bytes")
-            capacity = options.entries_per_buffer * (
-                options.size_ratio ** depth)
-            capacities.append(capacity)
-            total += capacity
-        fill = n / total
+        capacities = self._ingest_capacities(n)
+        depth = len(capacities)
+        fill = n / sum(capacities)
         rng = _random.Random(seed)
         order = list(range(n))
         rng.shuffle(order)
         if value_for is None:
             def value_for(key: int) -> bytes:  # noqa: ANN001 - local default
                 return (b"v%x" % key)[: options.value_capacity]
-        self.last_ingest_levels: Dict[int, List[int]] = {}
+        self.last_ingest_levels = {}
         pos = 0
         for level in range(1, depth + 1):
             if level == depth:
@@ -726,6 +717,43 @@ class LSMTree:
             pos += count
             self._ingest_level(level, subset, value_for)
             self.last_ingest_levels[level] = subset
+
+    def check_ingest(self, keys) -> None:
+        """Raise what :meth:`bulk_ingest` would refuse ``keys`` with
+        (closed, a non-empty database, a key outside ``[0, MAX_KEY]``, a
+        duplicate key, more keys than the levels hold), building
+        nothing."""
+        self._check_open()
+        if self.entry_count():
+            raise InvalidOptionError("bulk_ingest requires an empty database")
+        n = len(keys)
+        if not n:
+            return
+        try:
+            # uint64 holds exactly [0, MAX_KEY]: any other key overflows.
+            column = np.fromiter(keys, dtype=np.uint64, count=n)
+        except OverflowError:
+            raise InvalidOptionError(
+                f"bulk_ingest keys span [{min(keys)}, {max(keys)}], "
+                f"outside [0, {MAX_KEY}]") from None
+        column.sort()
+        if (column[1:] == column[:-1]).any():
+            raise InvalidOptionError("bulk_ingest keys must be unique")
+        self._ingest_capacities(n)
+
+    def _ingest_capacities(self, n: int) -> List[int]:
+        """Entry capacities of levels 1..L, the fewest that hold ``n``."""
+        options = self.options
+        capacities: List[int] = []
+        while sum(capacities) < n:
+            depth = len(capacities) + 1
+            if depth >= options.max_levels:
+                raise InvalidOptionError(
+                    f"{n} keys exceed capacity of {options.max_levels - 1} "
+                    "levels; raise max_levels or write_buffer_bytes")
+            capacities.append(options.entries_per_buffer
+                              * options.size_ratio ** depth)
+        return capacities
 
     def _ingest_level(self, level: int, sorted_keys, value_for) -> None:
         per_table = self.options.entries_per_sstable

@@ -774,9 +774,16 @@ class ReplicaGroup:
 
     def bulk_ingest(self, keys, value_for=None, seed: int = 0) -> None:
         """Identically fill every replica (offline benchmark load)."""
-        self._check_open()
+        self.check_ingest(keys)
         for replica in self.replicas:
             replica.tree.bulk_ingest(keys, value_for=value_for, seed=seed)
+
+    def check_ingest(self, keys) -> None:
+        """Raise what :meth:`bulk_ingest` would refuse ``keys`` with,
+        before any replica loads."""
+        self._check_open()
+        for replica in self.replicas:
+            replica.tree.check_ingest(keys)
 
     def entry_count(self) -> int:
         """Entries in the serving replica's view (0 when headless)."""

@@ -231,12 +231,16 @@ class ShardedDB:
     def bulk_ingest(self, keys, value_for=None, seed: int = 0) -> None:
         """Offline leveled fill of every shard (benchmark loading).
 
-        Partitions sorted unique ``keys`` by owning shard and delegates
-        to each shard's :meth:`~repro.lsm.db.LSMTree.bulk_ingest`, so a
-        sharded benchmark database is built without compaction churn.
+        Partitions unique ``keys`` by owning shard and delegates to each
+        shard's :meth:`~repro.lsm.db.LSMTree.bulk_ingest`, so a sharded
+        benchmark database is built without compaction churn.  Every
+        shard checks its part before any shard loads, so bad input
+        commits nothing on any shard.
         """
-        for shard, part in zip(self.shards,
-                               self.router.partition_keys(keys)):
+        parts = self.router.partition_keys(keys)
+        for shard, part in zip(self.shards, parts):
+            shard.check_ingest(part)
+        for shard, part in zip(self.shards, parts):
             if part:
                 shard.bulk_ingest(sorted(part), value_for=value_for,
                                   seed=seed)

@@ -13,8 +13,9 @@ from repro.bench.runner import (
     sample_queries,
     with_paper_entries,
 )
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, InvalidOptionError
 from repro.indexes.registry import IndexKind
+from repro.lsm.options import Granularity, Options
 
 
 def test_scales_registered():
@@ -33,12 +34,33 @@ def test_get_scale_by_name_and_passthrough():
 
 def test_scale_config_round_trip():
     scale = SCALES["smoke"]
-    config = scale.config(IndexKind.PGM, 32, dataset="wiki")
-    assert config.index_kind is IndexKind.PGM
-    assert config.position_boundary == 32
-    assert config.dataset == "wiki"
-    options = config.to_options()
+    options = scale.config(IndexKind.PGM, 32)
+    assert isinstance(options, Options)
+    assert options.index_kind is IndexKind.PGM
+    assert options.position_boundary == 32
+    assert options.granularity is Granularity.FILE
+    assert options.sstable_bytes == scale.default_sstable_bytes
+    assert options.write_buffer_bytes == scale.write_buffer_bytes
+    assert options.size_ratio == scale.size_ratio
     assert options.entry_bytes == scale.entry_bytes
+
+
+def test_scale_config_maps_every_axis():
+    scale = SCALES["small"]
+    options = scale.config(IndexKind.RS, 64, granularity=Granularity.LEVEL,
+                           sstable_bytes=1 << 20, size_ratio=4)
+    assert options.index_kind is IndexKind.RS
+    assert options.position_boundary == 64
+    assert options.granularity is Granularity.LEVEL
+    assert options.sstable_bytes == 1 << 20
+    assert options.size_ratio == 4
+    # Four entries per data block: the paper's 1 KiB / 4 KiB ratio.
+    assert options.data_block_bytes == 4 * scale.entry_bytes
+
+
+def test_scale_config_validates():
+    with pytest.raises(InvalidOptionError):
+        SCALES["smoke"].config(IndexKind.FP, 1)
 
 
 def test_paper_sstable_mapping():
@@ -50,8 +72,7 @@ def test_paper_sstable_mapping():
 
 def test_with_paper_entries_scales_bytes():
     scale = SCALES["smoke"]
-    config = scale.config(IndexKind.FP, 32)
-    options = with_paper_entries(scale, config)
+    options = with_paper_entries(scale, scale.config(IndexKind.FP, 32))
     assert options.entry_bytes == 1024
     assert options.entries_per_buffer == \
         scale.write_buffer_bytes // scale.entry_bytes

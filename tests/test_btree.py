@@ -35,14 +35,6 @@ def test_items_in_order():
     assert list(tree.items()) == pairs
 
 
-def test_range_items():
-    tree, _ = _bulk(100)
-    got = list(tree.range_items(95, 155))
-    assert got == [(100, 10), (110, 11), (120, 12), (130, 13), (140, 14),
-                   (150, 15)]
-    assert list(tree.range_items(2000, 100)) == []
-
-
 def test_height_grows_logarithmically():
     tree, _ = _bulk(2000, order=8)
     assert 3 <= tree.height <= 6

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.config import BenchConfig
 from repro.core.cost_analysis import (
     analytic_frontier,
     estimate_index_memory,
@@ -14,6 +13,7 @@ from repro.core.cost_analysis import (
 )
 from repro.core.testbed import Testbed
 from repro.indexes.registry import ALL_KINDS, IndexKind
+from repro.lsm.options import Options
 from repro.storage.cost_model import DEFAULT_COST_MODEL
 from repro.storage.stats import Stage
 from repro.workloads.datasets import generate
@@ -75,18 +75,19 @@ def test_analytic_frontier_structure():
 
 def test_analytic_latency_matches_measurement():
     """The Section 4 model should predict the testbed within ~2x."""
-    config = BenchConfig(index_kind=IndexKind.PLR, position_boundary=32,
-                         value_capacity=108, write_buffer_bytes=64 * 128,
-                         sstable_bytes=512 * 128, size_ratio=4, n_keys=4000)
-    bed = Testbed(options=config.to_options(), seed=config.seed)
-    keys = generate("random", 4000, seed=config.seed)
+    options = Options(index_kind=IndexKind.PLR, position_boundary=32,
+                      value_capacity=108, write_buffer_bytes=64 * 128,
+                      sstable_bytes=512 * 128, size_ratio=4,
+                      data_block_bytes=4 * 128)
+    bed = Testbed(options=options)
+    keys = generate("random", 4000, seed=0)
     bed.bulk_load(keys)
     metrics = bed.run_point_lookups(keys[::5])
     measured = metrics.avg_us
     inner = inner_index_cost_us(IndexKind.PLR, DEFAULT_COST_MODEL,
                                 segments_hint=64)
     predicted = expected_point_lookup_us(
-        DEFAULT_COST_MODEL, 32, config.to_options().entry_bytes, inner,
+        DEFAULT_COST_MODEL, 32, options.entry_bytes, inner,
         levels_probed=1.2, bloom_probes=2.0)
     bed.close()
     assert predicted == pytest.approx(measured, rel=1.0)

@@ -211,6 +211,51 @@ def test_out_of_range_keys_are_refused_before_anything_applies(kind, wal):
     case.db.close()
 
 
+def _all_trees(db):
+    """Every tree under ``db``, followers included."""
+    if isinstance(db, LSMTree):
+        return [db]
+    if isinstance(db, ReplicaGroup):
+        return [replica.tree for replica in db.replicas]
+    return [tree for shard in db.shards for tree in _all_trees(shard)]
+
+
+def _table_files(db):
+    return [name for tree in _all_trees(db)
+            for name in tree.device.list_files() if name.startswith("sst-")]
+
+
+@pytest.mark.parametrize("bad", [
+    KEYS + [KEYS[-1]],
+    KEYS[:300] + [KEYS[5]] + KEYS[300:],
+    KEYS + [2**64],
+    [-1] + KEYS,
+], ids=["duplicate-last", "duplicate-inside", "too-large", "negative"])
+@pytest.mark.parametrize("kind", STORES)
+def test_bulk_ingest_is_all_or_nothing(kind, bad):
+    case = Case(kind)
+    with pytest.raises(InvalidOptionError):
+        case.db.bulk_ingest(bad, value_for=_value)
+    assert _table_files(case.db) == []
+    # Nothing was committed, so a retry loads good keys in any order.
+    case.db.bulk_ingest(random.Random(7).sample(KEYS, len(KEYS)),
+                        value_for=_value)
+    assert _table_files(case.db)
+    assert [case.db.get(key) for key in KEYS] == [_value(key) for key in KEYS]
+    assert case.db.health()["status"] == "ok"
+    case.db.close()
+
+
+@pytest.mark.parametrize("kind", STORES)
+def test_bulk_ingest_refuses_a_non_empty_store(kind):
+    case = Case(kind)
+    case.db.put(KEYS[-1], b"x")
+    with pytest.raises(InvalidOptionError):
+        case.db.bulk_ingest(KEYS[:-1], value_for=_value)
+    assert _table_files(case.db) == []
+    case.db.close()
+
+
 @pytest.mark.parametrize("kind", STORES)
 def test_scan_returns_live_entries_in_key_order(kind):
     store = Case(kind).store

@@ -8,7 +8,6 @@ from repro.bench.report import (
     ShapeCheck,
     format_bytes,
     format_cell,
-    require,
     sparkline,
 )
 
@@ -37,8 +36,6 @@ def test_result_table_column_and_filter():
     table.add_row("PGM", 2)
     table.add_row("FP", 3)
     assert table.column("x") == [1, 2, 3]
-    filtered = table.filtered("kind", "FP")
-    assert filtered.column("x") == [1, 3]
 
 
 def test_csv_output():
@@ -78,16 +75,6 @@ def test_experiment_result_checks():
     rendered = result.render()
     assert "[PASS] holds" in rendered
     assert "[FAIL] fails — reason" in rendered
-
-
-def test_require_raises_on_failures():
-    result = ExperimentResult("figX", "demo")
-    result.check("ok", True)
-    require(result)  # no failures: fine
-    result.check("bad", False)
-    with pytest.raises(AssertionError):
-        require(result)
-    require(result, only=["ok"])  # scoped requirement passes
 
 
 def test_shape_check_render():

@@ -2,25 +2,21 @@
 
 import pytest
 
-from repro.core.config import BenchConfig
 from repro.core.testbed import Testbed
 from repro.indexes.registry import IndexKind
-from repro.lsm.options import Granularity
+from repro.lsm.options import Granularity, Options
 from repro.storage.stats import Stage
 from repro.workloads.datasets import generate
 from repro.workloads.ycsb import workload
 
 
-def _config(**overrides):
+def _testbed(**overrides):
     defaults = dict(index_kind=IndexKind.PGM, position_boundary=16,
                     value_capacity=44, write_buffer_bytes=64 * 64,
-                    sstable_bytes=128 * 64, size_ratio=4, n_keys=3000)
+                    sstable_bytes=128 * 64, size_ratio=4,
+                    data_block_bytes=4 * 64)
     defaults.update(overrides)
-    return BenchConfig(**defaults)
-
-
-def _testbed(config):
-    return Testbed(options=config.to_options(), seed=config.seed)
+    return Testbed(options=Options(**defaults))
 
 
 def _bulk(bed, n):
@@ -31,7 +27,7 @@ def _bulk(bed, n):
 
 @pytest.fixture()
 def bed():
-    bed = _testbed(_config())
+    bed = _testbed()
     yield bed
     bed.close()
 
@@ -94,17 +90,16 @@ def test_ycsb_phase(bed):
 
 def test_memory_metrics(bed):
     _bulk(bed, 3000)
-    memory = bed.memory()
-    assert memory.index_bytes > 0
-    assert memory.bloom_bytes > 0
+    assert bed.db.index_memory_bytes() > 0
+    assert bed.db.bloom_memory_bytes() > 0
 
 
 def test_level_granularity_testbed():
-    bed = _testbed(_config(granularity=Granularity.LEVEL))
+    bed = _testbed(granularity=Granularity.LEVEL)
     keys = _bulk(bed, 3000)
     metrics = bed.run_point_lookups(keys[::20])
     assert metrics.avg_us > 0
-    assert bed.memory().index_bytes > 0
+    assert bed.db.index_memory_bytes() > 0
     bed.close()
 
 
