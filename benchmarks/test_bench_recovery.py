@@ -1,4 +1,4 @@
-"""Benchmark: recovery study (manifest + persisted models vs scan)."""
+"""Benchmark: recovery study (manifest + persisted models vs retrain)."""
 
 from conftest import assert_checks, run_once
 

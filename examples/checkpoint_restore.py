@@ -16,6 +16,7 @@ import random
 from repro import IndexKind, Options, ShardedDB
 from repro.lsm.db import LSMTree
 from repro.lsm.options import Granularity
+from repro.persist.models import MODEL_FILE_PREFIX
 from repro.storage.stats import (
     MANIFEST_EDITS,
     MODELS_LOADED,
@@ -71,9 +72,12 @@ def main() -> None:
     print(f"verified {len(sample):,} lookups identical to the "
           "pre-crash database")
 
-    # -- the old path, for contrast: scan + reload + retrain -----------
-    single = LSMTree.reopen(options, devices[0], use_manifest=False)
-    print(f"\nfor contrast, scan-reopening shard 0 the pre-manifest way "
+    # -- for contrast: lose the model sidecars, reload + retrain -------
+    for name in devices[0].list_files():
+        if name.startswith(MODEL_FILE_PREFIX):
+            devices[0].delete(name)
+    single = LSMTree.reopen(options, devices[0])
+    print(f"\nfor contrast, reopening shard 0 without its model sidecars "
           f"retrained {int(single.stats.get(TRAIN_KEY_VISITS)):,} key "
           "visits")
     restored.close()

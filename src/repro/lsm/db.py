@@ -81,10 +81,10 @@ from repro.storage.stats import (
     MULTIGET_KEYS,
     OVERLOAD_DEADLINE_EXCEEDED,
     POINT_LOOKUPS,
+    QUARANTINED_TABLES,
     RANGE_LOOKUPS,
     RECOVERY_FILES_GCED,
     RECOVERY_MANIFEST_OPENS,
-    RECOVERY_SCANS,
     RECOVERY_TORN_TABLES,
     UPDATES,
     Stage,
@@ -92,6 +92,10 @@ from repro.storage.stats import (
 )
 
 _TABLE_LOOKUP = Stage.TABLE_LOOKUP  # one global read, not an enum lookup
+#: Device-name prefix of quarantined tables.  The manifest garbage
+#: collector only touches ``sst-*`` / ``mdl-*`` files, so quarantined
+#: originals survive reopens until an operator removes them.
+QUARANTINE_PREFIX = "quar-"
 #: ``key -> key_hashes(key)`` of a batch: one mix per key per batch.
 _Hashes = Dict[int, Tuple[int, int]]
 
@@ -161,8 +165,8 @@ class LSMTree:
         #: operation; the read path checks it per level and abandons
         #: work past the budget.  None (the default) costs nothing.
         self.deadline: Optional[DeadlineToken] = None
-        #: Names of tables scrub retired as unsalvageable (renamed to a
-        #: ``quar-`` prefix on the device for offline forensics).
+        #: Names of tables retired as unreadable by scrub or reopen
+        #: (renamed to a ``quar-`` prefix for offline forensics).
         self._quarantined_tables: List[str] = []
         #: Level -> sorted keys placed there by the last bulk_ingest
         #: (for level-aware query mixes, the paper's Figure 10).
@@ -182,106 +186,120 @@ class LSMTree:
 
     @classmethod
     def reopen(cls, options: Options, device: BlockDevice, *,
-               use_manifest: Optional[bool] = None,
                tracer=None, stats: Optional[Stats] = None) -> "LSMTree":
         """Rebuild a database from the files on ``device``.
 
-        Two recovery paths:
-
-        * **Manifest-driven** (the default when a manifest is
-          present): replay the version-edit log — O(manifest), no
-          directory scan — open exactly the files it
-          names, restore the sequence/file counters it recorded, and
-          deserialize persisted level models from their ``mdl-*``
-          sidecars instead of retraining them.  Files a crash left
-          unreferenced (compaction outputs whose commit never landed,
-          superseded model sidecars) are garbage-collected.
-        * **Directory scan** (the fallback when no manifest exists;
-          forced with ``use_manifest=False``, the ``recovery``
-          experiment's baseline arm): tables are self-describing (their
-          footers record level and max sequence number), so every
-          ``sst-*`` file is opened and placed back at its level; level
-          models are retrained from reloaded keys.  The scan result is
-          then snapshotted into a fresh manifest, so the next reopen is
-          manifest-driven.
-
-        Either way, when a WAL is enabled its surviving records land
-        back in the memtable on construction, completing crash
-        recovery.
+        Replays the manifest's version-edit log, opens exactly the
+        tables it names, restores the sequence/file counters it
+        recorded and deserializes the level models from their ``mdl-*``
+        sidecars; a level whose sidecar is missing or corrupt retrains.
+        A committed table that cannot open (a torn or rotted footer,
+        header, block index, learned index or bloom) is quarantined
+        instead of aborting the reopen: a committed edit drops it, and
+        the tree comes up ``degraded`` without that table's keys.  A
+        table the manifest names but the device lacks still raises
+        :class:`~repro.errors.CorruptionError` — that is rot in the
+        manifest itself.  A device without a manifest opens empty.
+        Files no commit names (a crash's uncommitted outputs,
+        superseded sidecars) are garbage-collected, and when a WAL is
+        enabled its surviving records land back in the memtable.
         """
         span = tracer.begin(OpType.RECOVERY) if tracer is not None else None
         try:
             db = cls(options, device=device, tracer=tracer, stats=stats)
-            db.recover(use_manifest)
+            db.recover()
             return db
         finally:
             if tracer is not None:
                 tracer.end(span)
 
-    def recover(self, use_manifest: Optional[bool] = None) -> None:
-        """Load the tables on this tree's device (:meth:`reopen`'s second
-        half): manifest replay, or a directory scan."""
-        if self.manifest.exists() and use_manifest is not False:
-            self._recover_from_manifest(self.manifest.replay())
-            self.stats.add(RECOVERY_MANIFEST_OPENS)
-        else:
-            self._recover_by_scan()
-            self.stats.add(RECOVERY_SCANS)
-            self.manifest.rewrite(self._snapshot_edit("migrate"))
-
-    def _recover_from_manifest(self, state) -> None:
-        """Materialise the replayed :class:`ManifestState`."""
+    def recover(self) -> None:
+        """Load the tables the manifest names (:meth:`reopen`'s second
+        half)."""
+        state = self.manifest.replay()
+        self.stats.add(RECOVERY_MANIFEST_OPENS)
+        edit = VersionEdit(kind="recover")
         # Oldest first so overlapping levels end up newest-first.
         for number in sorted(state.files):
             level, name = state.files[number]
             if not self.device.exists(name):
                 raise CorruptionError(
                     f"manifest references missing file {name} (#{number})")
-            table = Table.open(self.device, name, self.options, self.stats,
-                               self.cost, data_cache=self.data_cache)
+            try:
+                table = Table.open(self.device, name, self.options,
+                                   self.stats, self.cost,
+                                   data_cache=self.data_cache)
+            except (CorruptionError, StorageError):
+                edit.delete_file(level, number, name)
+                continue
             self.version.add_file(level, FileMetaData(number=number,
                                                       table=table))
         self._seq = max(self._seq, state.last_seq)  # WAL may be ahead
         self._file_counter = max(self._file_counter, state.next_file_number)
-        recovered_pointers: Dict[int, str] = {}
         if self.level_models is not None:
+            lost_levels = {level for level, _, _ in edit.deletes}
             for level in range(1, self.options.max_levels):
                 files = self.version.levels[level]
                 if not files:
                     continue
                 sidecar = state.model_pointers.get(level)
-                payload = self.level_models.model_store.load(sidecar)
+                payload = (None if level in lost_levels
+                           else self.level_models.model_store.load(sidecar))
                 if payload is not None:
                     self.level_models.install(
                         level, files, deserialize_index(payload), sidecar)
                 else:
-                    # Missing/corrupt sidecar: retrain this one level
-                    # and re-point the manifest at the fresh model.
-                    recovered_pointers[level] = self.level_models.rebuild(
-                        level, files)
+                    # Missing/corrupt sidecar, or a table of the level
+                    # was quarantined: retrain this one level and
+                    # re-point the manifest at the fresh model.
+                    edit.point_model(level, self.level_models.rebuild(
+                        level, files))
         if state.torn:
             # Truncate the unreplayable tail *before* anything else is
             # appended: a frame written after torn bytes would be
             # invisible to every future replay, silently losing the
-            # commits of this whole session.  The snapshot also folds
-            # in any re-pointed models from the fallback retrains.
+            # commits of this whole session.  The snapshot already
+            # leaves out quarantined tables and names re-pointed models.
             self.manifest.rewrite(self._snapshot_edit("repair"))
-        elif recovered_pointers:
-            edit = VersionEdit(kind="recover")
-            for level, pointer in recovered_pointers.items():
-                edit.point_model(level, pointer)
+        elif edit.deletes or edit.model_pointers:
             self.manifest.append(edit)
+        self._quarantine([name for _, _, name in edit.deletes],
+                         RECOVERY_TORN_TABLES)
         if self.level_models is not None:
             self.level_models.drop_stale()
         self._collect_garbage(state)
 
+    def _quarantine(self, names: Sequence[str], why: str) -> None:
+        """Set aside tables that a durable manifest edit already dropped.
+
+        Each is renamed to ``quar-<name>`` (replacing an older copy), a
+        name the garbage collector never sweeps, so it survives for
+        forensics; :meth:`health` then reports ``degraded``.  Both
+        counters are charged: ``quarantine.tables`` and ``why``.
+        Callers rename only after the edit is durable: a crash in
+        between reopens without the table and GCs its ``sst-`` file,
+        where renaming first would leave a manifest naming a missing
+        file.
+        """
+        for name in names:
+            quarantine_name = QUARANTINE_PREFIX + name
+            if self.device.exists(quarantine_name):
+                self.device.delete(quarantine_name)
+            self.device.rename(name, quarantine_name)
+            self._quarantined_tables.append(quarantine_name)
+            self.stats.add(QUARANTINED_TABLES)
+            self.stats.add(why)
+
     def _collect_garbage(self, state) -> None:
         """Delete data/model files the manifest does not reference.
 
-        Only runs on the manifest path: a crash between writing new
-        files and committing the edit that references them (or between
-        a commit and the deletion of the files it obsoleted) leaves
-        orphans that must not survive into the recovered database.
+        A crash between writing new files and committing the edit that
+        references them (or between a commit and the deletion of the
+        files it obsoleted) leaves orphans that must not survive into
+        the recovered database.  On a device without a manifest every
+        ``sst-*`` is such an orphan: only a crash before the first
+        flush's commit leaves one, and the WAL, reset only after that
+        commit, still holds its records.
         """
         live = state.live_names()
         if self.level_models is not None:
@@ -296,48 +314,6 @@ class LSMTree:
             if name == MANIFEST_TMP_NAME or name not in live:
                 self.device.delete(name)
                 self.stats.add(RECOVERY_FILES_GCED)
-
-    def _recover_by_scan(self) -> None:
-        """The seed recovery path: open every ``sst-*`` on the device.
-
-        A table that cannot even be opened — torn by a crash mid-flush,
-        or with a rotted footer — is quarantined under the ``quar-``
-        prefix instead of aborting recovery: the WAL (when enabled)
-        already holds every acknowledged record such a file could have
-        contained, and a torn file serves nothing either way.
-        """
-        from repro.lsm.scrub import QUARANTINE_PREFIX
-
-        options = self.options
-        names = sorted(name for name in self.device.list_files()
-                       if name.startswith("sst-"))
-        metas: List[FileMetaData] = []
-        max_seq = self._seq  # WAL replay may already have advanced it
-        max_number = 0
-        for name in names:
-            try:
-                table = Table.open(self.device, name, options, self.stats,
-                                   self.cost, data_cache=self.data_cache)
-            except (CorruptionError, StorageError):
-                quarantine_name = QUARANTINE_PREFIX + name
-                if self.device.exists(quarantine_name):
-                    self.device.delete(quarantine_name)
-                self.device.rename(name, quarantine_name)
-                self._quarantined_tables.append(quarantine_name)
-                self.stats.add(RECOVERY_TORN_TABLES)
-                continue
-            number = int(name.split("-")[1])
-            metas.append(FileMetaData(number=number, table=table))
-            max_seq = max(max_seq, table.footer.max_seq)
-            max_number = max(max_number, number)
-        # Oldest first so overlapping levels end up newest-first.
-        for meta in sorted(metas, key=lambda m: m.number):
-            self.version.add_file(meta.table.footer.level, meta)
-        self._seq = max_seq
-        self._file_counter = max_number
-        if self.level_models is not None:
-            for level in range(1, options.max_levels):
-                self.level_models.rebuild(level, self.version.levels[level])
 
     def _snapshot_edit(self, kind: str = "checkpoint") -> VersionEdit:
         """One edit describing the complete current version."""
@@ -412,7 +388,8 @@ class LSMTree:
                added: Sequence[Tuple[int, FileMetaData]] = (),
                retired: Sequence[Tuple[int, FileMetaData]] = (),
                retrain: Sequence[int] = (),
-               last_seq: Optional[int] = None) -> None:
+               last_seq: Optional[int] = None,
+               quarantine: str = "") -> None:
         """Make a version change durable: one manifest edit, crash-safe.
 
         The caller has already edited :attr:`version`; ``added`` and
@@ -423,7 +400,9 @@ class LSMTree:
         tables and superseded model sidecars are deleted only after it
         is durable.  A crash before the append reopens the old version
         (the new files are GCed); a crash after it reopens the new one
-        (the undeleted old files are GCed).
+        (the undeleted old files are GCed).  With ``quarantine`` (the
+        counter naming why) the retired tables are set aside by
+        :meth:`_quarantine` instead of deleted.
         """
         edit = VersionEdit(kind=kind, last_seq=last_seq)
         for level, meta in added:
@@ -441,6 +420,8 @@ class LSMTree:
                     level, self.version.levels[level]))
         self.manifest.append(edit)
         self.stats.charge(stage, self.cost.wal_commit_us)
+        if quarantine:
+            self._quarantine([meta.name for _, meta in retired], quarantine)
         for _, meta in retired:
             meta.table.close()
         if models is not None:

@@ -11,10 +11,12 @@ every checksum, and then repairs:
   original's slot in the version, through the tree's own
   ``new_table``/``seal``/``commit`` (retraining level models where
   configured), and the damaged original is deleted;
-* a table with nothing salvageable is **quarantined**: renamed to a
-  ``quar-`` prefix (outside the manifest GC's ``sst-``/``mdl-``
-  namespaces, so it survives reopens for offline forensics) and dropped
-  from the version.
+* a table with nothing salvageable is **quarantined**: dropped from the
+  version by a committed edit, then renamed to a ``quar-`` prefix
+  (outside the manifest GC's ``sst-``/``mdl-`` namespaces, so it
+  survives reopens for offline forensics) by the tree's
+  ``_quarantine``, the same step a reopen takes for a table that
+  cannot open.
 
 Entries stored in damaged blocks are gone — scrub makes the loss
 explicit (``entries_lost``) instead of leaving it to surface as
@@ -52,13 +54,6 @@ from repro.storage.stats import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lsm.db import LSMTree
-
-#: Device-name prefix for tables scrub retired as unsalvageable.  The
-#: manifest garbage collector only touches ``sst-*`` / ``mdl-*`` files,
-#: so quarantined originals survive reopens until an operator removes
-#: them.
-QUARANTINE_PREFIX = "quar-"
-
 
 @dataclass
 class TableScrubResult:
@@ -214,12 +209,14 @@ def _salvage_records(db: "LSMTree", table: Table,
 
 def _replace(db: "LSMTree", level: int, meta: FileMetaData,
              replacement: Optional[FileMetaData]) -> None:
-    """Swap ``meta`` for ``replacement`` (or drop it) in its slot, durably;
-    the commit deletes ``meta``'s file once the edit is appended."""
+    """Swap ``meta`` for ``replacement`` in its slot, durably; the commit
+    deletes ``meta``'s file once the edit is appended.  With no
+    replacement the table is dropped and its file quarantined."""
     db.version.replace_file(level, meta, replacement)
     db.commit("scrub", Stage.COMPACT_WRITE,
               added=[] if replacement is None else [(level, replacement)],
-              retired=[(level, meta)], retrain=[level] if level >= 1 else [])
+              retired=[(level, meta)], retrain=[level] if level >= 1 else [],
+              quarantine="" if replacement else SCRUB_TABLES_QUARANTINED)
 
 
 def _scrub_table(db: "LSMTree", level: int,
@@ -255,14 +252,7 @@ def _scrub_table(db: "LSMTree", level: int,
         result.action = "rewritten"
         result.rewritten_as = replacement.name
     else:
-        quarantine_name = QUARANTINE_PREFIX + table.name
-        if db.device.exists(quarantine_name):
-            db.device.delete(quarantine_name)
-        # Renamed away first, so the commit's close only drops caches.
-        db.device.rename(table.name, quarantine_name)
         _replace(db, level, meta, None)
-        db.stats.add(SCRUB_TABLES_QUARANTINED)
-        db._quarantined_tables.append(quarantine_name)
         result.action = "quarantined"
     return result
 

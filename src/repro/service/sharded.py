@@ -105,7 +105,6 @@ class ShardedDB:
     @classmethod
     def reopen(cls, num_shards: int, options: Options,
                devices: Sequence[BlockDevice], *,
-               use_manifest: Optional[bool] = None,
                observe: bool = True,
                sample_every: int = 0,
                metrics_sink: Optional[MetricsRegistry] = None
@@ -113,11 +112,13 @@ class ShardedDB:
         """Rebuild every shard from its device (crash recovery).
 
         Each shard recovers *independently* from its own MANIFEST
-        version log (or by directory scan where none survives) plus its
-        own WAL — exactly like :meth:`repro.lsm.db.LSMTree.reopen` for
-        a single tree.  Because manifests are per-shard, a torn or
-        corrupt log on one shard degrades only that shard's recovery;
-        the others still restore their persisted models untouched.
+        version log plus its own WAL — exactly like
+        :meth:`repro.lsm.db.LSMTree.reopen` for a single tree: a shard
+        without a manifest opens empty, and a table that cannot open is
+        quarantined, leaving that shard ``degraded``.  Because manifests
+        are per-shard, a torn or corrupt log on one shard degrades only
+        that shard's recovery; the others still restore their persisted
+        models untouched.
         Each shard's recovery is recorded as a per-shard "recovery" span.
         """
         db = cls(num_shards, options, devices, observe=observe,
@@ -127,7 +128,7 @@ class ShardedDB:
             span = (tracer.begin(OpType.RECOVERY)
                     if tracer is not None else None)
             try:
-                shard.recover(use_manifest)
+                shard.recover()
             finally:
                 if tracer is not None:
                     tracer.end(span)

@@ -306,7 +306,6 @@ MODELS_PERSISTED = "persist.models_written"
 MODELS_LOADED = "persist.models_loaded"
 MODEL_BYTES_PERSISTED = "persist.model_bytes_written"
 RECOVERY_MANIFEST_OPENS = "recovery.manifest_opens"
-RECOVERY_SCANS = "recovery.directory_scans"
 RECOVERY_FILES_GCED = "recovery.files_gced"
 RECOVERY_TORN_TABLES = "recovery.torn_tables_quarantined"
 FAULTS_INJECTED = "fault.injected"

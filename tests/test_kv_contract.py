@@ -23,12 +23,14 @@ from repro.errors import (
 from repro.kv import HEALTH_STATUSES, RAISES, KVStore, VirtualClock
 from repro.lsm.db import LSMTree
 from repro.lsm.options import small_test_options
+from repro.lsm.sstable import FOOTER_BYTES, HEADER_BYTES
 from repro.lsm.write_batch import WriteBatch
 from repro.service.gateway import Gateway
 from repro.service.replication import ReplicaGroup, ReplicationConfig
 from repro.service.sharded import ShardedDB
 from repro.storage.block_device import MemoryBlockDevice
 from repro.storage.faults import FaultPlan, FaultyBlockDevice
+from repro.storage.stats import QUARANTINED_TABLES
 
 STORES = ("tree", "group", "sharded", "replicated")
 KINDS = STORES + ("gateway",)
@@ -321,3 +323,89 @@ def test_close_is_idempotent_and_every_later_call_raises(kind):
     for method, args in calls:
         with pytest.raises(DatabaseClosedError):
             _call(case.store, method, *args)
+
+
+# -- a committed table that cannot open --------------------------------------
+
+REGIONS = ("footer", "header", "block_index", "index", "bloom")
+
+
+def _rot_table_region(tree, region):
+    """Flip one byte inside ``region`` of a committed table of ``tree``;
+    return the keys that table holds."""
+    files = tree.version.all_files()
+    table = files[len(files) // 2][1].table
+    footer = table.footer
+    assert footer.index_len, "the table must embed a learned index"
+    size = tree.device.size(table.name)
+    offset = {
+        "footer": size - FOOTER_BYTES // 2,
+        "header": HEADER_BYTES // 2,
+        "block_index": footer.block_index_offset + footer.block_index_len // 2,
+        "index": footer.index_offset + footer.index_len // 2,
+        "bloom": footer.bloom_offset + footer.bloom_len // 2,
+    }[region]
+    keys = set(table.load_keys())
+    raw = bytearray(tree.device.pread(table.name, 0, size))
+    raw[offset] ^= 0xFF
+    tree.device.create(table.name)
+    tree.device.append(table.name, bytes(raw))
+    return keys
+
+
+def _assert_quarantined_one_table(tree):
+    health = _call(tree, "health")
+    assert health["status"] == "degraded"
+    assert health["quarantined_tables"] == 1
+    assert tree.stats.get(QUARANTINED_TABLES) == health["quarantined_tables"]
+
+
+@pytest.mark.parametrize("region", REGIONS)
+@pytest.mark.parametrize("kind", ["tree", "sharded"])
+def test_reopen_quarantines_a_table_that_cannot_open(kind, region):
+    case = Case(kind, loaded=True)
+    lost = _rot_table_region(case.serving_tree(), region)
+    if kind == "tree":
+        reopened = LSMTree.reopen(case.db.options, case.db.device)
+        tree = reopened
+    else:
+        reopened = ShardedDB.reopen(
+            SHARDS, case.db.options,
+            [shard.device for shard in case.db.shards], observe=False)
+        tree = reopened.shards[0]
+    _assert_quarantined_one_table(tree)
+    assert _call(reopened, "health")["status"] == "degraded"
+    for key in KEYS:
+        want = None if key in lost else _value(key)
+        assert _call(reopened, "get", key) == want, key
+    reopened.close()
+
+
+@pytest.mark.parametrize("region", REGIONS)
+@pytest.mark.parametrize("kind", ["group", "replicated"])
+def test_follower_restart_quarantines_and_anti_entropy_refills(kind, region):
+    case = Case(kind, loaded=True)
+    group = case.db if kind == "group" else case.db.shards[0]
+    follower = next(replica for replica in group.replicas
+                    if replica.index != group.primary_index)
+    lost = _rot_table_region(follower.tree, region)
+    # Power cut until the detector declares the follower dead, then
+    # revive: the next probe restarts it from its device.
+    follower.device.cut_power()
+    interval = ReplicationConfig().heartbeat_interval_us
+    now = group.clock.now_us
+    while follower.alive:
+        now += interval
+        case.db.tick(now)
+    follower.device.revive()
+    case.db.tick(now + interval)
+    assert follower.alive
+    _assert_quarantined_one_table(follower.tree)
+    assert lost and all(follower.tree.get(key) is None for key in lost)
+    case.db.anti_entropy()
+    owned = [key for key in KEYS
+             if kind == "group" or case.db.router.shard_for(key) == 0]
+    assert all(follower.tree.get(key) == _value(key) for key in owned)
+    for key in KEYS:
+        assert _call(case.store, "get", key) == _value(key), key
+    case.db.close()

@@ -10,6 +10,9 @@ Covers the acceptance bar of the persistence subsystem:
   a live workload;
 * uncommitted garbage a crash leaves behind (orphan tables, superseded
   model sidecars, a half-finished manifest rewrite) is collected;
+* a committed table that cannot open is quarantined by a committed
+  edit, while a table the manifest names but the device lacks refuses
+  the reopen;
 * shards of a :class:`~repro.service.sharded.ShardedDB` recover
   independently: destroying one shard's manifest does not disturb the
   others.
@@ -21,6 +24,7 @@ import zlib
 
 import pytest
 
+from repro.errors import CorruptionError, PowerCutError, ReadOnlyModeError
 from repro.indexes.registry import IndexKind
 from repro.lsm.db import LSMTree
 from repro.lsm.options import Granularity, small_test_options
@@ -31,8 +35,8 @@ from repro.service.sharded import ShardedDB
 from repro.storage.block_device import MemoryBlockDevice
 from repro.storage.stats import (
     RECOVERY_FILES_GCED,
+    QUARANTINED_TABLES,
     RECOVERY_MANIFEST_OPENS,
-    RECOVERY_SCANS,
     RECOVERY_TORN_TABLES,
     TRAIN_KEY_VISITS,
     Stage,
@@ -93,18 +97,26 @@ def test_manifest_reopen_trains_nothing_and_matches_oracle(granularity):
     recovered.close()
 
 
-def test_scan_path_still_retrains_level_models():
-    # The cost the manifest avoids must actually exist on the old path.
+def test_reopen_without_model_sidecars_retrains_level_models():
+    # The cost the sidecars avoid must actually exist without them.
     options = small_test_options(index_kind=IndexKind.PGM,
                                  granularity=Granularity.LEVEL)
     device = MemoryBlockDevice(block_size=options.block_size)
     db = LSMTree(options, device=device)
-    _fill(db)
+    reference = _fill(db)
     db.flush()
     assert db.version.deepest_nonempty_level() >= 1
-    scanned = LSMTree.reopen(options, device, use_manifest=False)
-    assert scanned.stats.get(RECOVERY_SCANS) == 1
-    assert scanned.stats.get(TRAIN_KEY_VISITS) > 0
+    for name in device.list_files():
+        if name.startswith(MODEL_FILE_PREFIX):
+            device.delete(name)
+    retrained = LSMTree.reopen(options, device)
+    assert retrained.stats.get(RECOVERY_MANIFEST_OPENS) == 1
+    assert retrained.stats.get(TRAIN_KEY_VISITS) > 0
+    assert _all_items(retrained) == sorted(reference.items())
+    # The retrain re-pointed the manifest: the next reopen loads.
+    again = LSMTree.reopen(options, device)
+    assert again.stats.get(TRAIN_KEY_VISITS) == 0
+    assert _all_items(again) == sorted(reference.items())
 
 
 def test_manifest_reopen_with_wal_recovers_unflushed_writes():
@@ -314,29 +326,40 @@ def test_reopen_collects_uncommitted_garbage():
     recovered.close()
 
 
-def test_scan_fallback_migrates_legacy_device_to_manifest():
-    options = small_test_options()
+def test_device_without_manifest_opens_empty_with_its_wal():
+    """A crash inside the first flush's commit leaves a table no commit
+    names and no manifest; the WAL, reset only after that commit, still
+    holds every record, and the unnamed table is collected."""
+    options = small_test_options(enable_wal=True)
     device = MemoryBlockDevice(block_size=options.block_size)
     db = LSMTree(options, device=device)
-    reference = _fill(db, n=400)
-    db.flush()
-    device.delete(MANIFEST_NAME)
+    reference = {key: b"w%d" % key for key in range(0, 150, 3)}
+    for key, value in reference.items():
+        db.put(key, value)
 
-    first = LSMTree.reopen(options, device)
-    assert first.stats.get(RECOVERY_SCANS) == 1
-    assert device.exists(MANIFEST_NAME)  # migrated
+    def cut_power(edit):
+        raise PowerCutError("power cut inside the first commit")
 
-    second = LSMTree.reopen(options, device)
-    assert second.stats.get(RECOVERY_MANIFEST_OPENS) == 1
-    assert second.stats.get(TRAIN_KEY_VISITS) == 0
-    assert _all_items(second) == sorted(reference.items())
-    second.close()
+    db.manifest.append = cut_power
+    with pytest.raises(ReadOnlyModeError):
+        db.flush()
+    assert not device.exists(MANIFEST_NAME)
+    orphans = [name for name in device.list_files()
+               if name.startswith("sst-")]
+    assert orphans
+
+    recovered = LSMTree.reopen(options, device)
+    assert recovered.version.file_count() == 0
+    assert recovered.stats.get(RECOVERY_FILES_GCED) == len(orphans)
+    assert not any(device.exists(name) for name in orphans)
+    assert _all_items(recovered) == sorted(reference.items())
+    recovered.close()
 
 
-def test_scan_quarantines_a_table_sealed_in_another_format():
-    """Old data is refused, never misread: a table whose intact footer
-    names format 2 is set aside like a torn one, and the rest of the
-    device still recovers."""
+def test_reopen_quarantines_a_table_sealed_in_another_format():
+    """Old data is refused, never misread: a committed table whose
+    intact footer names format 2 is set aside like a torn one, by a
+    committed edit, and the rest of the device still recovers."""
     options = small_test_options()
     device = MemoryBlockDevice(block_size=options.block_size)
     db = LSMTree(options, device=device)
@@ -353,15 +376,39 @@ def test_scan_quarantines_a_table_sealed_in_another_format():
                      zlib.crc32(bytes(raw[size - FOOTER_BYTES:size - 4])))
     device.create(victim)
     device.append(victim, bytes(raw))
-    device.delete(MANIFEST_NAME)
 
     recovered = LSMTree.reopen(options, device)
-    assert recovered.stats.get(RECOVERY_SCANS) == 1
     assert recovered.stats.get(RECOVERY_TORN_TABLES) == 1
+    assert recovered.stats.get(QUARANTINED_TABLES) == 1
+    assert recovered.health()["status"] == "degraded"
     assert device.exists("quar-" + victim)
     assert not device.exists(victim)
     assert recovered.version.file_count() == len(tables) - 1
-    recovered.close()
+    # The drop was committed: the next reopen no longer names it.
+    again = LSMTree.reopen(options, device)
+    assert again.stats.get(QUARANTINED_TABLES) == 0
+    assert again.version.file_count() == len(tables) - 1
+    again.close()
+
+
+def test_manifest_naming_a_missing_table_refuses_to_open():
+    """Rot inside the manifest must not become silent loss: a byte
+    flipped in an early frame makes the manifest name a file a later
+    commit deleted, and the reopen refuses instead of serving the
+    prefix before the rotted frame."""
+    options = small_test_options()
+    device = MemoryBlockDevice(block_size=options.block_size)
+    db = LSMTree(options, device=device)
+    for key in range(1500):
+        db.put(key, b"v%d" % key)
+    db.flush()
+    raw = bytearray(device.pread(MANIFEST_NAME, 0,
+                                 device.size(MANIFEST_NAME)))
+    raw[len(raw) // 3] ^= 0xFF
+    device.create(MANIFEST_NAME)
+    device.append(MANIFEST_NAME, bytes(raw))
+    with pytest.raises(CorruptionError, match="missing file sst-"):
+        LSMTree.reopen(options, device)
 
 
 # -- sharded recovery ----------------------------------------------------

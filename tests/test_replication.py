@@ -10,6 +10,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.lsm.options import small_test_options
+from repro.lsm.sstable import FOOTER_BYTES
 from repro.lsm.write_batch import WriteBatch
 from repro.service.gateway import Gateway, GatewayConfig
 from repro.service.replication import (
@@ -300,6 +301,32 @@ def test_diverged_old_primary_resyncs_on_rejoin():
     assert group.replicas[0].tree.get(2) is None
     assert group.replicas[0].tree.get(3) == b"post-failover"
     assert group.primary_index == new_primary
+    group.close()
+
+
+def test_follower_with_a_rotted_table_rejoins_degraded():
+    group, devices = _group()
+    for i in range(300):
+        group.put(i, b"v%d" % i)
+    group.flush()
+    follower = group.replicas[2]
+    _, meta = follower.tree.version.all_files()[0]
+    name = meta.table.name
+    raw = bytearray(devices[2].pread(name, 0, devices[2].size(name)))
+    raw[-FOOTER_BYTES // 2] ^= 0xFF  # rot the footer
+    devices[2].create(name)
+    devices[2].append(name, bytes(raw))
+    devices[2].cut_power()
+    now = _tick_past_timeout(group)
+    assert not follower.alive
+    devices[2].revive()
+    group.tick(now + HEARTBEAT_US)  # restart reopens from the device
+    assert follower.alive
+    health = follower.tree.health()
+    assert health["status"] == "degraded"
+    assert health["quarantined_tables"] == 1
+    group.anti_entropy()
+    assert all(follower.tree.get(i) == b"v%d" % i for i in range(300))
     group.close()
 
 

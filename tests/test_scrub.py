@@ -4,9 +4,8 @@ import pytest
 
 from repro.errors import PowerCutError, QuarantinedBlockError
 from repro.indexes.registry import IndexKind
-from repro.lsm.db import LSMTree
 from repro.lsm.options import Granularity, small_test_options
-from repro.lsm.scrub import QUARANTINE_PREFIX
+from repro.lsm.db import QUARANTINE_PREFIX, LSMTree
 from repro.storage.block_device import MemoryBlockDevice
 from repro.storage.faults import FaultPlan, FaultyBlockDevice
 from repro.storage.stats import (
@@ -211,13 +210,22 @@ def test_scrub_of_a_middle_file_keeps_every_other_key_readable(granularity,
     assert_reads(LSMTree.reopen(options, db.device))
 
 
-@pytest.mark.parametrize("granularity",
-                         [Granularity.FILE, Granularity.LEVEL])
+@pytest.mark.parametrize("granularity,action", [
+    (Granularity.FILE, "rewritten"), (Granularity.LEVEL, "rewritten"),
+    (Granularity.FILE, "quarantined"), (Granularity.LEVEL, "quarantined"),
+], ids=["file", "level", "file-quarantined", "level-quarantined"])
 def test_power_cut_on_the_scrub_commit_reopens_the_version_before_it(
-        granularity):
+        granularity, action):
     db, faulty, options, keys = _build(granularity=granularity)
     level, meta = _middle_of_widest_level(db)
-    _flip_block(faulty, meta.table, 0)
+    table = meta.table
+    if action == "quarantined":
+        for block_no in range(len(table.handles)):
+            _flip_block(faulty, table, block_no)
+        lost_lo, lost_hi = table.min_key, table.max_key
+    else:
+        _flip_block(faulty, table, 0)
+        lost_lo, lost_hi = table.min_key, table.handles[1][0] - 1
     before = [(lv, m.number, m.name) for lv, m in db.version.all_files()]
     tables_before = sorted(name for name in faulty.inner.list_files()
                            if name.startswith("sst-"))
@@ -233,21 +241,25 @@ def test_power_cut_on_the_scrub_commit_reopens_the_version_before_it(
     db.manifest.append = cut_inside_the_scrub_commit
     with pytest.raises(PowerCutError):
         db.scrub()
-    # The replacement table was written before the commit was cut.
-    assert sorted(name for name in faulty.inner.list_files()
-                  if name.startswith("sst-")) != tables_before
+    if action == "rewritten":
+        # The replacement table was written before the commit was cut.
+        assert sorted(name for name in faulty.inner.list_files()
+                      if name.startswith("sst-")) != tables_before
     faulty.revive()
     reopened = LSMTree.reopen(options, faulty)
     assert [(lv, m.number, m.name)
             for lv, m in reopened.version.all_files()] == before
-    assert reopened.stats.get(RECOVERY_FILES_GCED) >= 1
+    if action == "rewritten" or granularity is Granularity.LEVEL:
+        # The replacement table or the retrained level model is GCed.
+        assert reopened.stats.get(RECOVERY_FILES_GCED) >= 1
     assert sorted(name for name in faulty.inner.list_files()
                   if name.startswith("sst-")) == tables_before
-    # The damaged original is back; a fresh scrub repairs it.
+    # The damaged original is back under its name; a fresh scrub
+    # repairs it.
     report = reopened.scrub()
-    assert report.tables_rewritten == 1
+    assert [t.action for t in report.tables if t.damaged] == [action]
     lost = {key for key in db.last_ingest_levels[level]
-            if meta.min_key <= key < meta.table.handles[1][0]}
+            if lost_lo <= key <= lost_hi}
     assert report.entries_lost == len(lost)
     for key in keys:
         want = None if key in lost else _expected(options, key)

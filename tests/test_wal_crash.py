@@ -86,7 +86,7 @@ def test_truncated_wal_reopens_with_acknowledged_prefix():
     fresh = MemoryBlockDevice(block_size=options.block_size)
     fresh.create("wal")
     fresh.append("wal", raw[:cut])
-    reopened = LSMTree.reopen(options, fresh, use_manifest=False)
+    reopened = LSMTree.reopen(options, fresh)
     for record in batches[0] + batches[1]:
         assert reopened.get(record.key) == record.value
     for record in batches[2] + batches[3]:
