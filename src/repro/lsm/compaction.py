@@ -26,7 +26,6 @@ from repro.lsm.iterators import MergingIterator
 from repro.lsm.options import CompactionPolicy
 from repro.obs.trace import OpType
 from repro.lsm.record import KIND_TOMBSTONE, encode_entry
-from repro.lsm.sstable import TableBuilder
 from repro.lsm.version import FileMetaData, Version
 from repro.storage.stats import (
     COMPACT_BYTES_IN,
@@ -173,7 +172,6 @@ class Compactor:
         merged.seek_to_first()
 
         outputs: List[FileMetaData] = []
-        builder: Optional[TableBuilder] = None
         target_level = task.target_level
 
         options = self.options
@@ -193,6 +191,11 @@ class Compactor:
         merge_cost = self.cost.merge_entry_us
         charge = self.stats.charge
         entries_in = entries_out = superseded = dropped = 0
+        # The next output's keys, copied entries and largest seq: handed
+        # to its builder in one append when the output is cut.
+        keys: List[int] = []
+        chunks: List[bytes] = []
+        max_seq = 0
         while merged.valid():
             # Headers only, and everything read before the child moves
             # on.  The first entry of a key is its newest version; older
@@ -218,16 +221,18 @@ class Compactor:
             if not keep:
                 dropped += 1
                 continue
-            if builder is None:
-                builder = self.tree.new_table(target_level)
-            builder.add_entry(key, seq, entry)
+            keys.append(key)
+            chunks.append(entry)
+            if seq > max_seq:
+                max_seq = seq
             entries_out += 1
             # Every finished output holds exactly ``cut`` entries.
             if cut and entries_out % cut == 0:
-                outputs.append(self.tree.seal(builder))
-                builder = None
-        if builder is not None:
-            outputs.append(self.tree.seal(builder))
+                outputs.append(self._output(target_level, keys, chunks,
+                                            max_seq))
+                keys, chunks, max_seq = [], [], 0
+        if keys:
+            outputs.append(self._output(target_level, keys, chunks, max_seq))
 
         self._install(version, task, outputs)
         outcome.outputs = outputs
@@ -239,6 +244,13 @@ class Compactor:
         self.stats.add(COMPACT_BYTES_IN, entries_in * options.entry_bytes)
         self.stats.add(COMPACT_BYTES_OUT, entries_out * options.entry_bytes)
         return outcome
+
+    def _output(self, level: int, keys: List[int], chunks: List[bytes],
+                max_seq: int) -> FileMetaData:
+        """Build and seal one output table from its copied entries."""
+        builder = self.tree.new_table(level)
+        builder.append(keys, b"".join(chunks), max_seq)
+        return self.tree.seal(builder)
 
     def _install(self, version: Version, task: CompactionTask,
                  outputs: List[FileMetaData]) -> None:

@@ -51,6 +51,8 @@ from repro.lsm.record import (
     KIND_VALUE,
     MAX_KEY,
     Record,
+    encode_entries,
+    encode_records,
     make_tombstone,
     make_value,
 )
@@ -630,8 +632,8 @@ class LSMTree:
 
     def _do_flush(self) -> Optional[FileMetaData]:
         builder = self.new_table(0)
-        for record in self.memtable.records():
-            builder.add(record)
+        builder.append(*encode_records(self.memtable.records(),
+                                       self.options.value_capacity))
         meta = self.seal(builder)
         self.version.add_file(0, meta)
         # Commit the flush before the WAL resets: once the log is
@@ -667,11 +669,19 @@ class LSMTree:
         compaction produces.  Input that :meth:`check_ingest` refuses
         raises before any table is built.
 
+        ``value_for(key)`` gives each key's value (default: the key in
+        hex, cut to ``value_capacity``).  It must be pure — the same
+        bytes for the same key on every call — because it runs once to
+        check and once to build, on every replica that loads the keys.
+        Each table is encoded from its key, seq and value columns in
+        one pass; sequence numbers run consecutively in level then key
+        order.
+
         The per-level key sets are recorded in ``last_ingest_levels``.
         """
         import random as _random
 
-        self.check_ingest(keys)
+        self.check_ingest(keys, value_for)
         n = len(keys)
         if n == 0:
             return
@@ -699,10 +709,11 @@ class LSMTree:
             self._ingest_level(level, subset, value_for)
             self.last_ingest_levels[level] = subset
 
-    def check_ingest(self, keys) -> None:
-        """Raise what :meth:`bulk_ingest` would refuse ``keys`` with
-        (closed, a non-empty database, a key outside ``[0, MAX_KEY]``, a
-        duplicate key, more keys than the levels hold), building
+    def check_ingest(self, keys, value_for=None) -> None:
+        """Raise what :meth:`bulk_ingest` would refuse ``keys`` and
+        ``value_for`` with (closed, a non-empty database, a key outside
+        ``[0, MAX_KEY]``, a duplicate key, more keys than the levels
+        hold, a value longer than ``value_capacity``), building
         nothing."""
         self._check_open()
         if self.entry_count():
@@ -721,6 +732,15 @@ class LSMTree:
         if (column[1:] == column[:-1]).any():
             raise InvalidOptionError("bulk_ingest keys must be unique")
         self._ingest_capacities(n)
+        if value_for is not None:
+            capacity = self.options.value_capacity
+            if max(map(len, map(value_for, keys))) > capacity:
+                key = next(key for key in keys
+                           if len(value_for(key)) > capacity)
+                raise InvalidOptionError(
+                    f"bulk_ingest value of key {key} is "
+                    f"{len(value_for(key))} bytes, exceeds value_capacity "
+                    f"{capacity}")
 
     def _ingest_capacities(self, n: int) -> List[int]:
         """Entry capacities of levels 1..L, the fewest that hold ``n``."""
@@ -738,12 +758,17 @@ class LSMTree:
 
     def _ingest_level(self, level: int, sorted_keys, value_for) -> None:
         per_table = self.options.entries_per_sstable
+        capacity = self.options.value_capacity
         added: List[Tuple[int, FileMetaData]] = []
         for start in range(0, len(sorted_keys), per_table):
+            keys = sorted_keys[start:start + per_table]
+            seqs = np.arange(self._seq + 1, self._seq + len(keys) + 1,
+                             dtype=np.uint64)
+            self._seq += len(keys)
             builder = self.new_table(level)
-            for key in sorted_keys[start:start + per_table]:
-                self._seq += 1
-                builder.add(make_value(key, self._seq, value_for(key)))
+            builder.append(keys, encode_entries(
+                keys, seqs, KIND_VALUE, list(map(value_for, keys)),
+                capacity), self._seq)
             meta = self.seal(builder)
             self.version.add_file(level, meta)
             added.append((level, meta))

@@ -10,12 +10,21 @@ make learned indexes directly usable as file indexes — a predicted
 position converts to an exact byte offset with one multiplication,
 exactly like the paper's 24-byte-key / 1000-byte-value workloads.  The
 codec zero-pads short values and rejects oversized ones.
+
+:func:`encode_entry` encodes one record; :func:`encode_entries` encodes
+a table's worth of entries given as columns in one numpy pass, to the
+same bytes.  The table builders (flush, bulk ingest, scrub) use the
+column form; compaction copies stored entries and encodes nothing.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterable, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.errors import CorruptionError, InvalidOptionError
 
@@ -79,6 +88,55 @@ def encode_entry(record: Record, value_capacity: int) -> bytes:
     header = _HEADER.pack(record.key, meta, len(record.value))
     padding = b"\x00" * (value_capacity - len(record.value))
     return header + record.value + padding
+
+
+def encode_entries(keys: Sequence[int],
+                   seqs: Union[Sequence[int], np.ndarray],
+                   kinds: Union[Sequence[int], int],
+                   values: Sequence[bytes], value_capacity: int) -> bytes:
+    """:func:`encode_entry` of n entries given as columns, back to back.
+
+    ``kinds`` is a column or one kind for every entry.  One packed
+    structured array holds the headers and the zero-padded value slots,
+    so its ``tobytes()`` is the concatenated per-record encodings byte
+    for byte — a value ending in NUL bytes included, since its length
+    field says where it ends.  Like :func:`encode_entry`, raises
+    :class:`~repro.errors.InvalidOptionError` for an oversized value or
+    a key or seq out of range, before encoding anything.
+    """
+    lengths = np.fromiter(map(len, values), dtype=np.int64,
+                          count=len(values))
+    if lengths.size and lengths.max() > value_capacity:
+        raise InvalidOptionError(
+            f"value of {lengths.max()} bytes exceeds capacity "
+            f"{value_capacity}")
+    rows = np.empty(len(keys), dtype=[
+        ("key", "<u8"), ("meta", "<u8"), ("len", "<u4"),
+        ("value", f"S{value_capacity}")])
+    try:
+        rows["key"] = keys
+        seqs = np.asarray(seqs, dtype=np.uint64)
+    except OverflowError:
+        raise InvalidOptionError(
+            "a key or sequence is outside [0, 2**64)") from None
+    if seqs.size and seqs.max() > MAX_SEQ:
+        raise InvalidOptionError(f"sequence out of range: {seqs.max()}")
+    rows["meta"] = seqs << 8 | np.asarray(kinds, dtype=np.uint64)
+    rows["len"] = lengths
+    rows["value"] = values
+    return rows.tobytes()
+
+
+_FIELDS = attrgetter("key", "seq", "kind", "value")
+
+
+def encode_records(records: Iterable[Record], value_capacity: int,
+                   ) -> Tuple[Sequence[int], bytes, int]:
+    """``(keys, entries, max_seq)`` of non-empty, key-sorted ``records``:
+    what :meth:`~repro.lsm.sstable.TableBuilder.append` takes."""
+    keys, seqs, kinds, values = zip(*map(_FIELDS, records))
+    return (keys, encode_entries(keys, seqs, kinds, values, value_capacity),
+            max(seqs))
 
 
 def decode_entry(buf: bytes, offset: int, value_capacity: int) -> Record:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.errors import StorageError, TransientIOError
-from repro.lsm.record import Record, decode_entry
+from repro.lsm.record import Record, decode_entry, encode_records
 from repro.lsm.sstable import (
     BLOCK_TRAILER_BYTES,
     FOOTER_BYTES,
@@ -244,8 +244,7 @@ def _scrub_table(db: "LSMTree", level: int,
         db.stats.add(SCRUB_ENTRIES_LOST, result.entries_lost)
     if records:
         builder = db.new_table(level)
-        for record in records:
-            builder.add(record)
+        builder.append(*encode_records(records, db.options.value_capacity))
         replacement = db.seal(builder)
         _replace(db, level, meta, replacement)
         db.stats.add(SCRUB_TABLES_REWRITTEN)

@@ -44,7 +44,8 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain, islice
+from operator import itemgetter, lt
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
@@ -59,6 +60,7 @@ from repro.lsm.iterators import KVIterator
 from repro.lsm.options import Options
 from repro.lsm.record import (
     ENTRY_HEADER_BYTES,
+    MAX_SEQ,
     Record,
     decode_entry,
     encode_entry,
@@ -208,13 +210,17 @@ def entries_per_block_for(options: Options) -> int:
 
 
 class TableBuilder:
-    """Builds one table file from sorted records (the paper's BuildTable).
+    """Builds one table file from sorted entries (the paper's BuildTable).
 
-    Records must arrive in strictly increasing key order (compaction
-    outputs satisfy this by construction).  Training cost, data-write
-    cost, compression cost and model-write cost are charged to the
-    compaction stages so Figure 9's breakdown can be read straight from
-    the stats registry.
+    Entries arrive through :meth:`append`, the one way in: runs of
+    already-encoded entries with their keys, in strictly increasing key
+    order (compaction outputs, flushed memtables and bulk-ingest key
+    sets satisfy this by construction).  :meth:`finish` cuts the
+    appended bytes into data blocks, so a table costs a handful of
+    calls, not one per entry.  Training cost, data-write cost,
+    compression cost and model-write cost are charged to the compaction
+    stages so Figure 9's breakdown can be read straight from the stats
+    registry.
     """
 
     def __init__(self, device: BlockDevice, name: str, options: Options,
@@ -229,68 +235,102 @@ class TableBuilder:
         self.cost = cost
         self.level = level
         self.data_cache = data_cache
+        self._entry_bytes = options.entry_bytes
         self._keys: List[int] = []
         self._chunks: List[bytes] = []
         self._max_seq = 0
         self._finished = False
 
-    def add(self, record: Record) -> None:
-        """Append one record; keys must strictly increase."""
-        self.add_entry(record.key, record.seq,
-                       encode_entry(record, self.options.value_capacity))
+    def append(self, keys: Sequence[int], entries: bytes,
+               max_seq: int) -> None:
+        """Append a run of encoded entries.
 
-    def add_entry(self, key: int, seq: int, entry: bytes) -> None:
-        """Append one already-encoded entry (``key``/``seq`` are its
-        header fields); keys must strictly increase."""
-        if self._keys and key <= self._keys[-1]:
+        ``entries`` holds one ``entry_bytes`` encoding per key of
+        ``keys``, back to back (see
+        :func:`~repro.lsm.record.encode_entries`); ``max_seq`` is the
+        largest seq among them.  Checked once per call, and a refused
+        call appends nothing — each raises
+        :class:`~repro.errors.CorruptionError`:
+
+        * keys strictly increase, within the run and after the keys
+          already appended;
+        * ``entries`` is exactly ``len(keys)`` whole entries;
+        * ``max_seq`` is at most :data:`~repro.lsm.record.MAX_SEQ`.
+        """
+        if len(entries) != len(keys) * self._entry_bytes:
+            raise CorruptionError(
+                f"table builder got {len(entries)} bytes for {len(keys)} "
+                f"entries of {self._entry_bytes} bytes")
+        if not keys:
+            return
+        previous = self._keys[-1] if self._keys else -1
+        if keys[0] <= previous or not all(map(lt, keys,
+                                               islice(keys, 1, None))):
+            previous, key = next(
+                (a, b) for a, b in zip(chain((previous,), keys), keys)
+                if b <= a)
             raise CorruptionError(
                 f"table builder keys must strictly increase: "
-                f"{self._keys[-1]} then {key}")
-        if len(entry) != self.options.entry_bytes:
+                f"{previous} then {key}")
+        if max_seq > MAX_SEQ:
             raise CorruptionError(
-                f"table builder entry is {len(entry)} bytes, the table's "
-                f"entries are {self.options.entry_bytes}")
-        self._keys.append(key)
-        if seq > self._max_seq:
-            self._max_seq = seq
-        self._chunks.append(entry)
+                f"table builder seq {max_seq} exceeds {MAX_SEQ}")
+        self._keys.extend(keys)
+        self._chunks.append(entries)
+        if max_seq > self._max_seq:
+            self._max_seq = max_seq
+
+    def add(self, record: Record) -> None:
+        """Append one record: :meth:`append` of its encoding."""
+        self.append((record.key,),
+                    encode_entry(record, self.options.value_capacity),
+                    record.seq)
 
     @property
     def entry_count(self) -> int:
         """Records added so far."""
         return len(self._keys)
 
-    def _encode_data_blocks(self) -> Tuple[List[bytes],
-                                           List[Tuple[int, int, int, int]],
-                                           int, int]:
-        """Chunk entries into blocks; returns (blocks, handles, raw, stored)."""
+    def _encode_data_blocks(self, data: bytes) -> Tuple[
+            List[bytes], List[Tuple[int, int, int, int]], int]:
+        """Cut the appended entries into data blocks.
+
+        Returns ``(pieces, handles, stored)``: every block's stored
+        payload and trailer in file order, the sparse-index rows, and
+        the codec output bytes.  Blocks are zero-copy views of ``data``
+        until the codec or the file write copies them.
+        """
         cost = self.cost
         stats = self.stats
         codec = codec_by_name(self.options.block_codec)
-        per = entries_per_block_for(self.options)
-        blocks: List[bytes] = []
+        entry_bytes = self._entry_bytes
+        block_bytes = entries_per_block_for(self.options) * entry_bytes
+        keys = self._keys
+        view = memoryview(data)
+        pieces: List[bytes] = []
         handles: List[Tuple[int, int, int, int]] = []
         offset = HEADER_BYTES
-        raw_total = 0
         stored_total = 0
-        for start in range(0, len(self._keys), per):
-            raw = b"".join(self._chunks[start:start + per])
+        for start in range(0, len(data), block_bytes):
+            raw = view[start:start + block_bytes]
             codec_id, payload = encode_block(codec, raw)
             if codec.codec_id != 0:
                 stats.charge(Stage.COMPACT_COMPRESS, cost.compress_us(len(raw)))
-            stored = payload + _BLOCK_TRAILER.pack(
-                codec_id, crc32c(payload + bytes([codec_id])))
-            blocks.append(stored)
-            handles.append((self._keys[start], offset, len(stored), len(raw)))
-            offset += len(stored)
-            raw_total += len(raw)
+            # CRC-32 over payload + codec byte, chained: no joined copy.
+            pieces.append(payload)
+            pieces.append(_BLOCK_TRAILER.pack(
+                codec_id, crc32c(bytes((codec_id,)), crc32c(payload))))
+            stored = len(payload) + BLOCK_TRAILER_BYTES
+            handles.append((keys[start // entry_bytes], offset, stored,
+                            len(raw)))
+            offset += stored
             # Codec output only: the per-block trailer is framing, so
             # an uncompressed table reports a ratio of exactly 1.0.
             stored_total += len(payload)
-        stats.add(COMPRESS_BYTES_RAW, raw_total)
+        stats.add(COMPRESS_BYTES_RAW, len(data))
         stats.add(COMPRESS_BYTES_STORED, stored_total)
         stats.charge(Stage.COMPACT_WRITE, cost.checksum_us(stored_total))
-        return blocks, handles, raw_total, stored_total
+        return pieces, handles, stored_total
 
     def finish(self) -> "Table":
         """Write data blocks, train + serialise the index, bloom, footer."""
@@ -303,13 +343,15 @@ class TableBuilder:
         cost = self.cost
         stats = self.stats
 
-        blocks, handles, raw_total, stored_total = self._encode_data_blocks()
+        entries = b"".join(self._chunks)
+        raw_total = len(entries)
+        pieces, handles, stored_total = self._encode_data_blocks(entries)
         header_head = _HEADER.pack(_MAGIC, TABLE_FORMAT,
-                                   self.options.entry_bytes, 0)[:-4]
+                                   self._entry_bytes, 0)[:-4]
         header = header_head + struct.pack("<I", crc32c(header_head))
 
         device.create(self.name)
-        data = header + b"".join(blocks)
+        data = b"".join([header, *pieces])
         device.append(self.name, data)
         nblocks = (len(data) + device.block_size - 1) // device.block_size
         stats.charge(Stage.COMPACT_WRITE, cost.write_us(nblocks))
@@ -344,7 +386,7 @@ class TableBuilder:
         bloom_offset = index_offset + len(index_payload)
         footer = TableFooter(
             entry_count=len(self._keys),
-            entry_bytes=self.options.entry_bytes,
+            entry_bytes=self._entry_bytes,
             value_capacity=self.options.value_capacity,
             index_offset=index_offset,
             index_len=len(index_payload),

@@ -773,17 +773,20 @@ class ReplicaGroup:
         return report
 
     def bulk_ingest(self, keys, value_for=None, seed: int = 0) -> None:
-        """Identically fill every replica (offline benchmark load)."""
-        self.check_ingest(keys)
+        """Identically fill every replica (offline benchmark load);
+        ``value_for`` must be pure (see
+        :meth:`~repro.lsm.db.LSMTree.bulk_ingest`)."""
+        self.check_ingest(keys, value_for)
         for replica in self.replicas:
             replica.tree.bulk_ingest(keys, value_for=value_for, seed=seed)
 
-    def check_ingest(self, keys) -> None:
-        """Raise what :meth:`bulk_ingest` would refuse ``keys`` with,
-        before any replica loads."""
+    def check_ingest(self, keys, value_for=None) -> None:
+        """Raise what :meth:`bulk_ingest` would refuse ``keys`` and
+        ``value_for`` with, before any replica loads."""
         self._check_open()
-        for replica in self.replicas:
-            replica.tree.check_ingest(keys)
+        # Replicas share ``options``, so one of them checks the values.
+        for number, replica in enumerate(self.replicas):
+            replica.tree.check_ingest(keys, None if number else value_for)
 
     def entry_count(self) -> int:
         """Entries in the serving replica's view (0 when headless)."""

@@ -235,12 +235,12 @@ class ShardedDB:
         Partitions unique ``keys`` by owning shard and delegates to each
         shard's :meth:`~repro.lsm.db.LSMTree.bulk_ingest`, so a sharded
         benchmark database is built without compaction churn.  Every
-        shard checks its part before any shard loads, so bad input
-        commits nothing on any shard.
+        shard checks its part — keys and values — before any shard
+        loads, so bad input commits nothing on any shard.
         """
         parts = self.router.partition_keys(keys)
         for shard, part in zip(self.shards, parts):
-            shard.check_ingest(part)
+            shard.check_ingest(part, value_for)
         for shard, part in zip(self.shards, parts):
             if part:
                 shard.bulk_ingest(sorted(part), value_for=value_for,

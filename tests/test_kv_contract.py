@@ -227,17 +227,26 @@ def _table_files(db):
             for name in tree.device.list_files() if name.startswith("sst-")]
 
 
-@pytest.mark.parametrize("bad", [
-    KEYS + [KEYS[-1]],
-    KEYS[:300] + [KEYS[5]] + KEYS[300:],
-    KEYS + [2**64],
-    [-1] + KEYS,
-], ids=["duplicate-last", "duplicate-inside", "too-large", "negative"])
+def _oversized_last(key):
+    """``_value``, but one byte over capacity for the largest key."""
+    if key == KEYS[-1]:
+        return b"x" * (small_test_options().value_capacity + 1)
+    return _value(key)
+
+
+@pytest.mark.parametrize("bad,value_for", [
+    (KEYS + [KEYS[-1]], _value),
+    (KEYS[:300] + [KEYS[5]] + KEYS[300:], _value),
+    (KEYS + [2**64], _value),
+    ([-1] + KEYS, _value),
+    (KEYS, _oversized_last),
+], ids=["duplicate-last", "duplicate-inside", "too-large", "negative",
+        "oversized-value"])
 @pytest.mark.parametrize("kind", STORES)
-def test_bulk_ingest_is_all_or_nothing(kind, bad):
+def test_bulk_ingest_is_all_or_nothing(kind, bad, value_for):
     case = Case(kind)
     with pytest.raises(InvalidOptionError):
-        case.db.bulk_ingest(bad, value_for=_value)
+        case.db.bulk_ingest(bad, value_for=value_for)
     assert _table_files(case.db) == []
     # Nothing was committed, so a retry loads good keys in any order.
     case.db.bulk_ingest(random.Random(7).sample(KEYS, len(KEYS)),

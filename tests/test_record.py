@@ -8,10 +8,14 @@ from repro.errors import CorruptionError, InvalidOptionError
 from repro.lsm.record import (
     KIND_TOMBSTONE,
     KIND_VALUE,
+    MAX_KEY,
+    MAX_SEQ,
     Record,
     decode_entry,
     decode_key,
+    encode_entries,
     encode_entry,
+    encode_records,
     entry_size,
     make_tombstone,
     make_value,
@@ -52,6 +56,8 @@ def test_offset_decoding():
 def test_oversized_value_rejected():
     with pytest.raises(InvalidOptionError):
         encode_entry(make_value(1, 1, b"too long"), 4)
+    with pytest.raises(InvalidOptionError):
+        encode_entries([1, 2], [1, 2], KIND_VALUE, [b"ok", b"too long"], 4)
 
 
 def test_bad_key_rejected():
@@ -59,6 +65,39 @@ def test_bad_key_rejected():
         encode_entry(Record(-1, 1, KIND_VALUE, b""), 4)
     with pytest.raises(InvalidOptionError):
         encode_entry(Record(1 << 65, 1, KIND_VALUE, b""), 4)
+    for key in (-1, 1 << 64, 1 << 65):
+        with pytest.raises(InvalidOptionError):
+            encode_entries([0, key], [1, 2], KIND_VALUE, [b"", b""], 4)
+
+
+def test_bad_seq_rejected():
+    for seq in (-1, MAX_SEQ + 1, 1 << 64):
+        with pytest.raises(InvalidOptionError):
+            encode_entry(Record(1, seq, KIND_VALUE, b""), 4)
+        with pytest.raises(InvalidOptionError):
+            encode_entries([1, 2], [1, seq], KIND_VALUE, [b"", b""], 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(capacity=st.integers(min_value=0, max_value=24), data=st.data())
+def test_column_encoding_is_the_per_record_encoding(capacity, data):
+    """One numpy pass writes the bytes ``encode_entry`` writes, values
+    ending in NUL bytes included."""
+    keys = sorted(data.draw(st.sets(
+        st.integers(min_value=0, max_value=MAX_KEY), min_size=1,
+        max_size=20)))
+    value = st.tuples(st.binary(max_size=capacity),
+                      st.integers(0, 3)).map(
+        lambda pair: (pair[0] + b"\x00" * pair[1])[:capacity])
+    records = [Record(key, data.draw(st.integers(0, MAX_SEQ)),
+                      data.draw(st.sampled_from([KIND_VALUE,
+                                                 KIND_TOMBSTONE])),
+                      data.draw(value))
+               for key in keys]
+    assert encode_records(records, capacity) == (
+        tuple(keys),
+        b"".join(encode_entry(record, capacity) for record in records),
+        max(record.seq for record in records))
 
 
 def test_truncated_buffer_raises():

@@ -427,30 +427,86 @@ def test_iterator_turns_a_ragged_buffer_into_a_typed_error():
         table.iterator().seek_to_first()
 
 
-def test_builder_add_is_add_entry_of_the_encoding(sample_keys):
-    from repro.lsm.record import encode_entry
+def test_builder_add_is_append_of_the_encoding(sample_keys):
+    from repro.lsm.record import KIND_VALUE, encode_entries
 
     options = small_test_options()
+    seqs = range(1, len(sample_keys) + 1)
+    values = [b"v%d" % key for key in sample_keys]
     tables = []
-    for passthrough in (False, True):
+    for one_call in (False, True):
         stats = Stats()
         device = MemoryBlockDevice(block_size=options.block_size, stats=stats)
         builder = TableBuilder(device, "t", options,
                                IndexFactory(IndexKind.PGM, 8), stats,
                                CostModel(block_size=options.block_size))
-        for i, key in enumerate(sample_keys):
-            record = make_value(key, i + 1, b"v%d" % key)
-            if passthrough:
-                builder.add_entry(key, i + 1, encode_entry(
-                    record, options.value_capacity))
-            else:
-                builder.add(record)
+        if one_call:
+            builder.append(sample_keys, encode_entries(
+                sample_keys, seqs, KIND_VALUE, values,
+                options.value_capacity), seqs[-1])
+        else:
+            for key, seq, value in zip(sample_keys, seqs, values):
+                builder.add(make_value(key, seq, value))
         table = builder.finish()
         tables.append((device.pread("t", 0, device.size("t")), stats,
                        table.footer))
-        with pytest.raises(CorruptionError):  # same checks on both doors
-            builder.add_entry(sample_keys[-1], 1, bytes(options.entry_bytes))
-        with pytest.raises(CorruptionError):
-            builder.add_entry(sample_keys[-1] + 1, 1,
-                              bytes(options.entry_bytes - 1))
     assert tables[0] == tables[1]
+
+
+def _refusal(builder, options, case):
+    """Drive ``builder`` into the refusal ``case`` names."""
+    from repro.lsm.record import MAX_SEQ, encode_entries
+
+    def entries(keys, seq=1):
+        return encode_entries(keys, [seq] * len(keys), 0,
+                              [b"x"] * len(keys), options.value_capacity)
+
+    if case == "empty-finish":
+        builder.finish()
+    elif case == "repeat-within":
+        builder.append([5, 7, 7], entries([5, 7, 7]), 1)
+    elif case == "descend-within":
+        builder.append([5, 9, 8], entries([5, 9, 8]), 1)
+    elif case == "repeat-across":
+        builder.append([5, 7], entries([5, 7]), 1)
+        builder.append([7, 9], entries([7, 9]), 1)
+    elif case == "descend-across":
+        builder.append([5, 7], entries([5, 7]), 1)
+        builder.append([6], entries([6]), 1)
+    elif case == "ragged":
+        builder.append([5, 7], entries([5, 7])[:-1], 1)
+    elif case == "short":
+        builder.append([5, 7, 9], entries([5, 7]), 1)
+    elif case == "seq":
+        builder.append([5], entries([5]), MAX_SEQ + 1)
+
+
+@pytest.mark.parametrize("case", [
+    "empty-finish", "repeat-within", "descend-within", "repeat-across",
+    "descend-across", "ragged", "short", "seq"])
+def test_append_refuses_with_a_typed_error_and_writes_nothing(case):
+    options = small_test_options()
+    stats = Stats()
+    device = MemoryBlockDevice(block_size=options.block_size, stats=stats)
+    builder = TableBuilder(device, "t", options, None, stats,
+                           CostModel(block_size=options.block_size))
+    with pytest.raises(CorruptionError):
+        _refusal(builder, options, case)
+    assert device.list_files() == []
+    # A refused call appended nothing: only what was accepted before it
+    # is in the table the builder goes on to write.
+    accepted = builder.entry_count
+    assert accepted == (2 if case.endswith("-across") else 0)
+    if accepted:
+        table = builder.finish()
+        assert [record.key for record in _records(table)] == [5, 7]
+
+
+def _records(table):
+    it = table.iterator()
+    it.seek_to_first()
+    out = []
+    while it.valid():
+        out.append(it.record())
+        it.advance()
+    return out
