@@ -74,7 +74,7 @@ def run(scale="smoke", dataset: str = "random",
 
     # Checks.
     result.check(
-        "I/O dominates prediction + binary search for every index "
+        "I/O exceeds 3x prediction + binary search for every index "
         "(paper: ~10x)",
         all(ratio > 3.0 for ratio in io_ratio.values()),
         str({kind.value: round(ratio, 1) for kind, ratio in io_ratio.items()}))

@@ -113,9 +113,10 @@ def _shape_checks(result, memory, latency, grans, kinds, boundaries) -> None:
     big_drop = [kind for kind in kinds
                 if memory[(first_label, kind, wide)]
                 >= 4 * max(1.0, memory[(level_label, kind, wide)])]
+    need = max(1, len(kinds) // 2)
     result.check(
-        "level model gives a large (paper: >10x) memory drop for most "
-        "indexes", len(big_drop) >= max(1, len(kinds) // 2),
+        f"level model cuts memory >=4x for at least {need} of "
+        f"{len(kinds)} indexes (paper: >10x)", len(big_drop) >= need,
         f"kinds with >=4x drop: {[kind.value for kind in big_drop]}")
 
     lat_values = [latency[(label, kind)] for label, _, _ in grans

@@ -70,7 +70,8 @@ def run(scale="smoke", dataset: str = "random",
         (max(io_vals) - min(io_vals)) / max(io_vals) < 0.15,
         f"io={['%.2f' % v for v in io_vals]}")
     result.check(
-        "disk I/O dominates every CPU stage (paper: ~10x prediction)",
+        "disk I/O exceeds 4x prediction at every SSTable size "
+        "(paper: ~10x)",
         all(per_sst[mib][Stage.IO] > 4 * per_sst[mib][Stage.PREDICTION]
             for mib in paper_mib_sizes))
     result.check(

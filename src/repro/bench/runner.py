@@ -11,7 +11,7 @@ at that scale, and ``paper_sstable_bytes`` maps the paper's "8 MiB ..
 
 Presets:
 
-* ``smoke`` — seconds-level runs for the pytest-benchmark suite;
+* ``smoke`` — seconds-level runs; the committed ``results/`` reports;
 * ``small`` — the default for CLI runs (a few minutes for the full
   figure set);
 * ``medium`` — closer to paper-shaped entry sizes (1 KiB entries).

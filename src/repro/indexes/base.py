@@ -129,11 +129,6 @@ class ClusteredIndex(ABC):
         return self._n
 
     @property
-    def is_built(self) -> bool:
-        """True once :meth:`build` has completed."""
-        return self._built
-
-    @property
     def train_key_visits(self) -> int:
         """Key visits performed by the last :meth:`build`."""
         return self._train_key_visits

@@ -77,7 +77,8 @@ class Compactor:
     """
 
     def __init__(self, tree: "LSMTree") -> None:
-        self.tree = tree
+        # The tree is passed to :meth:`run`, not kept: a back-reference
+        # would hold a closed tree (and its device's bytes) in a cycle.
         self.options = tree.options
         self.stats = tree.stats
         self.cost = tree.cost
@@ -139,22 +140,24 @@ class Compactor:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, version: Version,
+    def run(self, tree: "LSMTree",
             task: CompactionTask) -> CompactionOutcome:
-        """Merge the task's inputs into ``task.target_level``."""
+        """Merge the task's inputs into ``task.target_level`` of
+        ``tree``."""
         tracer = self.stats.tracer
         span = (tracer.begin(OpType.COMPACTION,
                              f"L{task.level}->L{task.target_level} "
                              f"{len(task.all_inputs())} files")
                 if tracer is not None else None)
         try:
-            return self._do_run(version, task)
+            return self._do_run(tree, task)
         finally:
             if tracer is not None:
                 tracer.end(span)
 
-    def _do_run(self, version: Version,
+    def _do_run(self, tree: "LSMTree",
                 task: CompactionTask) -> CompactionOutcome:
+        version = tree.version
         outcome = CompactionOutcome(task=task)
         all_inputs = task.all_inputs()
         min_key = min(meta.min_key for meta in all_inputs)
@@ -228,13 +231,14 @@ class Compactor:
             entries_out += 1
             # Every finished output holds exactly ``cut`` entries.
             if cut and entries_out % cut == 0:
-                outputs.append(self._output(target_level, keys, chunks,
-                                            max_seq))
+                outputs.append(self._output(tree, target_level, keys,
+                                            chunks, max_seq))
                 keys, chunks, max_seq = [], [], 0
         if keys:
-            outputs.append(self._output(target_level, keys, chunks, max_seq))
+            outputs.append(self._output(tree, target_level, keys, chunks,
+                                        max_seq))
 
-        self._install(version, task, outputs)
+        self._install(tree, task, outputs)
         outcome.outputs = outputs
         outcome.entries_in = entries_in
         outcome.entries_out = entries_out
@@ -245,17 +249,19 @@ class Compactor:
         self.stats.add(COMPACT_BYTES_OUT, entries_out * options.entry_bytes)
         return outcome
 
-    def _output(self, level: int, keys: List[int], chunks: List[bytes],
-                max_seq: int) -> FileMetaData:
+    @staticmethod
+    def _output(tree: "LSMTree", level: int, keys: List[int],
+                chunks: List[bytes], max_seq: int) -> FileMetaData:
         """Build and seal one output table from its copied entries."""
-        builder = self.tree.new_table(level)
+        builder = tree.new_table(level)
         builder.append(keys, b"".join(chunks), max_seq)
-        return self.tree.seal(builder)
+        return tree.seal(builder)
 
-    def _install(self, version: Version, task: CompactionTask,
+    def _install(self, tree: "LSMTree", task: CompactionTask,
                  outputs: List[FileMetaData]) -> None:
         """Swap inputs for outputs in ``version``, then commit the swap
         (the crash-safe order lives in :meth:`LSMTree.commit`)."""
+        version = tree.version
         version.remove_files(task.level, task.inputs)
         version.remove_files(task.target_level, task.overlaps)
         for meta in outputs:
@@ -263,7 +269,7 @@ class Compactor:
         if task.inputs:
             self._pointers[task.level] = max(
                 meta.max_key for meta in task.inputs)
-        self.tree.commit(
+        tree.commit(
             "compaction", Stage.COMPACT_WRITE,
             added=[(task.target_level, meta) for meta in outputs],
             retired=([(task.level, meta) for meta in task.inputs]

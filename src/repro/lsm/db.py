@@ -168,7 +168,8 @@ class LSMTree:
         #: work past the budget.  None (the default) costs nothing.
         self.deadline: Optional[DeadlineToken] = None
         #: Names of tables retired as unreadable by scrub or reopen
-        #: (renamed to a ``quar-`` prefix for offline forensics).
+        #: (renamed to a ``quar-`` prefix for offline forensics), and
+        #: those a reopen finds left by an earlier session.
         self._quarantined_tables: List[str] = []
         #: Level -> sorted keys placed there by the last bulk_ingest
         #: (for level-aware query mixes, the paper's Figure 10).
@@ -301,7 +302,9 @@ class LSMTree:
         the recovered database.  On a device without a manifest every
         ``sst-*`` is such an orphan: only a crash before the first
         flush's commit leaves one, and the WAL, reset only after that
-        commit, still holds its records.
+        commit, still holds its records.  A ``quar-*`` table an earlier
+        session set aside is kept and listed by :meth:`health`, so the
+        tree stays ``degraded`` until an operator removes the file.
         """
         live = state.live_names()
         if self.level_models is not None:
@@ -309,6 +312,9 @@ class LSMTree:
                 self.level_models.persisted_pointer(level)
                 for level in range(self.options.max_levels)) if name)
         for name in self.device.list_files():
+            if (name.startswith(QUARANTINE_PREFIX)
+                    and name not in self._quarantined_tables):
+                self._quarantined_tables.append(name)
             if not (name.startswith("sst-")
                     or name.startswith(MODEL_FILE_PREFIX)
                     or name == MANIFEST_TMP_NAME):
@@ -425,7 +431,7 @@ class LSMTree:
         if quarantine:
             self._quarantine([meta.name for _, meta in retired], quarantine)
         for _, meta in retired:
-            meta.table.close()
+            meta.table.delete()
         if models is not None:
             models.drop_stale()
 
@@ -655,7 +661,7 @@ class LSMTree:
             task = self.compactor.pick_task(self.version)
             if task is None:
                 return outcomes
-            outcomes.append(self.compactor.run(self.version, task))
+            outcomes.append(self.compactor.run(self, task))
 
     def bulk_ingest(self, keys, value_for=None, seed: int = 0) -> None:
         """Offline leveled fill for benchmarks: no compaction churn.
@@ -672,16 +678,21 @@ class LSMTree:
         ``value_for(key)`` gives each key's value (default: the key in
         hex, cut to ``value_capacity``).  It must be pure — the same
         bytes for the same key on every call — because it runs once to
-        check and once to build, on every replica that loads the keys.
+        check, then once to build on every replica that loads the keys.
         Each table is encoded from its key, seq and value columns in
         one pass; sequence numbers run consecutively in level then key
         order.
 
         The per-level key sets are recorded in ``last_ingest_levels``.
         """
+        self.check_ingest(keys, value_for)
+        self._ingest(keys, value_for, seed)
+
+    def _ingest(self, keys, value_for, seed: int) -> None:
+        """:meth:`bulk_ingest` for input the caller has already passed
+        through :meth:`check_ingest`."""
         import random as _random
 
-        self.check_ingest(keys, value_for)
         n = len(keys)
         if n == 0:
             return
@@ -1198,12 +1209,17 @@ class LSMTree:
         return out
 
     def close(self) -> None:
-        """Flush nothing, release tables, mark closed."""
+        """Flush nothing, drop cached blocks, mark closed.
+
+        Every committed table stays on the device, so :meth:`reopen`
+        from it recovers what was committed (and, with a WAL, the
+        memtable); only :meth:`commit` deletes tables, once retired.
+        """
         if self._closed:
             return
         self._closed = True
-        for _, meta in self.version.all_files():
-            meta.table.close()
+        if self.data_cache is not None:
+            self.data_cache.clear()
 
 
 class LevelIterator(KVIterator):

@@ -560,7 +560,7 @@ class Table:
             self.cached_keys = [key for (key,) in strided.iter_unpack(data)]
         return self.cached_keys
 
-    def close(self) -> None:
+    def delete(self) -> None:
         """Delete the backing file (called when the table is obsolete)."""
         if self.data_cache is not None:
             self.data_cache.invalidate_file(self.name)

@@ -777,16 +777,23 @@ class ReplicaGroup:
         ``value_for`` must be pure (see
         :meth:`~repro.lsm.db.LSMTree.bulk_ingest`)."""
         self.check_ingest(keys, value_for)
+        self._ingest(keys, value_for, seed)
+
+    def _ingest(self, keys, value_for, seed: int) -> None:
+        """:meth:`bulk_ingest` for input already through
+        :meth:`check_ingest`."""
         for replica in self.replicas:
-            replica.tree.bulk_ingest(keys, value_for=value_for, seed=seed)
+            replica.tree._ingest(keys, value_for, seed)
 
     def check_ingest(self, keys, value_for=None) -> None:
         """Raise what :meth:`bulk_ingest` would refuse ``keys`` and
         ``value_for`` with, before any replica loads."""
         self._check_open()
-        # Replicas share ``options``, so one of them checks the values.
+        # Replicas share ``options``, so one of them checks the keys and
+        # values; the others only that they are open and empty.
         for number, replica in enumerate(self.replicas):
-            replica.tree.check_ingest(keys, None if number else value_for)
+            replica.tree.check_ingest(() if number else keys,
+                                      None if number else value_for)
 
     def entry_count(self) -> int:
         """Entries in the serving replica's view (0 when headless)."""
@@ -835,17 +842,13 @@ class ReplicaGroup:
         return base
 
     def close(self) -> None:
-        """Release every replica's tables, mark the group closed.
+        """Close every replica's tree, mark the group closed.
 
-        A powered-off replica cannot release anything — its device
-        rejects every operation — so it is simply abandoned, exactly
-        like a machine that never came back.
+        Closing touches no device, so a powered-off replica closes
+        like any other; its tables stay for a later restart.
         """
         if self._closed:
             return
         self._closed = True
         for replica in self.replicas:
-            try:
-                replica.tree.close()
-            except PowerCutError:
-                replica.tree._closed = True
+            replica.tree.close()

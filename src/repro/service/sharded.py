@@ -236,15 +236,15 @@ class ShardedDB:
         shard's :meth:`~repro.lsm.db.LSMTree.bulk_ingest`, so a sharded
         benchmark database is built without compaction churn.  Every
         shard checks its part — keys and values — before any shard
-        loads, so bad input commits nothing on any shard.
+        loads, so bad input commits nothing on any shard, and nothing
+        is checked twice.
         """
         parts = self.router.partition_keys(keys)
         for shard, part in zip(self.shards, parts):
             shard.check_ingest(part, value_for)
         for shard, part in zip(self.shards, parts):
             if part:
-                shard.bulk_ingest(sorted(part), value_for=value_for,
-                                  seed=seed)
+                shard._ingest(sorted(part), value_for, seed)
 
     # -- maintenance -----------------------------------------------------
 
@@ -339,8 +339,13 @@ class ShardedDB:
             raise DatabaseClosedError("operation on closed ShardedDB")
 
     def close(self) -> None:
-        """Release every shard and fold metrics into the sink."""
+        """Release every shard and fold metrics into the sink.
+
+        The attached gateway is dropped too: its back-reference would
+        hold the closed fleet, and every device's bytes, in a cycle.
+        """
         self._closed = True
+        self._gateway = None
         for shard in self.shards:
             shard.close()
         self._flush_metrics()

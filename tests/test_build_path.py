@@ -68,7 +68,8 @@ def _reference_do_flush(self):
     return meta
 
 
-def _reference_do_run(self, version, task):
+def _reference_do_run(self, tree, task):
+    version = tree.version
     outcome = CompactionOutcome(task=task)
     all_inputs = task.all_inputs()
     min_key = min(meta.min_key for meta in all_inputs)
@@ -112,15 +113,15 @@ def _reference_do_run(self, version, task):
             outcome.dropped_tombstones += 1
             continue
         if builder is None:
-            builder = self.tree.new_table(task.target_level)
+            builder = tree.new_table(task.target_level)
         builder.append((key,), entry, seq)
         outcome.entries_out += 1
         if cut and outcome.entries_out % cut == 0:
-            outputs.append(self.tree.seal(builder))
+            outputs.append(tree.seal(builder))
             builder = None
     if builder is not None:
-        outputs.append(self.tree.seal(builder))
-    self._install(version, task, outputs)
+        outputs.append(tree.seal(builder))
+    self._install(tree, task, outputs)
     outcome.outputs = outputs
     self.stats.add(COMPACTIONS)
     self.stats.add(COMPACT_BYTES_IN, outcome.entries_in * options.entry_bytes)

@@ -140,13 +140,14 @@ def test_partial_compaction_moves_subset():
 # -- entry pass-through: byte-identical to the record-by-record merge -------
 
 
-def _reference_do_run(self, version, task):
+def _reference_do_run(self, tree, task):
     """The merge ``_do_run`` replaced, kept as the oracle: every merged
     entry decoded into a ``Record`` and re-encoded by ``TableBuilder.add``,
     outputs cut on the builder's payload size."""
     from repro.lsm.compaction import CompactionOutcome
     from repro.lsm.iterators import MergingIterator
 
+    version = tree.version
     outcome = CompactionOutcome(task=task)
     all_inputs = task.all_inputs()
     min_key = min(meta.min_key for meta in all_inputs)
@@ -175,17 +176,17 @@ def _reference_do_run(self, version, task):
             outcome.dropped_tombstones += 1
             continue
         if builder is None:
-            builder = self.tree.new_table(task.target_level)
+            builder = tree.new_table(task.target_level)
         builder.add(record)
         outcome.entries_out += 1
         if (not self._tiering
                 and builder.entry_count * self.options.entry_bytes
                 >= self.options.sstable_bytes):
-            outputs.append(self.tree.seal(builder))
+            outputs.append(tree.seal(builder))
             builder = None
     if builder is not None and builder.entry_count:
-        outputs.append(self.tree.seal(builder))
-    self._install(version, task, outputs)
+        outputs.append(tree.seal(builder))
+    self._install(tree, task, outputs)
     outcome.outputs = outputs
     entry_bytes = self.options.entry_bytes
     self.stats.add(COMPACTIONS)
@@ -215,8 +216,8 @@ def _recorded(db, do_run):
     and the bytes of the files it wrote (inputs are deleted later on)."""
     outcomes = []
 
-    def run(version, task):
-        outcome = do_run(db.compactor, version, task)
+    def run(tree, task):
+        outcome = do_run(db.compactor, tree, task)
         outcomes.append((
             task.level, [meta.name for meta in task.all_inputs()],
             outcome.entries_in, outcome.entries_out, outcome.superseded,
@@ -285,10 +286,10 @@ def test_inputs_of_another_value_capacity_are_re_encoded():
     wide = LSMTree.reopen(options(44, trigger=2), narrow.device)
     seen = []
     real = Compactor._do_run
-    wide.compactor._do_run = lambda version, task: (
+    wide.compactor._do_run = lambda tree, task: (
         seen.extend(meta.table.footer.value_capacity
                     for meta in task.all_inputs()),
-        real(wide.compactor, version, task))[1]
+        real(wide.compactor, tree, task))[1]
     for key in range(2, 400, 5):
         expected[key] = b"a-new-and-much-longer-value-%d" % key
         wide.put(key, expected[key])

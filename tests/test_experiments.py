@@ -2,7 +2,7 @@
 
 These run the real experiment code on trimmed axes (tiny subsets of
 kinds/boundaries) so the whole harness is exercised in seconds; the
-full paper-shaped sweeps live in ``benchmarks/``.
+full sweeps, pinned to the committed reports, run in ``benchmarks/``.
 """
 
 import pytest

@@ -8,6 +8,7 @@ cases a :class:`Gateway` in front of a replicated fleet supports
 method's declared :data:`~repro.kv.RAISES` taxonomy.
 """
 
+import collections
 import random
 
 import pytest
@@ -258,6 +259,22 @@ def test_bulk_ingest_is_all_or_nothing(kind, bad, value_for):
 
 
 @pytest.mark.parametrize("kind", STORES)
+def test_bulk_ingest_checks_once_and_builds_once_per_copy(kind):
+    case = Case(kind)
+    calls = collections.Counter()
+
+    def value_for(key):
+        calls[key] += 1
+        return _value(key)
+
+    case.db.bulk_ingest(KEYS, value_for=value_for)
+    copies = REPLICAS if kind in ("group", "replicated") else 1
+    assert set(calls) == set(KEYS)
+    assert set(calls.values()) == {1 + copies}
+    case.db.close()
+
+
+@pytest.mark.parametrize("kind", STORES)
 def test_bulk_ingest_refuses_a_non_empty_store(kind):
     case = Case(kind)
     case.db.put(KEYS[-1], b"x")
@@ -334,6 +351,36 @@ def test_close_is_idempotent_and_every_later_call_raises(kind):
             _call(case.store, method, *args)
 
 
+@pytest.mark.parametrize("kind", STORES)
+def test_close_keeps_what_was_committed(kind):
+    case = Case(kind, loaded=True)
+    written = list(range(1000, 1100))
+    for key in written:
+        _call(case.db, "put", key, _value(key))
+    _call(case.db, "flush")
+    _call(case.db, "close")
+    acked = KEYS + written
+    if kind == "sharded":
+        reopened = [(ShardedDB.reopen(
+            SHARDS, case.db.options,
+            [shard.device for shard in case.db.shards], observe=False),
+            acked)]
+    else:
+        # Every replica's tree reopens from its own device alone.
+        groups = case.db.shards if kind == "replicated" else [case.db]
+        reopened = [
+            (LSMTree.reopen(tree.options, tree.device),
+             [key for key in acked
+              if kind != "replicated" or case.db.router.shard_for(key) == s])
+            for s, group in enumerate(groups)
+            for tree in _all_trees(group)]
+    for store, keys in reopened:
+        assert _call(store, "health")["status"] == "ok"
+        assert [_call(store, "get", key) for key in keys] \
+            == [_value(key) for key in keys]
+        store.close()
+
+
 # -- a committed table that cannot open --------------------------------------
 
 REGIONS = ("footer", "header", "block_index", "index", "bloom")
@@ -388,6 +435,24 @@ def test_reopen_quarantines_a_table_that_cannot_open(kind, region):
         want = None if key in lost else _value(key)
         assert _call(reopened, "get", key) == want, key
     reopened.close()
+
+
+def test_a_later_reopen_remembers_the_quarantine():
+    case = Case("tree", loaded=True)
+    _rot_table_region(case.serving_tree(), "footer")
+    device, options = case.db.device, case.db.options
+    _assert_quarantined_one_table(LSMTree.reopen(options, device))
+    # The next restart quarantines nothing, but the set-aside file is
+    # still on the device: the tree is still degraded.
+    again = LSMTree.reopen(options, device)
+    health = _call(again, "health")
+    assert (health["status"], health["quarantined_tables"]) == ("degraded", 1)
+    assert again.stats.get(QUARANTINED_TABLES) == 0
+    # Removing the file is what clears it.
+    [quarantined] = [name for name in device.list_files()
+                     if name.startswith("quar-")]
+    device.delete(quarantined)
+    assert _call(LSMTree.reopen(options, device), "health")["status"] == "ok"
 
 
 @pytest.mark.parametrize("region", REGIONS)
