@@ -1,4 +1,4 @@
-"""The paper's core contribution: sweep axes, testbed, tuning.
+"""The paper's core contribution: sweep axes, testbed, cost model.
 
 * :mod:`repro.core.config` — the values the paper sweeps the Section 4.1
   axes over (one point of that space is an
@@ -7,15 +7,10 @@
   Section 4.2.
 * :mod:`repro.core.cost_analysis` — the analytic cost model of
   Section 4.
-* :mod:`repro.core.tuning` — the Section 6.1 guidelines as an advisor.
-* :mod:`repro.core.memory` — memory budget bookkeeping.
 """
 
 from repro.core.config import PAPER_BOUNDARIES, PAPER_SSTABLE_MIB
 from repro.core.cost_analysis import (
-    MemoryEstimate,
-    analytic_frontier,
-    estimate_index_memory,
     expected_io_blocks,
     expected_io_us,
     expected_point_lookup_us,
@@ -23,25 +18,17 @@ from repro.core.cost_analysis import (
     inner_index_cost_us,
     plateau_boundary,
 )
-from repro.core.memory import MemoryLedger
 from repro.core.testbed import PhaseMetrics, Testbed
-from repro.core.tuning import Recommendation, TuningAdvisor
 
 __all__ = [
     "PAPER_BOUNDARIES",
     "PAPER_SSTABLE_MIB",
     "Testbed",
     "PhaseMetrics",
-    "MemoryLedger",
-    "TuningAdvisor",
-    "Recommendation",
     "expected_io_blocks",
     "expected_io_us",
     "expected_search_us",
     "expected_point_lookup_us",
     "plateau_boundary",
     "inner_index_cost_us",
-    "estimate_index_memory",
-    "analytic_frontier",
-    "MemoryEstimate",
 ]

@@ -10,20 +10,17 @@ paper derives:
 3. *in-segment binary search* — ``O(log 2 epsilon)`` probes.
 
 The functions here evaluate those formulas against a
-:class:`~repro.storage.cost_model.CostModel` plus give sample-based
-memory estimators, so the tuning advisor can rank configurations
-without building full databases.  Tests validate the analytic numbers
+:class:`~repro.storage.cost_model.CostModel`; ``fig6`` reads
+:func:`plateau_boundary`, and tests validate the latency formulas
 against testbed measurements.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Sequence
 
 from repro.indexes import btree
-from repro.indexes.registry import IndexFactory, IndexKind
+from repro.indexes.registry import IndexKind
 from repro.storage.cost_model import CostModel
 
 
@@ -78,45 +75,6 @@ def plateau_boundary(entry_bytes: int, block_size: int) -> int:
     return max(2, block_size // entry_bytes)
 
 
-@dataclass(frozen=True)
-class MemoryEstimate:
-    """A sample-extrapolated index memory estimate."""
-
-    kind: IndexKind
-    boundary: int
-    sample_n: int
-    sample_bytes: int
-    total_n: int
-
-    @property
-    def bytes_per_key(self) -> float:
-        """Index bytes per indexed key on the sample."""
-        return self.sample_bytes / max(1, self.sample_n)
-
-    @property
-    def estimated_total_bytes(self) -> int:
-        """Linear extrapolation to the full key count."""
-        return int(self.bytes_per_key * self.total_n)
-
-
-def estimate_index_memory(kind: IndexKind, sample_keys: Sequence[int],
-                          boundary: int, total_n: int) -> MemoryEstimate:
-    """Estimate full-dataset index memory from a sample build.
-
-    Segment-based indexes grow linearly in segment count, and segment
-    density is a property of the key distribution, so a per-key density
-    measured on a sample extrapolates well.  RMI's second layer is also
-    sized per key for a fixed error target, so the same extrapolation
-    applies (slightly pessimistic for very smooth distributions).
-    """
-    factory = IndexFactory(kind, boundary)
-    index = factory.build(list(sample_keys))
-    return MemoryEstimate(kind=kind, boundary=boundary,
-                          sample_n=len(sample_keys),
-                          sample_bytes=index.size_bytes(),
-                          total_n=total_n)
-
-
 def inner_index_cost_us(kind: IndexKind, cost: CostModel,
                         segments_hint: int = 1024,
                         epsilon_recursive: int = 4,
@@ -125,7 +83,7 @@ def inner_index_cost_us(kind: IndexKind, cost: CostModel,
     """Analytic inner-index (prediction) cost per index type.
 
     These mirror each index's ``expected_lookup_cost_us`` using
-    structure-size hints, for advising before anything is built.
+    structure-size hints, so no index has to be built.
     """
     if kind is IndexKind.FP:
         return cost.binary_search_us(segments_hint)
@@ -150,34 +108,3 @@ def inner_index_cost_us(kind: IndexKind, cost: CostModel,
     if kind is IndexKind.RMI:
         return 2 * cost.model_eval_us
     raise ValueError(f"unknown kind: {kind}")  # pragma: no cover
-
-
-def analytic_frontier(cost: CostModel, entry_bytes: int,
-                      boundaries: Sequence[int],
-                      kinds: Sequence[IndexKind],
-                      sample_keys: Sequence[int],
-                      total_n: int) -> Dict[IndexKind, Dict[int, Dict[str, float]]]:
-    """Latency/memory grid over (kind, boundary) from the analytic model.
-
-    Returns ``{kind: {boundary: {"latency_us": ..., "memory_bytes": ...}}}``
-    — the advisor's search space.
-    """
-    out: Dict[IndexKind, Dict[int, Dict[str, float]]] = {}
-    for kind in kinds:
-        per_kind: Dict[int, Dict[str, float]] = {}
-        for boundary in boundaries:
-            estimate = estimate_index_memory(kind, sample_keys, boundary,
-                                             total_n)
-            segments_hint = max(
-                2, int(estimate.sample_n
-                       / max(1.0, estimate.sample_bytes / 28.0)))
-            inner_us = inner_index_cost_us(kind, cost,
-                                           segments_hint=segments_hint)
-            latency = expected_point_lookup_us(cost, boundary, entry_bytes,
-                                               inner_us)
-            per_kind[boundary] = {
-                "latency_us": latency,
-                "memory_bytes": float(estimate.estimated_total_bytes),
-            }
-        out[kind] = per_kind
-    return out

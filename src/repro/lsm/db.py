@@ -926,7 +926,7 @@ class LSMTree:
             return self._search_level_model_batch(level, keys, hashes,
                                                   coalesce, errors)
         found: Dict[int, Record] = {}
-        if self._level_overlapping(level):
+        if self.version.level_overlaps(level):
             # Newest file first; a key found in a newer file must not be
             # probed in older ones (its newer version wins).  The
             # file-range walk is charged once per batch, not per file.
@@ -970,10 +970,6 @@ class LSMTree:
             found.update(self._probe_table_batch(files[idx].table, group,
                                                  hashes, coalesce, errors))
         return found
-
-    def _level_overlapping(self, level: int) -> bool:
-        return level == 0 or (self.options.compaction_policy
-                              is CompactionPolicy.TIERING)
 
     def _probe_table_batch(
         self, table: Table, candidates: List[int], hashes: _Hashes,
@@ -1111,14 +1107,10 @@ class LSMTree:
         """A merged, deduplicated iterator over the whole database."""
         self._check_open()
         children: List[KVIterator] = [MemTableIterator(self.memtable)]
-        for meta in self.version.levels[0]:
-            children.append(meta.table.iterator())
-        tiering = self.options.compaction_policy is CompactionPolicy.TIERING
-        for level in range(1, self.options.max_levels):
-            files = self.version.levels[level]
+        for level, files in enumerate(self.version.levels):
             if not files:
                 continue
-            if tiering:
+            if self.version.level_overlaps(level):
                 # Runs overlap: each is its own merge input.
                 children.extend(meta.table.iterator() for meta in files)
             else:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
 
 from repro.errors import InvalidOptionError
 from repro.indexes.pgm import DEFAULT_EPSILON_RECURSIVE, MIN_EPSILON_RECURSIVE
@@ -97,11 +96,6 @@ class Options:
     data_cache_bytes: int = 0
     #: Bloom filter bits per key (the paper uses 10).
     bloom_bits_per_key: int = 10
-    #: Optional per-level override (Monkey-style allocation, the
-    #: per-level memory insight the paper's Section 5.4 cites): index i
-    #: holds the bits/key for level i; levels past the end fall back to
-    #: ``bloom_bits_per_key``.
-    bloom_bits_per_level: Optional[Tuple[int, ...]] = None
     #: Number of L0 files that triggers an L0 -> L1 compaction.
     l0_compaction_trigger: int = 4
     #: Hard cap on level count.
@@ -152,13 +146,6 @@ class Options:
             return self.l0_compaction_trigger * self.write_buffer_bytes
         return self.write_buffer_bytes * (self.size_ratio ** level)
 
-    def bloom_bits_for(self, level: int) -> int:
-        """Bloom bits/key for ``level`` (per-level override, else global)."""
-        if (self.bloom_bits_per_level is not None
-                and 0 <= level < len(self.bloom_bits_per_level)):
-            return self.bloom_bits_per_level[level]
-        return self.bloom_bits_per_key
-
     def make_index_factory(self) -> IndexFactory:
         """The shared per-database index factory for this configuration."""
         return IndexFactory(
@@ -194,11 +181,6 @@ class Options:
             raise InvalidOptionError(
                 f"bloom_bits_per_key must be >= 0, got "
                 f"{self.bloom_bits_per_key}")
-        if self.bloom_bits_per_level is not None and any(
-                bits < 0 for bits in self.bloom_bits_per_level):
-            raise InvalidOptionError(
-                "bloom_bits_per_level entries must be >= 0, got "
-                f"{self.bloom_bits_per_level}")
         if self.max_levels < 2:
             raise InvalidOptionError(
                 f"max_levels must be >= 2, got {self.max_levels}")

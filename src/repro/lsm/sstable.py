@@ -371,8 +371,7 @@ class TableBuilder:
             stats.charge(Stage.COMPACT_WRITE_MODEL,
                          cost.model_write_us(len(index_payload)))
 
-        bloom = BloomFilter.build(self._keys,
-                                  self.options.bloom_bits_for(self.level))
+        bloom = BloomFilter.build(self._keys, self.options.bloom_bits_per_key)
         # Bloom construction costs one cheap hash-insert per key and is
         # identical across index types; charge it with the data write.
         stats.charge(Stage.COMPACT_WRITE,

@@ -77,7 +77,8 @@ class Version:
         #: Per level, the ``min_key`` of each file in order (None = stale).
         self._fences: List[Optional[List[int]]] = [None] * self.max_levels
 
-    def _level_overlaps(self, level: int) -> bool:
+    def level_overlaps(self, level: int) -> bool:
+        """True when ``level`` holds overlapping runs, newest first."""
         return level == 0 or self.overlapping_levels
 
     def _min_keys(self, level: int) -> List[int]:
@@ -94,7 +95,7 @@ class Version:
         """Register ``meta`` at ``level`` keeping the level's ordering."""
         self._check_level(level)
         files = self.levels[level]
-        if self._level_overlaps(level):
+        if self.level_overlaps(level):
             pos = 0  # newest first
         else:
             pos = bisect_right(self._min_keys(level), meta.min_key)
@@ -143,7 +144,7 @@ class Version:
         """
         self._check_level(level)
         files = self.levels[level]
-        if self._level_overlaps(level):
+        if self.level_overlaps(level):
             return [meta for meta in files
                     if meta.min_key <= key <= meta.max_key]
         idx = bisect_right(self._min_keys(level), key) - 1

@@ -10,7 +10,6 @@ from repro.storage.block_cache import CachedBlockDevice, LRUBlockCache
 from repro.storage.block_device import (
     DEFAULT_BLOCK_SIZE,
     BlockDevice,
-    FileBlockDevice,
     MemoryBlockDevice,
 )
 from repro.storage.cost_model import DEFAULT_COST_MODEL, CostModel
@@ -29,7 +28,6 @@ from repro.storage.stats import (
 __all__ = [
     "BlockDevice",
     "MemoryBlockDevice",
-    "FileBlockDevice",
     "CachedBlockDevice",
     "LRUBlockCache",
     "FaultPlan",

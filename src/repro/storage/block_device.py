@@ -2,16 +2,13 @@
 
 The paper's implementation reads segments "from disk using the Linux
 pread interface" (Section 4.2).  This module reproduces that interface
-behind a :class:`BlockDevice` abstraction with two implementations:
+behind a :class:`BlockDevice` abstraction.
+:class:`MemoryBlockDevice` keeps file contents in ``bytearray``s: reads
+are instant in wall-clock terms, but every call records how many 4 KiB
+blocks it touched, and the cost model converts those counts into
+simulated latency.
 
-* :class:`MemoryBlockDevice` — keeps file contents in ``bytearray``s.
-  This is the default for experiments: reads are instant in wall-clock
-  terms, but every call records how many 4 KiB blocks it touched, and
-  the cost model converts those counts into simulated latency.
-* :class:`FileBlockDevice` — backs files with a real directory and
-  ``os.pread``, for users who want actual disk behaviour.
-
-Both devices record raw I/O counters into a shared
+Devices record raw I/O counters into a shared
 :class:`~repro.storage.stats.Stats` registry.  *Time* is deliberately
 not charged here: the caller knows whether a read belongs to the lookup
 path or to a compaction, so stage attribution happens at the call site.
@@ -19,7 +16,6 @@ path or to a compaction, so stage attribution happens at the call site.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional
 
@@ -216,74 +212,3 @@ class MemoryBlockDevice(BlockDevice):
 
     def list_files(self) -> List[str]:
         return sorted(self._files)
-
-
-class FileBlockDevice(BlockDevice):
-    """A block device backed by a real directory and ``os.pread``.
-
-    Useful to sanity-check the simulation against actual disks; all the
-    accounting of :class:`MemoryBlockDevice` still applies.
-    """
-
-    def __init__(self, directory: str, *,
-                 block_size: int = DEFAULT_BLOCK_SIZE,
-                 stats: Optional[Stats] = None) -> None:
-        super().__init__(block_size=block_size, stats=stats)
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-
-    def _path(self, name: str) -> str:
-        if "/" in name or name in ("", ".", ".."):
-            raise StorageError(f"invalid file name: {name!r}")
-        return os.path.join(self.directory, name)
-
-    def create(self, name: str) -> None:
-        with open(self._path(name), "wb"):
-            pass
-
-    def append(self, name: str, data: bytes) -> None:
-        path = self._path(name)
-        if not os.path.exists(path):
-            raise FileNotFoundInDeviceError(name)
-        with open(path, "ab") as fh:
-            fh.write(data)
-        self.record_write(len(data))
-
-    def pread(self, name: str, offset: int, length: int) -> bytes:
-        path = self._path(name)
-        if not os.path.exists(path):
-            raise FileNotFoundInDeviceError(name)
-        if offset < 0 or length < 0:
-            raise StorageError(
-                f"invalid pread range offset={offset} length={length}")
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            data = os.pread(fd, length, offset)
-        finally:
-            os.close(fd)
-        self.record_read(offset, len(data))
-        return data
-
-    def size(self, name: str) -> int:
-        path = self._path(name)
-        if not os.path.exists(path):
-            raise FileNotFoundInDeviceError(name)
-        return os.path.getsize(path)
-
-    def delete(self, name: str) -> None:
-        path = self._path(name)
-        if not os.path.exists(path):
-            raise FileNotFoundInDeviceError(name)
-        os.remove(path)
-
-    def rename(self, src: str, dst: str) -> None:
-        src_path = self._path(src)
-        if not os.path.exists(src_path):
-            raise FileNotFoundInDeviceError(src)
-        os.replace(src_path, self._path(dst))
-
-    def exists(self, name: str) -> bool:
-        return os.path.exists(self._path(name))
-
-    def list_files(self) -> List[str]:
-        return sorted(os.listdir(self.directory))

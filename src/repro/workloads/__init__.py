@@ -17,18 +17,14 @@ from repro.workloads.distributions import (
     ZipfianPicker,
     make_picker,
 )
-from repro.workloads.trace import (
-    read_trace,
-    record_ycsb,
-    replay,
-    write_trace,
-)
+from repro.workloads.trace import read_trace, record_ycsb, write_trace
 from repro.workloads.ycsb import (
     CORE_WORKLOADS,
     Operation,
     OpKind,
     WorkloadSpec,
     YCSBWorkload,
+    replay,
     workload,
 )
 

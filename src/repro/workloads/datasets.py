@@ -200,8 +200,8 @@ def hardness_score(keys: Sequence[int], sample: int = 4096) -> float:
     """A crude linearity measure: RMS deviation of the CDF from a line.
 
     0 means perfectly linear (easy for learned indexes); larger values
-    mean more curvature (more segments needed).  Used by the tuning
-    advisor and by dataset tests.
+    mean more curvature (more segments needed).  ``fig5`` reports it
+    per dataset.
     """
     n = len(keys)
     step = max(1, n // sample)

@@ -5,7 +5,8 @@ operation stream.  Generators are deterministic given a seed, but a
 trace file decouples reproduction from generator code entirely: record
 YCSB (or any operation sequence) once, then replay the identical
 stream against every configuration — or in another process, or after
-generator internals change.
+generator internals change.  :func:`repro.workloads.ycsb.replay` runs a
+read-back trace against a database.
 
 The format is a line-oriented text file (easy to diff and version):
 
@@ -26,7 +27,6 @@ from typing import Iterable, Iterator, TextIO
 
 from repro.errors import WorkloadError
 from repro.workloads.ycsb import Operation, OpKind
-from repro.workloads.ycsb import replay as ycsb_replay
 
 _HEADER = "# repro-trace v1"
 
@@ -107,15 +107,3 @@ def _parse_key(token: str, line_no: int) -> int:
 def record_ycsb(workload, n_ops: int, sink: TextIO) -> int:
     """Record ``n_ops`` operations of a YCSB workload into ``sink``."""
     return write_trace(workload.operations(n_ops), sink)
-
-
-def replay(db, operations: Iterable[Operation],
-           value_for=None, write_batch_size: int = 1) -> dict:
-    """Execute ``operations`` against a database; returns op counts.
-
-    A thin alias of :func:`repro.workloads.ycsb.replay` kept here
-    because traces are this module's concern; see that function for
-    the ``write_batch_size`` group-commit semantics.
-    """
-    return ycsb_replay(db, operations, value_for=value_for,
-                       write_batch_size=write_batch_size)

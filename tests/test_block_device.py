@@ -1,17 +1,15 @@
-"""Unit tests for both block devices, including I/O accounting."""
+"""Unit tests for the block device, including I/O accounting."""
 
 import pytest
 
 from repro.errors import FileNotFoundInDeviceError, StorageError
-from repro.storage.block_device import FileBlockDevice, MemoryBlockDevice
+from repro.storage.block_device import MemoryBlockDevice
 from repro.storage.stats import BLOCKS_READ, BLOCKS_WRITTEN, BYTES_READ
 
 
-@pytest.fixture(params=["memory", "file"])
-def device(request, tmp_path):
-    if request.param == "memory":
-        return MemoryBlockDevice(block_size=256)
-    return FileBlockDevice(str(tmp_path / "dev"), block_size=256)
+@pytest.fixture(params=["memory"])
+def device():
+    return MemoryBlockDevice(block_size=256)
 
 
 def test_create_append_read_roundtrip(device):
@@ -111,9 +109,3 @@ def test_create_truncates(device):
 def test_invalid_block_size():
     with pytest.raises(StorageError):
         MemoryBlockDevice(block_size=0)
-
-
-def test_file_device_rejects_path_escape(tmp_path):
-    device = FileBlockDevice(str(tmp_path / "dev"))
-    with pytest.raises(StorageError):
-        device.create("../escape")

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.core.cost_analysis import (
-    analytic_frontier,
-    estimate_index_memory,
     expected_io_blocks,
     expected_io_us,
     expected_point_lookup_us,
@@ -48,29 +46,6 @@ def test_inner_index_costs_ranked_sensibly():
     # RMI's two model evals are the cheapest structure access.
     assert costs[IndexKind.RMI] == min(costs.values())
     assert all(cost > 0 for cost in costs.values())
-
-
-def test_memory_estimate_extrapolates():
-    keys = generate("random", 8000, seed=1)
-    estimate = estimate_index_memory(IndexKind.PLR, keys[:2000], 16,
-                                     total_n=8000)
-    actual = estimate_index_memory(IndexKind.PLR, keys, 16, total_n=8000)
-    assert estimate.estimated_total_bytes == pytest.approx(
-        actual.sample_bytes, rel=0.5)
-
-
-def test_analytic_frontier_structure():
-    keys = generate("random", 2000, seed=2)
-    grid = analytic_frontier(DEFAULT_COST_MODEL, 1024, (64, 8),
-                             (IndexKind.FP, IndexKind.PGM), keys, 100_000)
-    assert set(grid) == {IndexKind.FP, IndexKind.PGM}
-    for per_boundary in grid.values():
-        assert per_boundary[8]["latency_us"] < per_boundary[64]["latency_us"]
-        assert per_boundary[8]["memory_bytes"] \
-            >= per_boundary[64]["memory_bytes"]
-    # FP costs more memory than PGM at the tight boundary.
-    assert grid[IndexKind.FP][8]["memory_bytes"] \
-        > grid[IndexKind.PGM][8]["memory_bytes"]
 
 
 def test_analytic_latency_matches_measurement():

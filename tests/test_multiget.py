@@ -237,6 +237,70 @@ def test_multi_get_coalesces_and_saves_seeks():
         db.close()
 
 
+def _charged_tree(options):
+    """1,500 puts/deletes, then one L0 file and a non-empty memtable."""
+    rng = random.Random(0xC0DE)
+    db = LSMTree(options)
+    universe = sorted(rng.sample(range(1 << 30), 1000))
+    written = []
+    for step in range(1500):
+        if written and rng.random() < 0.1:
+            db.delete(rng.choice(written))
+        else:
+            key = rng.choice(universe)
+            db.put(key, b"v%x-%d" % (key, step))
+            written.append(key)
+    db.flush()
+    for key in universe[:20]:
+        db.put(key, b"late")
+    assert db.version.levels[0] and len(db.memtable) > 0
+    return db, universe
+
+
+def _charges(db):
+    counters = {name: value for name, value in db.stats.counters.items()
+                if not name.startswith("multiget.")}
+    return counters, dict(db.stats.stage_us)
+
+
+_CHARGE_CASES = [
+    pytest.param(granularity, kind, caches, CompactionPolicy.LEVELING,
+                 id=f"{granularity.value}-{kind.value}-caches{caches}")
+    for granularity in (Granularity.FILE, Granularity.LEVEL)
+    for kind in (IndexKind.FP, IndexKind.PGM)
+    for caches in (0, 1 << 14)
+] + [pytest.param(Granularity.FILE, IndexKind.PGM, 0,
+                  CompactionPolicy.TIERING, id="file-tiering")]
+
+
+@pytest.mark.parametrize("granularity,kind,caches,policy", _CHARGE_CASES)
+def test_single_key_multi_get_charges_exactly_what_get_charges(
+        granularity, kind, caches, policy):
+    """``multi_get([k])`` and ``get(k)`` cost the same, to the last bit.
+
+    Two identical trees answer the same ~600 present and absent keys,
+    one through ``get`` and one through one-key batches; only the
+    ``multiget.*`` counters may differ.
+    """
+    options = small_test_options(kind, granularity=granularity,
+                                 cache_bytes=caches, data_cache_bytes=caches,
+                                 compaction_policy=policy)
+    by_get, universe = _charged_tree(options)
+    by_batch, _ = _charged_tree(options)
+    rng = random.Random(0xBEEF)
+    keys = [rng.choice(universe) if rng.random() < 0.5
+            else rng.randrange(1 << 30) for _ in range(600)]
+    try:
+        answers = [by_get.get(key) for key in keys]
+        assert [by_batch.multi_get([key])[0] for key in keys] == answers
+        assert any(answer is not None for answer in answers)
+        assert None in answers
+        assert _charges(by_batch) == _charges(by_get)
+    finally:
+        by_get.close()
+        by_batch.close()
+
+
 def test_multi_get_coalesce_off_disables_merging():
     db = _loaded_level_db()
     try:

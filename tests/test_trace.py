@@ -8,13 +8,8 @@ from repro.errors import WorkloadError
 from repro.indexes.registry import IndexKind
 from repro.lsm.db import LSMTree
 from repro.lsm.options import small_test_options
-from repro.workloads.trace import (
-    read_trace,
-    record_ycsb,
-    replay,
-    write_trace,
-)
-from repro.workloads.ycsb import Operation, OpKind, workload
+from repro.workloads.trace import read_trace, record_ycsb, write_trace
+from repro.workloads.ycsb import Operation, OpKind, replay, workload
 
 
 def test_roundtrip():
