@@ -6,11 +6,6 @@ at the same position boundary.  Under every mix the learned index
 matches the latency at a fraction of the memory — the paper's headline
 takeaway.
 
-A second pass shows the serving-layer read knob: ``read_batch_size``
-drains consecutive reads through one ``multi_get`` per batch, so
-adjacent predicted segments coalesce into single preads and per-op
-latency drops on the read-heavy mixes.
-
 Run:  python examples/ycsb_benchmark.py
 """
 
@@ -44,21 +39,6 @@ def main() -> None:
     print(table.to_text())
     print("Note how PGM tracks FP's latency on every mix while using a")
     print("fraction of its index memory (Figure 12's conclusion).")
-
-    # -- batched reads: the read_batch_size knob -----------------------
-    batch_table = ResultTable(columns=["read_batch", "avg_op_us",
-                                       "seeks_saved"])
-    for read_batch in (1, 16, 64):
-        bed = loaded_testbed(scale.config(IndexKind.PGM, BOUNDARY), loaded,
-                             scale.seed)
-        mix = workload("C", loaded, seed=9)
-        metrics = bed.run_ycsb(mix, n_ops, read_batch_size=read_batch)
-        batch_table.add_row(read_batch, metrics.avg_us,
-                            int(metrics.counter("multiget.seeks_saved")))
-        bed.close()
-    print("\nYCSB-C with batched reads (PGM): consecutive reads drain")
-    print("through one multi_get, coalescing adjacent segment preads.\n")
-    print(batch_table.to_text())
 
 
 if __name__ == "__main__":

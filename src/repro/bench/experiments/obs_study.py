@@ -30,7 +30,11 @@ from repro.bench.report import ExperimentResult, ResultTable
 from repro.bench.runner import get_scale, loaded_testbed
 from repro.indexes.registry import IndexKind
 from repro.lsm.options import Granularity
-from repro.obs.registry import MetricsRegistry, global_registry
+from repro.obs.registry import (
+    DEFAULT_EXEMPLARS,
+    MetricsRegistry,
+    global_registry,
+)
 from repro.workloads import datasets as ds
 from repro.workloads.ycsb import workload
 
@@ -107,7 +111,7 @@ def run(scale="smoke", dataset: str = "random",
                     f"{recorded} != {n_ops}")
 
             exemplars = registry.exemplars()
-            bounded = (len(exemplars) <= registry.exemplar_capacity
+            bounded = (len(exemplars) <= DEFAULT_EXEMPLARS
                        and all(a.total_us >= b.total_us for a, b in
                                zip(exemplars, exemplars[1:])))
             retention_ok = retention_ok and bounded

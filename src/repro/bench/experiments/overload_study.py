@@ -49,6 +49,7 @@ from repro.service.gateway import (
     QUEUE_DELAY_OP,
     Request,
     SERVICE_OP,
+    SERVICE_OVERHEAD_US,
 )
 from repro.service.sharded import ShardedDB
 from repro.storage.block_device import MemoryBlockDevice
@@ -111,8 +112,7 @@ def _keys(scale) -> List[int]:
     return list(range(100_000, 100_000 + scale.n_keys))
 
 
-def _calibrate(scale, kind, boundary, granularity,
-               overhead_us: float) -> float:
+def _calibrate(scale, kind, boundary, granularity) -> float:
     """Mean closed-loop service µs per get (a throwaway fleet)."""
     db = _build_db(scale, kind, boundary, granularity)
     keys = _keys(scale)
@@ -122,7 +122,7 @@ def _calibrate(scale, kind, boundary, granularity,
         db.get(keys[rng.randrange(len(keys))])
     elapsed = db.stats.total_time() - before
     db.close()
-    return elapsed / CALIBRATION_OPS + overhead_us
+    return elapsed / CALIBRATION_OPS + SERVICE_OVERHEAD_US
 
 
 def _plan(scale, rate_per_sec: float, deadline_us: float,
@@ -169,8 +169,7 @@ def _sweep(scale, result: ExperimentResult, kind, boundary) -> None:
     queue_split_ok = True
     conserved = True
     for granularity in (Granularity.FILE, Granularity.LEVEL):
-        mean_svc = _calibrate(scale, kind, boundary, granularity,
-                              GatewayConfig().service_overhead_us)
+        mean_svc = _calibrate(scale, kind, boundary, granularity)
         capacity = NUM_SHARDS * 1e6 / mean_svc
         # Deadline sized so a near-full queue can expire requests at
         # dequeue (the depth x service product exceeds it), yet ample
@@ -240,8 +239,7 @@ def _retry_arm(scale, result: ExperimentResult, kind, boundary) -> None:
     # Capacity under faults is far below the healthy calibration (each
     # fault burns its timeout); offering ~1.5x the *healthy* capacity
     # guarantees deep saturation for both arms.
-    mean_svc = _calibrate(scale, kind, boundary, granularity,
-                          GatewayConfig().service_overhead_us)
+    mean_svc = _calibrate(scale, kind, boundary, granularity)
     rate = 1.5 * NUM_SHARDS * 1e6 / (mean_svc + FAULT_READ_RATE
                                      * FAULT_TIMEOUT_US)
     deadline_us = max(4_000.0, 40.0 * mean_svc)
@@ -277,8 +275,7 @@ def _retry_arm(scale, result: ExperimentResult, kind, boundary) -> None:
 def _determinism_arm(scale, result: ExperimentResult, kind,
                      boundary) -> None:
     granularity = Granularity.FILE
-    mean_svc = _calibrate(scale, kind, boundary, granularity,
-                          GatewayConfig().service_overhead_us)
+    mean_svc = _calibrate(scale, kind, boundary, granularity)
     capacity = NUM_SHARDS * 1e6 / mean_svc
     deadline_us = max(60.0, 20.0 * mean_svc)
     dumps = []

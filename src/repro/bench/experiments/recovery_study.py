@@ -85,8 +85,6 @@ def run(scale="smoke", dataset: str = "random",
                 expected = {key: db.get(key)
                             for key in keys[:: max(1, len(keys) // 50)]}
 
-                # Neither reopened handle is close()d until the last
-                # use: close deletes the backing files both share.
                 mani_db, mani_us, mani_visits, mani_train_us = _cold_open(
                     options, device)
                 for name in device.list_files():

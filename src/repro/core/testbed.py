@@ -11,7 +11,6 @@ the paper's stages.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -92,7 +91,6 @@ class Testbed:
                                  registry=self.registry)
         self.db = LSMTree(self.options, device=self.device,
                           tracer=self.tracer)
-        self._rng = random.Random(self.seed)
 
     # -- loading -----------------------------------------------------------
 
@@ -100,22 +98,6 @@ class Testbed:
         """Deterministic value payload for ``key`` (fits the capacity)."""
         raw = b"v%x" % key
         return raw[: self.options.value_capacity]
-
-    def load_keys(self, keys: Sequence[int], shuffle: bool = True) -> None:
-        """Insert ``keys`` through the write path and settle compactions.
-
-        Insertion order is shuffled by default: sorted bulk loads never
-        trigger overlapping compactions and would under-exercise the
-        engine compared to the paper's fill phase.
-        """
-        order = list(keys)
-        if shuffle:
-            self._rng.shuffle(order)
-        put = self.db.put
-        value_for = self.value_for
-        for key in order:
-            put(key, value_for(key))
-        self.settle()
 
     def bulk_load(self, keys: Sequence[int]) -> None:
         """Offline leveled fill (no compaction churn) for read phases."""
@@ -200,17 +182,11 @@ class Testbed:
                             percentiles=self._phase_percentiles(base))
 
     def run_ycsb(self, workload: YCSBWorkload, n_ops: int,
-                 write_batch_size: int = 1,
-                 read_batch_size: int = 1,
                  window_ops: int = 0) -> PhaseMetrics:
         """Execute a YCSB operation stream; returns whole-phase metrics.
 
-        ``write_batch_size > 1`` groups consecutive updates/inserts
-        into :class:`~repro.lsm.write_batch.WriteBatch` group commits;
-        ``read_batch_size > 1`` mirrors it on the read side, draining
-        consecutive READs through one
-        :meth:`~repro.lsm.db.LSMTree.multi_get` per batch (see
-        :func:`repro.workloads.ycsb.replay`).  ``window_ops > 0`` (with
+        Operations run one at a time through
+        :func:`repro.workloads.ycsb.replay`.  ``window_ops > 0`` (with
         tracing on) closes a throughput/percentile window every that
         many operations; the rows come back in ``PhaseMetrics.windows``
         and stay in the registry for export.
@@ -225,8 +201,6 @@ class Testbed:
             window = MetricsWindow(self.registry, db.stats.total_time,
                                    window_ops)
         replay(db, workload.operations(n_ops), self.value_for,
-               write_batch_size=write_batch_size,
-               read_batch_size=read_batch_size,
                window=window)
         windows = None
         if window is not None:

@@ -61,8 +61,7 @@ class IndexFactory:
 
     def __init__(self, kind: IndexKind | str, boundary: int, *,
                  epsilon_recursive: int = DEFAULT_EPSILON_RECURSIVE,
-                 radix_bits: int = 1,
-                 plex_leaf_threshold: int = 4) -> None:
+                 radix_bits: int = 1) -> None:
         self.kind = IndexKind(kind)
         if boundary < 2:
             raise IndexBuildError(
@@ -71,7 +70,6 @@ class IndexFactory:
         self.epsilon = max(1, boundary // 2)
         self.epsilon_recursive = epsilon_recursive
         self.radix_bits = radix_bits
-        self.plex_leaf_threshold = plex_leaf_threshold
         self._rmi_cache = RmiTuningCache()
 
     def create(self) -> ClusteredIndex:
@@ -89,8 +87,7 @@ class IndexFactory:
         if kind is IndexKind.RS:
             return RadixSplineIndex(self.epsilon, radix_bits=self.radix_bits)
         if kind is IndexKind.PLEX:
-            return PLEXIndex(self.epsilon,
-                             leaf_threshold=self.plex_leaf_threshold)
+            return PLEXIndex(self.epsilon)
         if kind is IndexKind.RMI:
             return RMIIndex(self.boundary, cache=self._rmi_cache)
         raise IndexBuildError(f"unknown index kind: {kind}")  # pragma: no cover

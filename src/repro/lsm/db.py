@@ -189,7 +189,7 @@ class LSMTree:
 
     @classmethod
     def reopen(cls, options: Options, device: BlockDevice, *,
-               tracer=None, stats: Optional[Stats] = None) -> "LSMTree":
+               stats: Optional[Stats] = None) -> "LSMTree":
         """Rebuild a database from the files on ``device``.
 
         Replays the manifest's version-edit log, opens exactly the
@@ -207,14 +207,9 @@ class LSMTree:
         superseded sidecars) are garbage-collected, and when a WAL is
         enabled its surviving records land back in the memtable.
         """
-        span = tracer.begin(OpType.RECOVERY) if tracer is not None else None
-        try:
-            db = cls(options, device=device, tracer=tracer, stats=stats)
-            db.recover()
-            return db
-        finally:
-            if tracer is not None:
-                tracer.end(span)
+        db = cls(options, device=device, stats=stats)
+        db.recover()
+        return db
 
     def recover(self) -> None:
         """Load the tables the manifest names (:meth:`reopen`'s second

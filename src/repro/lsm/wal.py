@@ -25,6 +25,9 @@ from repro.storage.block_device import BlockDevice
 
 _PAYLOAD_HEADER = struct.Struct("<QQI")  # key, seq<<8|kind, value length
 
+#: Device file the log lives in.
+WAL_NAME = "wal"
+
 
 def _encode_record(record: Record) -> bytes:
     meta = (record.seq << 8) | record.kind
@@ -52,11 +55,10 @@ def _decode_records(payload: bytes) -> List[Record]:
 class WriteAheadLog:
     """An append-only log of record groups with per-frame CRCs."""
 
-    def __init__(self, device: BlockDevice, name: str = "wal") -> None:
+    def __init__(self, device: BlockDevice) -> None:
         self.device = device
-        self.name = name
-        if not device.exists(name):
-            device.create(name)
+        if not device.exists(WAL_NAME):
+            device.create(WAL_NAME)
 
     def append(self, record: Record) -> None:
         """Durably append one record (a group commit of one)."""
@@ -72,7 +74,7 @@ class WriteAheadLog:
         if not records:
             return
         payload = b"".join(_encode_record(record) for record in records)
-        self.device.append(self.name, frame(payload))
+        self.device.append(WAL_NAME, frame(payload))
         self.device.stats.add(WAL_GROUP_COMMITS)
         self.device.stats.add(WAL_RECORDS_APPENDED, len(records))
 
@@ -83,17 +85,17 @@ class WriteAheadLog:
         once and never read again, so admitting them would only evict
         hot table blocks during recovery.
         """
-        data = self.device.pread_uncached(self.name, 0,
-                                          self.device.size(self.name))
+        data = self.device.pread_uncached(WAL_NAME, 0,
+                                          self.device.size(WAL_NAME))
         payloads, _ = parse_frames(data)  # torn tail dropped silently
         for payload in payloads:
             yield from _decode_records(payload)
 
     def reset(self) -> None:
         """Truncate the log (called after a successful flush)."""
-        self.device.delete(self.name)
-        self.device.create(self.name)
+        self.device.delete(WAL_NAME)
+        self.device.create(WAL_NAME)
 
     def size_bytes(self) -> int:
         """Current log length."""
-        return self.device.size(self.name)
+        return self.device.size(WAL_NAME)

@@ -48,11 +48,9 @@ def _prom(name: str) -> str:
 class MetricsRegistry:
     """Per-op histograms plus bounded span retention and exporters."""
 
-    def __init__(self, exemplar_capacity: int = DEFAULT_EXEMPLARS,
-                 sampled_capacity: int = DEFAULT_SAMPLED_CAPACITY) -> None:
+    def __init__(self) -> None:
         self.histograms: Dict[str, Histogram] = {}
-        self.exemplar_capacity = exemplar_capacity
-        self.sampled: Deque[object] = deque(maxlen=sampled_capacity)
+        self.sampled: Deque[object] = deque(maxlen=DEFAULT_SAMPLED_CAPACITY)
         self.windows: List[Dict[str, float]] = []
         # Min-heap of (total_us, tiebreak, span): the root beats every
         # kept span, so a new span only enters by displacing the
@@ -75,11 +73,9 @@ class MetricsRegistry:
 
     def offer_exemplar(self, span) -> None:
         """Keep ``span`` iff it ranks among the top-K slowest so far."""
-        if self.exemplar_capacity <= 0:
-            return
         self._exemplar_seq += 1
         entry = (span.total_us, self._exemplar_seq, span)
-        if len(self._exemplar_heap) < self.exemplar_capacity:
+        if len(self._exemplar_heap) < DEFAULT_EXEMPLARS:
             heapq.heappush(self._exemplar_heap, entry)
         elif span.total_us > self._exemplar_heap[0][0]:
             heapq.heapreplace(self._exemplar_heap, entry)
@@ -162,26 +158,26 @@ class MetricsRegistry:
                                       key=lambda item: item[0].value)}
         return doc
 
-    def to_prometheus(self, stats=None, prefix: str = "repro") -> str:
+    def to_prometheus(self, stats=None) -> str:
         """Prometheus text exposition format.
 
-        Counters become ``<prefix>_<name>_total``, stage times become
-        ``<prefix>_stage_us_total{stage=...}``, and every op histogram
+        Counters become ``repro_counter_total{name=...}``, stage times
+        become ``repro_stage_us_total{stage=...}``, and every op histogram
         becomes a summary (``quantile`` series plus ``_count``/
         ``_sum``).
         """
         lines: List[str] = []
         if stats is not None:
-            lines.append(f"# TYPE {prefix}_counter_total counter")
+            lines.append("# TYPE repro_counter_total counter")
             for name, amount in sorted(stats.counters.items()):
-                lines.append(f"{prefix}_counter_total"
+                lines.append("repro_counter_total"
                              f'{{name="{_prom(name)}"}} {amount:g}')
-            lines.append(f"# TYPE {prefix}_stage_us_total counter")
+            lines.append("# TYPE repro_stage_us_total counter")
             for stage, us in sorted(stats.stage_us.items(),
                                     key=lambda item: item[0].value):
-                lines.append(f"{prefix}_stage_us_total"
+                lines.append("repro_stage_us_total"
                              f'{{stage="{_prom(stage.value)}"}} {us:g}')
-        metric = f"{prefix}_op_latency_us"
+        metric = "repro_op_latency_us"
         lines.append(f"# TYPE {metric} summary")
         for op in self.ops():
             histogram = self.histograms[op]

@@ -233,30 +233,28 @@ class Manifest:
 
     def __init__(self, device: BlockDevice, *,
                  stats: Optional[Stats] = None,
-                 cost: Optional[CostModel] = None,
-                 name: str = MANIFEST_NAME) -> None:
+                 cost: Optional[CostModel] = None) -> None:
         self.device = device
         self.stats = stats
         self.cost = cost
-        self.name = name
 
     # -- queries -------------------------------------------------------
 
     def exists(self) -> bool:
         """True when the log file is present on the device."""
-        return self.device.exists(self.name)
+        return self.device.exists(MANIFEST_NAME)
 
     def size_bytes(self) -> int:
         """Current log length (0 when absent)."""
-        return self.device.size(self.name) if self.exists() else 0
+        return self.device.size(MANIFEST_NAME) if self.exists() else 0
 
     # -- writing -------------------------------------------------------
 
     def append(self, edit: VersionEdit) -> None:
         """Durably append one edit as a single CRC frame."""
-        if not self.device.exists(self.name):
-            self.device.create(self.name)
-        self.device.append(self.name, frame(edit.encode()))
+        if not self.device.exists(MANIFEST_NAME):
+            self.device.create(MANIFEST_NAME)
+        self.device.append(MANIFEST_NAME, frame(edit.encode()))
         if self.stats is not None:
             self.stats.add(MANIFEST_EDITS)
 
@@ -267,11 +265,9 @@ class Manifest:
         manifest, so a crash at any point leaves either the old log or
         the new one — never a half-written manifest.
         """
-        tmp = MANIFEST_TMP_NAME if self.name == MANIFEST_NAME \
-            else self.name + ".tmp"
-        self.device.create(tmp)
-        self.device.append(tmp, frame(snapshot.encode()))
-        self.device.rename(tmp, self.name)
+        self.device.create(MANIFEST_TMP_NAME)
+        self.device.append(MANIFEST_TMP_NAME, frame(snapshot.encode()))
+        self.device.rename(MANIFEST_TMP_NAME, MANIFEST_NAME)
         if self.stats is not None:
             self.stats.add(MANIFEST_SNAPSHOTS)
 
@@ -290,8 +286,8 @@ class Manifest:
         state = ManifestState()
         if not self.exists():
             return state
-        data = self.device.pread_uncached(self.name, 0,
-                                          self.device.size(self.name))
+        data = self.device.pread_uncached(MANIFEST_NAME, 0,
+                                          self.device.size(MANIFEST_NAME))
         if self.stats is not None and self.cost is not None:
             nblocks = self.cost.blocks_spanned(0, len(data))
             self.stats.charge(Stage.RECOVERY, self.cost.read_us(nblocks))

@@ -76,6 +76,18 @@ OUTCOME_DEADLINE = "deadline"
 OUTCOME_BREAKER = "breaker"
 OUTCOME_FAILED = "failed"
 
+#: Fixed per-request dispatch overhead added to engine service time,
+#: so even cache-hit operations occupy the server for a nonzero
+#: interval and shard capacity stays finite.
+SERVICE_OVERHEAD_US = 2.0
+#: Circuit breaker: completions kept in the sliding window, the number
+#: that must be in view before it may open, the error fraction that
+#: opens it, and the consecutive half-open successes that close it.
+BREAKER_WINDOW = 32
+BREAKER_MIN_SAMPLES = 8
+BREAKER_ERROR_THRESHOLD = 0.5
+BREAKER_HALF_OPEN_PROBES = 2
+
 
 @dataclass
 class GatewayConfig:
@@ -89,17 +101,9 @@ class GatewayConfig:
     queue_depth: int = 64
     #: Deadline assigned by helpers when a request doesn't carry one.
     default_deadline_us: float = 20_000.0
-    #: Fixed per-request dispatch overhead added to engine service
-    #: time, so even cache-hit operations occupy the server for a
-    #: nonzero interval and shard capacity stays finite.
-    service_overhead_us: float = 2.0
     #: Circuit breaker: disable to study pure queueing.
     breaker_enabled: bool = True
-    breaker_window: int = 32
-    breaker_min_samples: int = 8
-    breaker_error_threshold: float = 0.5
     breaker_cooldown_us: float = 100_000.0
-    breaker_half_open_probes: int = 2
     #: Retry budget: ``enabled=False`` is the retry-storm control arm
     #: (unlimited client retries, as a naive client would).
     retry_budget_enabled: bool = True
@@ -114,16 +118,6 @@ class GatewayConfig:
                 f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.default_deadline_us <= 0:
             raise InvalidOptionError("default_deadline_us must be > 0")
-        if self.service_overhead_us < 0:
-            raise InvalidOptionError("service_overhead_us must be >= 0")
-        if not 0.0 < self.breaker_error_threshold <= 1.0:
-            raise InvalidOptionError(
-                "breaker_error_threshold must be in (0, 1]")
-        if self.breaker_window < self.breaker_min_samples:
-            raise InvalidOptionError(
-                "breaker_window must be >= breaker_min_samples")
-        if self.breaker_half_open_probes < 1:
-            raise InvalidOptionError("breaker_half_open_probes must be >= 1")
         if self.retry_budget_ratio < 0 or self.retry_budget_burst < 0:
             raise InvalidOptionError("retry budget parameters must be >= 0")
         if self.max_client_retries < 0:
@@ -169,15 +163,16 @@ class RetryBudget:
 class CircuitBreaker:
     """Per-shard breaker: CLOSED → OPEN → HALF_OPEN → CLOSED.
 
-    Closed, it watches a sliding window of completions; once at least
-    ``min_samples`` are in view and the error fraction reaches the
-    threshold, it opens and every request fails fast with
+    Closed, it watches a sliding window of :data:`BREAKER_WINDOW`
+    completions; once at least :data:`BREAKER_MIN_SAMPLES` are in view
+    and the error fraction reaches :data:`BREAKER_ERROR_THRESHOLD`, it
+    opens and every request fails fast with
     :class:`CircuitOpenError` — microseconds instead of queueing behind
     a sick shard.  After ``cooldown_us`` it goes half-open and admits
-    probe requests; ``half_open_probes`` consecutive successes close
-    it, any probe failure re-opens it.  A shard whose ``health()``
-    degrades to read-only force-opens the breaker for writes-at-fault
-    reasons recorded in ``reason``.
+    probe requests; :data:`BREAKER_HALF_OPEN_PROBES` consecutive
+    successes close it, any probe failure re-opens it.  A shard whose
+    ``health()`` degrades to read-only force-opens the breaker for
+    writes-at-fault reasons recorded in ``reason``.
     """
 
     CLOSED = "closed"
@@ -190,7 +185,7 @@ class CircuitBreaker:
         self.config = config
         self.stats = stats
         self.state = self.CLOSED
-        self.window: Deque[bool] = deque(maxlen=config.breaker_window)
+        self.window: Deque[bool] = deque(maxlen=BREAKER_WINDOW)
         self.opened_at_us = 0.0
         self.reason = ""
         self._probe_successes = 0
@@ -215,7 +210,7 @@ class CircuitBreaker:
         if self.state == self.HALF_OPEN:
             if ok:
                 self._probe_successes += 1
-                if self._probe_successes >= self.config.breaker_half_open_probes:
+                if self._probe_successes >= BREAKER_HALF_OPEN_PROBES:
                     self.state = self.CLOSED
                     self.window.clear()
                     self.reason = ""
@@ -228,9 +223,9 @@ class CircuitBreaker:
             # nothing; the cooldown clock is already running.
             return
         self.window.append(ok)
-        if len(self.window) >= self.config.breaker_min_samples:
+        if len(self.window) >= BREAKER_MIN_SAMPLES:
             errors = sum(1 for entry in self.window if not entry)
-            if errors / len(self.window) >= self.config.breaker_error_threshold:
+            if errors / len(self.window) >= BREAKER_ERROR_THRESHOLD:
                 self._open(now_us,
                            f"error rate {errors}/{len(self.window)}")
 
@@ -470,7 +465,7 @@ class Gateway:
         ``(time, kind, seq)`` — deterministic for a fixed plan, no
         wall clock.  Each shard is one server; service time is the
         simulated microseconds the engine charges for the operation
-        plus ``service_overhead_us``.  Transient engine failures may
+        plus :data:`SERVICE_OVERHEAD_US`.  Transient engine failures may
         be resubmitted (client retry) while the retry budget and
         ``max_client_retries`` allow.
         """
@@ -573,7 +568,7 @@ class Gateway:
         except ReproError as exc:
             req.error = exc
         service_us = (tree.stats.total_time() - before
-                      + self.config.service_overhead_us)
+                      + SERVICE_OVERHEAD_US)
         self.registry.record_op(SERVICE_OP, service_us)
         self.servers[shard].busy_until = now_us + service_us
         self._push(heap, now_us + service_us, _COMPLETE, req)

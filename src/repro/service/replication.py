@@ -80,6 +80,16 @@ ROLE_FOLLOWER = "follower"
 #: in the wire format; workloads use non-negative ints).
 _MIN_KEY = -(1 << 63)
 
+#: Hinted-handoff bound: frames retained for one dead replica; writes
+#: that would exceed it are rejected (backpressure).
+HINT_QUEUE_FRAMES = 256
+#: Follower reads are refused past this many frames of lag.
+MAX_STALENESS_FRAMES = 64
+#: Simulated network cost of shipping one frame to one follower.
+SHIP_FRAME_US = 120.0
+#: Marginal per-record cost on top of :data:`SHIP_FRAME_US`.
+SHIP_RECORD_US = 2.0
+
 
 class AckPolicy(str, enum.Enum):
     """When a replicated write is acknowledged to the client."""
@@ -115,15 +125,6 @@ class ReplicationConfig:
     heartbeat_interval_us: float = 5_000.0
     #: A replica unreachable this long is declared dead.
     heartbeat_timeout_us: float = 15_000.0
-    #: Hinted-handoff bound: frames retained for one dead replica;
-    #: writes that would exceed it are rejected (backpressure).
-    hint_queue_frames: int = 256
-    #: Follower reads are refused past this many frames of lag.
-    max_staleness_frames: int = 64
-    #: Simulated network cost of shipping one frame to one follower.
-    ship_frame_us: float = 120.0
-    #: Marginal per-record cost on top of :attr:`ship_frame_us`.
-    ship_record_us: float = 2.0
 
     def validate(self) -> None:
         """Reject inconsistent knobs with :class:`InvalidOptionError`."""
@@ -136,12 +137,6 @@ class ReplicationConfig:
         if self.heartbeat_timeout_us < self.heartbeat_interval_us:
             raise InvalidOptionError(
                 "heartbeat_timeout_us must be >= heartbeat_interval_us")
-        if self.hint_queue_frames < 1:
-            raise InvalidOptionError("hint_queue_frames must be >= 1")
-        if self.max_staleness_frames < 0:
-            raise InvalidOptionError("max_staleness_frames must be >= 0")
-        if self.ship_frame_us < 0 or self.ship_record_us < 0:
-            raise InvalidOptionError("ship costs must be >= 0")
 
 
 class Replica:
@@ -357,11 +352,11 @@ class ReplicaGroup:
         for replica in self.replicas:
             if not self._hinted(replica):
                 continue
-            if self.lag_frames(replica) + 1 > self.config.hint_queue_frames:
+            if self.lag_frames(replica) + 1 > HINT_QUEUE_FRAMES:
                 self.stats.add(REPL_BACKPRESSURE)
                 self.stats.add(REPL_WRITES_REJECTED)
                 raise HintQueueFullError(self.shard, replica.index,
-                                         self.config.hint_queue_frames)
+                                         HINT_QUEUE_FRAMES)
         try:
             applied = primary.tree.write(list(ops))
         except ReadOnlyModeError:
@@ -408,8 +403,7 @@ class ReplicaGroup:
         assert replica.applied_lsn == lsn - 1, \
             f"out-of-order ship: {replica.applied_lsn} -> {lsn}"
         self.stats.charge(Stage.WRITE_PATH,
-                          self.config.ship_frame_us
-                          + self.config.ship_record_us * len(ops))
+                          SHIP_FRAME_US + SHIP_RECORD_US * len(ops))
         try:
             replica.tree.write(list(ops))
         except ReadOnlyModeError:
@@ -452,11 +446,11 @@ class ReplicaGroup:
         if best is None:
             raise ReplicaUnavailableError(self.shard, "every replica dead")
         lag = self.lag_frames(best)
-        if lag > self.config.max_staleness_frames:
+        if lag > MAX_STALENESS_FRAMES:
             raise ReplicaUnavailableError(
                 self.shard,
                 f"best follower lags {lag} frames "
-                f"(bound {self.config.max_staleness_frames})")
+                f"(bound {MAX_STALENESS_FRAMES})")
         self.stats.add(REPL_STALE_READS)
         return best
 
@@ -568,11 +562,10 @@ class ReplicaGroup:
     def _restart(self, replica: Replica) -> None:
         """Reopen a replica from its device (the process restarted).
 
-        Deliberately does NOT ``close()`` the old tree: close is a
-        graceful teardown that deletes the backing tables, while a
-        restart models a process crash — the device keeps exactly what
-        was durable and recovery replays it.  The old facade is marked
-        closed so a stale reference cannot serve.  Recovery work
+        A restart models a process crash, so the old tree gets no
+        shutdown: the device keeps exactly what was durable and
+        recovery replays it.  The old facade is only marked closed so
+        a stale reference cannot serve.  Recovery work
         (manifest replay, model reloads, WAL replay) charges the shared
         registry — restart cost is measured.
         """
@@ -603,25 +596,31 @@ class ReplicaGroup:
         if replica.tree.read_only:
             replica.crash_looping = True
             return
-        for lsn, ops in self._frames:
-            if lsn <= replica.applied_lsn:
-                continue
-            replayed = self._ship_frame(replica, lsn, ops)
-            if not replayed:
-                return
-            self.stats.add(REPL_CATCHUP_FRAMES)
-            self.stats.add(REPL_HINTS_REPLAYED)
+        replayed = self._catch_up(replica)
+        if replayed:
+            self.stats.add(REPL_CATCHUP_FRAMES, replayed)
+            self.stats.add(REPL_HINTS_REPLAYED, replayed)
 
     def _ship_pending(self) -> None:
         """Ship retained frames to every eligible lagging follower."""
         for replica in self.replicas:
-            if not self._ship_eligible(replica):
+            if self._ship_eligible(replica):
+                self._catch_up(replica)
+
+    def _catch_up(self, replica: Replica) -> int:
+        """Ship the retained frames ``replica`` has not applied, in order.
+
+        Stops at the first frame that fails to apply; returns how many
+        shipped.
+        """
+        shipped = 0
+        for lsn, ops in list(self._frames):
+            if lsn <= replica.applied_lsn:
                 continue
-            for lsn, ops in list(self._frames):
-                if lsn <= replica.applied_lsn:
-                    continue
-                if not self._ship_frame(replica, lsn, ops):
-                    break
+            if not self._ship_frame(replica, lsn, ops):
+                break
+            shipped += 1
+        return shipped
 
     def _promote(self, now: float) -> None:
         """Fail over to the most-caught-up live follower, if any."""

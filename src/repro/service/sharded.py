@@ -55,7 +55,6 @@ class ShardedDB:
                  options: Optional[Options] = None,
                  devices: Optional[Sequence] = None,
                  observe: bool = True,
-                 sample_every: int = 0,
                  metrics_sink: Optional[MetricsRegistry] = None,
                  replication: Optional[ReplicationConfig] = None) -> None:
         self.router = HashRouter(num_shards)
@@ -94,7 +93,7 @@ class ShardedDB:
         # :meth:`close` folds that into ``metrics_sink`` (the global
         # registry by default) so bench reports see sharded runs too.
         self.tracers: List[Tracer] = [
-            Tracer(sample_every=sample_every, registry=MetricsRegistry())
+            Tracer(registry=MetricsRegistry())
             for _ in self.shards] if observe else []
         self.registries = [tracer.registry for tracer in self.tracers]
         for shard, tracer in zip(self.shards, self.tracers):
@@ -106,7 +105,6 @@ class ShardedDB:
     def reopen(cls, num_shards: int, options: Options,
                devices: Sequence[BlockDevice], *,
                observe: bool = True,
-               sample_every: int = 0,
                metrics_sink: Optional[MetricsRegistry] = None
                ) -> "ShardedDB":
         """Rebuild every shard from its device (crash recovery).
@@ -122,7 +120,7 @@ class ShardedDB:
         Each shard's recovery is recorded as a per-shard "recovery" span.
         """
         db = cls(num_shards, options, devices, observe=observe,
-                 sample_every=sample_every, metrics_sink=metrics_sink)
+                 metrics_sink=metrics_sink)
         for shard in db.shards:
             tracer = shard.stats.tracer
             span = (tracer.begin(OpType.RECOVERY)

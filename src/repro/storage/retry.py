@@ -29,6 +29,11 @@ from repro.storage.stats import (
 
 T = TypeVar("T")
 
+#: Simulated microseconds the first retry sleeps (charges).
+BACKOFF_US = 50.0
+#: Growth factor of the backoff from one retry to the next.
+MULTIPLIER = 2.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -36,24 +41,16 @@ class RetryPolicy:
 
     ``max_attempts`` counts the first try: the default of 3 means one
     read plus up to two retries.  The *n*-th retry sleeps (charges)
-    ``backoff_us * multiplier**(n-1)`` simulated microseconds.
+    ``BACKOFF_US * MULTIPLIER**(n-1)`` simulated microseconds.
     """
 
     max_attempts: int = 3
-    backoff_us: float = 50.0
-    multiplier: float = 2.0
 
     def validate(self) -> None:
         """Raise :class:`InvalidOptionError` on nonsensical settings."""
         if self.max_attempts < 1:
             raise InvalidOptionError(
                 f"retry.max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_us < 0:
-            raise InvalidOptionError(
-                f"retry.backoff_us must be >= 0, got {self.backoff_us}")
-        if self.multiplier < 1.0:
-            raise InvalidOptionError(
-                f"retry.multiplier must be >= 1, got {self.multiplier}")
 
     def call(self, fn: Callable[[], T], stats: Optional[Stats] = None,
              stage: Stage = Stage.IO) -> T:
@@ -64,7 +61,7 @@ class RetryPolicy:
         breakdown.  The final failure re-raises the last transient
         error unchanged.
         """
-        delay = self.backoff_us
+        delay = BACKOFF_US
         for attempt in range(1, self.max_attempts + 1):
             try:
                 result = fn()
@@ -75,9 +72,9 @@ class RetryPolicy:
                     if stats is not None:
                         stats.add(RETRY_EXHAUSTED)
                     raise
-                if stats is not None and delay > 0:
+                if stats is not None:
                     stats.charge(stage, delay)
-                delay *= self.multiplier
+                delay *= MULTIPLIER
             else:
                 if attempt > 1 and stats is not None:
                     stats.add(RETRY_SUCCESSES)

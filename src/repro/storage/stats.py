@@ -276,7 +276,6 @@ MULTIGET_BATCHES = "multiget.batches"
 MULTIGET_KEYS = "multiget.keys"
 MULTIGET_COALESCED = "multiget.segments_coalesced"
 MULTIGET_SEEKS_SAVED = "multiget.seeks_saved"
-MULTIGET_READ_YOUR_WRITES = "multiget.read_your_writes"
 UPDATES = "op.updates"
 BATCH_WRITES = "op.batch_writes"
 FLUSHES = "op.flushes"

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import WorkloadError
-from repro.lsm.write_batch import WriteBatch
-from repro.storage.stats import MULTIGET_READ_YOUR_WRITES, Stage
 from repro.workloads.distributions import make_picker
 
 
@@ -163,8 +161,6 @@ class YCSBWorkload:
 
 def replay(db, operations: Iterable[Operation],
            value_for: Optional[Callable[[int], bytes]] = None,
-           write_batch_size: int = 1,
-           read_batch_size: int = 1,
            window: Optional[object] = None) -> Dict[str, int]:
     """Execute an operation stream against ``db``; returns op counts.
 
@@ -174,114 +170,35 @@ def replay(db, operations: Iterable[Operation],
     supplies write payloads (defaults to a compact deterministic
     value).  An UPDATE with ``scan_length == -1`` is the trace
     encoding of a delete (see :mod:`repro.workloads.trace`).
-
-    With ``write_batch_size > 1``, consecutive updates, inserts and
-    deletes are staged into a
-    :class:`~repro.lsm.write_batch.WriteBatch` and committed as a
-    group once full; any read, scan or read-modify-write first commits
-    the pending batch, preserving read-your-writes semantics.
-
-    With ``read_batch_size > 1``, consecutive READs are staged and
-    drained through one ``db.multi_get`` per batch — the mirrored read
-    side of write batching.  Program order is preserved exactly: a
-    READ of a key staged in the pending write batch is answered from
-    that batch (read-your-writes — an in-memory probe charged as one
-    batch-index descent, no device access; counted under
-    ``multiget.read_your_writes`` and in the returned
-    ``read_from_batch``), and any write, scan or read-modify-write
-    drains the staged reads first, so a read can never observe a
-    write issued after it.
+    Operations run one at a time, in program order.
 
     ``window`` (a :class:`~repro.obs.registry.MetricsWindow`) is
     ticked once per workload operation, so windowed throughput/
     percentile snapshots line up with the operation stream.
     """
-    if write_batch_size < 1:
-        raise WorkloadError(
-            f"write_batch_size must be >= 1, got {write_batch_size}")
-    if read_batch_size < 1:
-        raise WorkloadError(
-            f"read_batch_size must be >= 1, got {read_batch_size}")
     if value_for is None:
         def value_for(key: int) -> bytes:  # noqa: ANN001 - local default
             return b"t%x" % key
     counts: Dict[str, int] = {}
-    pending = WriteBatch()
-    pending_reads: List[int] = []
-    staged_writes: set = set()  # keys with an op in the pending batch
-
-    def commit() -> None:
-        drain_reads()
-        if pending:
-            db.write(pending)
-            pending.clear()
-            staged_writes.clear()
-
-    def drain_reads() -> None:
-        if pending_reads:
-            db.multi_get(pending_reads)
-            pending_reads.clear()
-
-    batching = write_batch_size > 1
-    read_batching = read_batch_size > 1
     for op in operations:
         if op.kind is OpKind.READ:
-            if read_batching:
-                # Keys staged in the pending write batch resolve from
-                # it (read-your-writes); the rest wait for the batch.
-                if op.key in staged_writes:
-                    # ShardedDB.stats is an ephemeral aggregate, so the
-                    # charge/counter stick only on a single tree; the
-                    # returned ``read_from_batch`` covers every engine.
-                    cost = getattr(db, "cost", None)
-                    if cost is not None:
-                        db.stats.charge(
-                            Stage.TABLE_LOOKUP,
-                            cost.index_compare_us
-                            * max(1, len(pending)).bit_length())
-                        db.stats.add(MULTIGET_READ_YOUR_WRITES)
-                    counts["read_from_batch"] = (
-                        counts.get("read_from_batch", 0) + 1)
-                else:
-                    pending_reads.append(op.key)
-                    if len(pending_reads) >= read_batch_size:
-                        drain_reads()
-            else:
-                commit()
-                db.get(op.key)
+            db.get(op.key)
         elif op.kind is OpKind.UPDATE and op.scan_length == -1:
-            drain_reads()
-            if batching:
-                pending.delete(op.key)
-                staged_writes.add(op.key)
-                if len(pending) >= write_batch_size:
-                    commit()
-            else:
-                db.delete(op.key)
+            db.delete(op.key)
             counts["delete"] = counts.get("delete", 0) + 1
             if window is not None:
                 window.tick()
             continue
         elif op.kind in (OpKind.UPDATE, OpKind.INSERT):
-            drain_reads()
-            if batching:
-                pending.put(op.key, value_for(op.key))
-                staged_writes.add(op.key)
-                if len(pending) >= write_batch_size:
-                    commit()
-            else:
-                db.put(op.key, value_for(op.key))
+            db.put(op.key, value_for(op.key))
         elif op.kind is OpKind.SCAN:
-            commit()
             db.scan(op.key, op.scan_length)
         elif op.kind is OpKind.READ_MODIFY_WRITE:
-            commit()
             db.get(op.key)
             db.put(op.key, value_for(op.key))
         counts[op.kind.value] = counts.get(op.kind.value, 0) + 1
         if window is not None:
             window.tick()
-    commit()
     return counts
 
 

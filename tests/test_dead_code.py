@@ -10,6 +10,10 @@ string that is not a docstring (name strings dispatch through
 ``getattr`` and ``perf/``'s span bindings).  Definitions, docstrings,
 comments, imports and ``__all__`` entries are not uses, so a name that
 is only defined, documented and re-exported still counts as unused.
+
+Likewise a settings field that only tests or examples set is a
+constant in disguise: every field of the settings classes must be
+chosen by library, experiment or perf code.
 """
 
 from __future__ import annotations
@@ -105,3 +109,56 @@ def test_every_exported_name_resolves(package):
     missing = [name for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert not missing, f"{package}.__all__ names missing: {missing}"
+
+
+#: Settings classes, each with the module that defines it.
+SETTINGS = {
+    "Options": "src/repro/lsm/options.py",
+    "GatewayConfig": "src/repro/service/gateway.py",
+    "ReplicationConfig": "src/repro/service/replication.py",
+    "RetryPolicy": "src/repro/storage/retry.py",
+}
+#: Where a setting counts as chosen: library code, experiments, perf.
+CALLERS = ("src", "perf", "benchmarks")
+
+
+def _fields(path: Path, cls: str) -> list:
+    """The annotated (dataclass) field names of ``cls`` in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            return [stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)]
+    raise AssertionError(f"{cls} not found in {path}")
+
+
+def _keywords(path: Path) -> set:
+    """Every keyword-argument name passed to any call in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {keyword.arg for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            for keyword in node.keywords if keyword.arg is not None}
+
+
+@pytest.mark.parametrize("cls", sorted(SETTINGS))
+def test_every_setting_is_chosen_by_a_caller(cls):
+    """A settings field that no caller passes is a constant in disguise.
+
+    Fails when a field of ``cls`` is never passed as a keyword argument
+    — to the class, to ``with_changes`` or to any helper — anywhere
+    under ``src/`` (outside the defining module), ``perf/`` or
+    ``benchmarks/``; tests and examples do not count.  Such a field
+    becomes a named module constant.  What the guard does not see: a
+    field passed only at its default value, or a field whose name is
+    only passed as a keyword to some unrelated callable.
+    """
+    defining = ROOT / SETTINGS[cls]
+    passed: set = set()
+    for directory in CALLERS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            if path != defining:
+                passed |= _keywords(path)
+    unchosen = [name for name in _fields(defining, cls)
+                if name not in passed]
+    assert not unchosen, f"{cls} fields no caller passes: {unchosen}"

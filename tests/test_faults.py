@@ -11,7 +11,7 @@ from repro.errors import (
 )
 from repro.storage.block_device import MemoryBlockDevice
 from repro.storage.faults import FaultPlan, FaultyBlockDevice
-from repro.storage.retry import RetryPolicy
+from repro.storage.retry import BACKOFF_US, MULTIPLIER, RetryPolicy
 from repro.storage.stats import (
     FAULT_BIT_ROT_BLOCKS,
     FAULT_DISK_FULL,
@@ -93,23 +93,32 @@ def test_retry_policy_exhaustion_reraises():
     assert stats.get(RETRY_EXHAUSTED) == 1
 
 
-def test_retry_backoff_charges_simulated_time():
+def _backoff_us(fails, max_attempts):
+    """Backoff one retried read charges (to a stage I/O never uses)."""
     device, stats = _device(FaultPlan(seed=3, transient_read_rate=1.0,
-                                      transient_fail_count=1))
+                                      transient_fail_count=fails))
     name = _fill(device)
-    policy = RetryPolicy(max_attempts=3, backoff_us=100.0, multiplier=2.0)
-    before = stats.stage_time(Stage.IO)
-    policy.call(lambda: device.pread(name, 0, 8), stats, Stage.IO)
-    assert stats.stage_time(Stage.IO) - before >= 100.0
+    policy = RetryPolicy(max_attempts=max_attempts)
+    try:
+        policy.call(lambda: device.pread(name, 0, 8), stats, Stage.SEARCH)
+    except TransientIOError:
+        pass
+    return stats.stage_time(Stage.SEARCH)
+
+
+def test_retry_backoff_charges_simulated_time():
+    # The n-th retry sleeps BACKOFF_US * MULTIPLIER**(n-1).
+    assert _backoff_us(fails=1, max_attempts=4) == BACKOFF_US
+    assert _backoff_us(fails=3, max_attempts=4) == pytest.approx(
+        sum(BACKOFF_US * MULTIPLIER ** (n - 1) for n in (1, 2, 3)))
+    # The failure that exhausts the policy re-raises without sleeping.
+    assert _backoff_us(fails=5, max_attempts=3) == pytest.approx(
+        BACKOFF_US + BACKOFF_US * MULTIPLIER)
 
 
 def test_retry_policy_validates():
     with pytest.raises(InvalidOptionError):
         RetryPolicy(max_attempts=0).validate()
-    with pytest.raises(InvalidOptionError):
-        RetryPolicy(backoff_us=-1.0).validate()
-    with pytest.raises(InvalidOptionError):
-        RetryPolicy(multiplier=0.5).validate()
 
 
 # -- bit rot -----------------------------------------------------------

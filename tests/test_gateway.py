@@ -1,6 +1,7 @@
 """The overload gateway: queues, deadlines, breakers, retry budgets."""
 
 import json
+import math
 import random
 
 import pytest
@@ -20,6 +21,9 @@ from repro.lsm.deadline import DeadlineToken
 from repro.lsm.options import small_test_options
 from repro.lsm.write_batch import WriteBatch
 from repro.service.gateway import (
+    BREAKER_ERROR_THRESHOLD,
+    BREAKER_HALF_OPEN_PROBES,
+    BREAKER_MIN_SAMPLES,
     CircuitBreaker,
     Gateway,
     GatewayConfig,
@@ -79,10 +83,6 @@ def uniform_plan(n, rate, deadline_us, seed=3):
 def test_config_validation():
     with pytest.raises(InvalidOptionError):
         GatewayConfig(queue_depth=0).validate()
-    with pytest.raises(InvalidOptionError):
-        GatewayConfig(breaker_error_threshold=0.0).validate()
-    with pytest.raises(InvalidOptionError):
-        GatewayConfig(breaker_window=2, breaker_min_samples=8).validate()
     with pytest.raises(InvalidOptionError):
         GatewayConfig(max_client_retries=-1).validate()
     GatewayConfig().validate()
@@ -147,30 +147,55 @@ def test_lsm_multi_get_degrades_per_key_on_deadline():
 
 
 def breaker(**overrides):
-    config = GatewayConfig(breaker_window=8, breaker_min_samples=4,
-                           breaker_error_threshold=0.5,
-                           breaker_cooldown_us=1_000.0,
-                           breaker_half_open_probes=2, **overrides)
+    config = GatewayConfig(breaker_cooldown_us=1_000.0, **overrides)
     return CircuitBreaker(0, config, Stats())
 
 
 def test_breaker_opens_on_error_rate_and_recovers():
+    # The error that brings the window to BREAKER_MIN_SAMPLES with an
+    # error fraction of exactly BREAKER_ERROR_THRESHOLD opens it.
+    errors = math.ceil(BREAKER_ERROR_THRESHOLD * BREAKER_MIN_SAMPLES)
     b = breaker()
-    for _ in range(4):
+    for _ in range(BREAKER_MIN_SAMPLES - errors):
+        b.record(True, now_us=0.0)
+    for _ in range(errors - 1):
         b.record(False, now_us=0.0)
+    assert b.state == CircuitBreaker.CLOSED
+    b.record(False, now_us=0.0)
     assert b.state == CircuitBreaker.OPEN
     assert not b.allow(100.0)
     # Cooldown elapses -> half-open probe allowed.
     assert b.allow(1_500.0)
     assert b.state == CircuitBreaker.HALF_OPEN
-    b.record(True, 1_600.0)
+    for i in range(BREAKER_HALF_OPEN_PROBES - 1):
+        b.record(True, 1_600.0 + i)
+    assert b.state == CircuitBreaker.HALF_OPEN
     b.record(True, 1_700.0)
     assert b.state == CircuitBreaker.CLOSED
 
 
+def test_breaker_stays_closed_below_threshold_or_min_samples():
+    errors = math.ceil(BREAKER_ERROR_THRESHOLD * BREAKER_MIN_SAMPLES)
+    # A full minimum window one error short of the threshold.
+    below = breaker()
+    for _ in range(BREAKER_MIN_SAMPLES - errors + 1):
+        below.record(True, 0.0)
+    for _ in range(errors - 1):
+        below.record(False, 0.0)
+    assert len(below.window) == BREAKER_MIN_SAMPLES
+    assert below.state == CircuitBreaker.CLOSED
+    # Every completion failed, but too few are in view.
+    few = breaker()
+    for _ in range(BREAKER_MIN_SAMPLES - 1):
+        few.record(False, 0.0)
+    assert few.state == CircuitBreaker.CLOSED
+    few.record(False, 0.0)
+    assert few.state == CircuitBreaker.OPEN
+
+
 def test_breaker_half_open_failure_reopens():
     b = breaker()
-    for _ in range(4):
+    for _ in range(BREAKER_MIN_SAMPLES):
         b.record(False, 0.0)
     assert b.allow(2_000.0)
     b.record(False, 2_100.0)
@@ -409,11 +434,14 @@ def test_failing_sync_lookups_open_the_breaker_by_error_rate(call):
 
     bad = next(key for key in range(N_KEYS)
                if db.shard_for(key) == 0 and fails(key))
-    gw = Gateway(db, GatewayConfig(breaker_window=8, breaker_min_samples=4))
+    gw = Gateway(db, GatewayConfig())
     lookup = gw.get if call == "get" else (lambda key: gw.multi_get([key]))
-    for _ in range(4):
+    for _ in range(BREAKER_MIN_SAMPLES - 1):
         with pytest.raises(QuarantinedBlockError):
             lookup(bad)
+    assert gw.breakers[0].state == CircuitBreaker.CLOSED
+    with pytest.raises(QuarantinedBlockError):
+        lookup(bad)
     assert gw.breakers[0].state == CircuitBreaker.OPEN
     with pytest.raises(CircuitOpenError):
         lookup(bad)

@@ -313,28 +313,6 @@ def test_multi_get_coalesce_off_disables_merging():
         db.close()
 
 
-def test_replay_counts_read_your_writes():
-    from repro.storage.stats import MULTIGET_READ_YOUR_WRITES
-    from repro.workloads.ycsb import OpKind, Operation, replay
-
-    db = LSMTree(small_test_options(IndexKind.PGM))
-    try:
-        ops = [
-            Operation(OpKind.UPDATE, 5),
-            Operation(OpKind.READ, 5),    # staged above: read-your-writes
-            Operation(OpKind.READ, 7),    # not staged: goes to the tree
-            Operation(OpKind.READ, 5),    # still staged
-        ]
-        counts = replay(db, ops, write_batch_size=8, read_batch_size=8)
-        assert counts["read"] == 3
-        assert counts["read_from_batch"] == 2
-        assert db.stats.get(MULTIGET_READ_YOUR_WRITES) == 2
-        assert db.stats.stage_time(Stage.TABLE_LOOKUP) > 0.0
-        assert db.get(5) is not None  # the staged write did commit
-    finally:
-        db.close()
-
-
 def test_empty_memtable_charges_no_table_lookup():
     """Satellite fix: an empty memtable costs neither probe nor charge."""
     db = LSMTree(small_test_options(IndexKind.PGM))

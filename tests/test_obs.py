@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.lsm.db import LSMTree
 from repro.lsm.options import small_test_options
 from repro.obs.histogram import Histogram, bucket_bounds, bucket_index
-from repro.obs.registry import MetricsRegistry, MetricsWindow
+from repro.obs.registry import DEFAULT_EXEMPLARS, MetricsRegistry, MetricsWindow
 from repro.obs.trace import OpType, Tracer
 from repro.service.sharded import ShardedDB
 from repro.storage.stats import BLOOM_PROBES, Stage, Stats
@@ -249,17 +249,26 @@ def test_sampling_disabled_keeps_none_but_histograms_full():
 
 
 def test_exemplars_keep_top_k_slowest():
-    registry = MetricsRegistry(exemplar_capacity=3)
+    registry = MetricsRegistry()
     tracer = Tracer(registry=registry)
     stats = Stats()
     stats.attach_tracer(tracer)
-    order = [5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0]
-    for us in order:
+
+    def offer(us):
         span = tracer.begin(OpType.GET)
         stats.charge(Stage.IO, us)
         tracer.end(span)
+
+    order = [float(us) for us in range(1, DEFAULT_EXEMPLARS + 1)]
+    random.Random(5).shuffle(order)
+    for us in order:
+        offer(us)
+    # Exactly at capacity: every span is kept.
+    assert len(registry.exemplars()) == DEFAULT_EXEMPLARS
+    offer(0.5)  # faster than every kept span: dropped
+    offer(DEFAULT_EXEMPLARS + 1.0)  # slowest so far: evicts the fastest
     kept = [span.total_us for span in registry.exemplars()]
-    assert kept == [9.0, 8.0, 7.0]
+    assert kept == [float(us) for us in range(DEFAULT_EXEMPLARS + 1, 1, -1)]
 
 
 def test_traced_engine_run_matches_untraced_exactly():
@@ -293,28 +302,33 @@ def test_traced_engine_run_matches_untraced_exactly():
 
 
 def test_registry_merge_is_lossless_and_rebounds_exemplars():
-    a = MetricsRegistry(exemplar_capacity=2)
-    b = MetricsRegistry(exemplar_capacity=2)
+    a = MetricsRegistry()
+    b = MetricsRegistry()
     tracer_a = Tracer(registry=a)
     tracer_b = Tracer(registry=b)
     stats_a, stats_b = Stats(), Stats()
     stats_a.attach_tracer(tracer_a)
     stats_b.attach_tracer(tracer_b)
-    for us in (1.0, 10.0, 3.0):
+    # Each side fills its own exemplar store: odd vs even latencies.
+    odd = [float(2 * i + 1) for i in range(DEFAULT_EXEMPLARS)]
+    even = [float(2 * i + 2) for i in range(DEFAULT_EXEMPLARS)]
+    for us in odd:
         span = tracer_a.begin(OpType.GET)
         stats_a.charge(Stage.IO, us)
         tracer_a.end(span)
-    for us in (2.0, 20.0):
+    for us in even:
         span = tracer_b.begin(OpType.GET)
         stats_b.charge(Stage.IO, us)
         tracer_b.end(span)
-    merged = MetricsRegistry(exemplar_capacity=2)
+    merged = MetricsRegistry()
     merged.merge(a)
     merged.merge(b)
     single = Histogram()
-    _record(single, [1.0, 10.0, 3.0, 2.0, 20.0])
+    _record(single, odd + even)
     assert merged.histogram("get").state() == single.state()
-    assert [s.total_us for s in merged.exemplars()] == [20.0, 10.0]
+    # The union is re-ranked down to the one bound.
+    assert [s.total_us for s in merged.exemplars()] == \
+        sorted(odd + even, reverse=True)[:DEFAULT_EXEMPLARS]
 
 
 def test_registry_json_and_prometheus_exports():

@@ -15,6 +15,8 @@ from repro.lsm.write_batch import WriteBatch
 from repro.service.gateway import Gateway, GatewayConfig
 from repro.service.replication import (
     FAILOVER_OP,
+    HINT_QUEUE_FRAMES,
+    MAX_STALENESS_FRAMES,
     AckPolicy,
     ReplicaGroup,
     ReplicationConfig,
@@ -81,9 +83,6 @@ def test_acks_needed_per_policy():
     dict(replication_factor=0),
     dict(heartbeat_interval_us=0.0),
     dict(heartbeat_timeout_us=HEARTBEAT_US / 2),
-    dict(hint_queue_frames=0),
-    dict(max_staleness_frames=-1),
-    dict(ship_frame_us=-1.0),
 ])
 def test_config_validation_rejects_bad_knobs(overrides):
     with pytest.raises(InvalidOptionError):
@@ -234,18 +233,34 @@ def test_dead_follower_accumulates_hints_and_replays_on_revive():
     group.close()
 
 
+def test_rejoin_with_nothing_missed_adds_no_catchup_counters():
+    group, devices = _group()
+    group.put(0, b"seed")
+    devices[2].cut_power()
+    _tick_past_timeout(group)  # declare replica 2 dead; no writes follow
+    devices[2].revive()
+    _tick_past_timeout(group)
+    assert group.replicas[2].alive
+    assert group.replicas[2].applied_lsn == group.last_lsn()
+    assert REPL_HINTS_REPLAYED not in group.stats.counters
+    assert REPL_CATCHUP_FRAMES not in group.stats.counters
+    group.close()
+
+
 def test_hint_queue_bound_backpressures_writes_all_or_nothing():
-    group, devices = _group(_config(hint_queue_frames=3))
+    group, devices = _group()
     devices[2].cut_power()
     _tick_past_timeout(group)
-    for i in range(3):
+    for i in range(HINT_QUEUE_FRAMES):
         group.put(i, b"ok")
+    assert group.lag_frames(group.replicas[2]) == HINT_QUEUE_FRAMES
+    assert group.stats.get(REPL_BACKPRESSURE) == 0
     with pytest.raises(HintQueueFullError):
-        group.put(77, b"rejected")
+        group.put(HINT_QUEUE_FRAMES + 77, b"rejected")
     assert group.stats.get(REPL_BACKPRESSURE) == 1
     # All-or-nothing: the rejected write never touched the primary.
-    assert group.get(77) is None
-    assert group.last_lsn() == 3
+    assert group.get(HINT_QUEUE_FRAMES + 77) is None
+    assert group.last_lsn() == HINT_QUEUE_FRAMES
     group.close()
 
 
@@ -267,16 +282,24 @@ def test_reads_fail_over_to_a_fresh_follower_within_the_bound():
     group.close()
 
 
+def _headless_read(lag):
+    """Read key 0 once the primary dies with followers ``lag`` behind."""
+    group, devices = _group(_config(ack=AckPolicy.ASYNC))
+    try:
+        for i in range(lag):
+            group.put(i, b"v%d" % i)  # never shipped: followers lag
+        group.flush()
+        devices[0].cut_power()
+        return group.get(0), group.stats.get(REPL_STALE_READS)
+    finally:
+        group.close()
+
+
 def test_reads_refused_past_the_staleness_bound():
-    group, devices = _group(_config(ack=AckPolicy.ASYNC,
-                                    max_staleness_frames=2))
-    for i in range(6):
-        group.put(i, b"v%d" % i)  # never shipped: followers lag 6
-    group.flush()
-    devices[0].cut_power()
+    # At the bound a follower still serves (it has none of the writes).
+    assert _headless_read(MAX_STALENESS_FRAMES) == (None, 1)
     with pytest.raises(ReplicaUnavailableError):
-        group.get(0)
-    group.close()
+        _headless_read(MAX_STALENESS_FRAMES + 1)
 
 
 # -- anti-entropy ------------------------------------------------------

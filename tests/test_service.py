@@ -188,33 +188,25 @@ def test_sharded_matches_single_tree_oracle():
 
 # -- workload replay ----------------------------------------------------
 
-def test_ycsb_replay_over_sharded_db_with_batching():
+def test_ycsb_replay_over_sharded_db():
     keys = list(range(1, 2001))
-    values = {}
 
     def value_for(key):
         return b"y%d" % key
 
-    batched = ShardedDB(num_shards=4, options=small_test_options())
-    direct = ShardedDB(num_shards=4, options=small_test_options())
+    sharded = ShardedDB(num_shards=4, options=small_test_options())
+    single = LSMTree(small_test_options())
     for key in keys:
-        batched.put(key, value_for(key))
-        direct.put(key, value_for(key))
+        sharded.put(key, value_for(key))
+        single.put(key, value_for(key))
     mix = workload("A", keys, seed=9)
-    counts_batched = replay(batched, mix.operations(800), value_for,
-                            write_batch_size=16)
+    counts_sharded = replay(sharded, mix.operations(800), value_for)
     mix = workload("A", keys, seed=9)
-    counts_direct = replay(direct, mix.operations(800), value_for)
-    assert counts_batched == counts_direct
+    counts_single = replay(single, mix.operations(800), value_for)
+    assert counts_sharded == counts_single
+    assert sum(counts_sharded.values()) == 800
     for key in keys[::7]:
-        assert batched.get(key) == direct.get(key), key
-
-
-def test_replay_rejects_bad_batch_size():
-    from repro.errors import WorkloadError
-    db = ShardedDB(num_shards=1, options=small_test_options())
-    with pytest.raises(WorkloadError):
-        replay(db, [], write_batch_size=0)
+        assert sharded.get(key) == single.get(key), key
 
 
 # -- write acknowledgment semantics under rejection ---------------------

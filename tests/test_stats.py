@@ -173,6 +173,7 @@ def test_every_runtime_counter_is_registered():
     from repro.lsm.options import Granularity, small_test_options
     from repro.lsm.write_batch import WriteBatch
     from repro.service.replication import (
+        HINT_QUEUE_FRAMES,
         AckPolicy,
         ReplicaGroup,
         ReplicationConfig,
@@ -213,8 +214,7 @@ def test_every_runtime_counter_is_registered():
     # promotion with a lost suffix, resync and anti-entropy.
     config = ReplicationConfig(replication_factor=3, ack=AckPolicy.ASYNC,
                                heartbeat_interval_us=1_000.0,
-                               heartbeat_timeout_us=3_000.0,
-                               hint_queue_frames=2)
+                               heartbeat_timeout_us=3_000.0)
     repl_options = small_test_options()
     devices = [FaultyBlockDevice(
         MemoryBlockDevice(block_size=repl_options.block_size),
@@ -226,8 +226,8 @@ def test_every_runtime_counter_is_registered():
     devices[2].cut_power()
     for now in (2_000.0, 3_000.0, 4_000.0, 5_000.0):
         group.tick(now)  # misses accumulate; replica 2 declared dead
-    group.put(10, b"hinted")
-    group.put(11, b"hinted")
+    for i in range(HINT_QUEUE_FRAMES):
+        group.put(100 + i, b"hinted")
     with pytest.raises(ReproError):
         group.put(12, b"over the hint bound")
     devices[2].revive()

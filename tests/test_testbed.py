@@ -34,7 +34,9 @@ def bed():
 
 def test_load_and_point_lookups(bed):
     keys = generate("random", 3000, seed=bed.seed)
-    bed.load_keys(keys)
+    for key in keys:
+        bed.db.put(key, bed.value_for(key))
+    bed.settle()
     metrics = bed.run_point_lookups(keys[::10])
     assert metrics.ops == 300
     assert metrics.avg_us > 0
