@@ -159,7 +159,8 @@ def _run_arm(scale, kind, boundary, granularity, rate_per_sec: float,
     return report
 
 
-def _sweep(scale, result: ExperimentResult, kind, boundary) -> None:
+def _sweep(scale, result: ExperimentResult, kind, boundary,
+           file_svc: float) -> None:
     table = ResultTable(columns=[
         "granularity", "load_x", "offered_per_sec", "goodput_per_sec",
         "shed_frac", "expired_frac", "deadline_hit_frac", "queue_p99_us",
@@ -169,7 +170,8 @@ def _sweep(scale, result: ExperimentResult, kind, boundary) -> None:
     queue_split_ok = True
     conserved = True
     for granularity in (Granularity.FILE, Granularity.LEVEL):
-        mean_svc = _calibrate(scale, kind, boundary, granularity)
+        mean_svc = (file_svc if granularity is Granularity.FILE
+                    else _calibrate(scale, kind, boundary, granularity))
         capacity = NUM_SHARDS * 1e6 / mean_svc
         # Deadline sized so a near-full queue can expire requests at
         # dequeue (the depth x service product exceeds it), yet ample
@@ -230,7 +232,8 @@ def _sweep(scale, result: ExperimentResult, kind, boundary) -> None:
                  conserved)
 
 
-def _retry_arm(scale, result: ExperimentResult, kind, boundary) -> None:
+def _retry_arm(scale, result: ExperimentResult, kind, boundary,
+               mean_svc: float) -> None:
     granularity = Granularity.FILE
     plan = FaultPlan(seed=scale.seed + 11,
                      transient_read_rate=FAULT_READ_RATE,
@@ -239,7 +242,6 @@ def _retry_arm(scale, result: ExperimentResult, kind, boundary) -> None:
     # Capacity under faults is far below the healthy calibration (each
     # fault burns its timeout); offering ~1.5x the *healthy* capacity
     # guarantees deep saturation for both arms.
-    mean_svc = _calibrate(scale, kind, boundary, granularity)
     rate = 1.5 * NUM_SHARDS * 1e6 / (mean_svc + FAULT_READ_RATE
                                      * FAULT_TIMEOUT_US)
     deadline_us = max(4_000.0, 40.0 * mean_svc)
@@ -272,10 +274,9 @@ def _retry_arm(scale, result: ExperimentResult, kind, boundary) -> None:
                                                  0) == 0)
 
 
-def _determinism_arm(scale, result: ExperimentResult, kind,
-                     boundary) -> None:
+def _determinism_arm(scale, result: ExperimentResult, kind, boundary,
+                     mean_svc: float) -> None:
     granularity = Granularity.FILE
-    mean_svc = _calibrate(scale, kind, boundary, granularity)
     capacity = NUM_SHARDS * 1e6 / mean_svc
     deadline_us = max(60.0, 20.0 * mean_svc)
     dumps = []
@@ -296,7 +297,8 @@ def run(scale="smoke", kind: IndexKind = IndexKind.PGM,
                 f"{scale.n_ops} requests/point, {NUM_SHARDS} shards, "
                 f"kind={kind}, boundary={boundary}, queue depth "
                 f"{QUEUE_DEPTH}")
-    _sweep(scale, result, kind, boundary)
-    _retry_arm(scale, result, kind, boundary)
-    _determinism_arm(scale, result, kind, boundary)
+    file_svc = _calibrate(scale, kind, boundary, Granularity.FILE)
+    _sweep(scale, result, kind, boundary, file_svc)
+    _retry_arm(scale, result, kind, boundary, file_svc)
+    _determinism_arm(scale, result, kind, boundary, file_svc)
     return result

@@ -27,6 +27,19 @@ Numerical notes: keys may span the full 64-bit range, so all slope
 arithmetic is done on deltas from the segment's first key; predictions
 evaluate ``slope * key + intercept`` whose cancellation error is far
 below 1 position for realistic table sizes (see tests).
+
+The optimal PLA skips each tangent search whose result it can bound.
+When ``s_min`` last moved, it became the slope from a B vertex to that
+step's A point ``(x_t, a_t)``, so every B vertex lay on or above the
+line of slope ``s_min`` through it.  So does every B point accepted
+since: it lies above a feasible line, whose slope is at least ``s_min``
+and which passes above ``(x_t, a_t)``.  Hence with ``g = a_t - s_min*x_t``
+an A point with ``a_y - s_min*dx <= g - m`` has no vertex slope above
+``s_min``, and the search is skipped; ``s_max`` is the mirror image.
+The margin ``m = 1e-6 * (1 + |g|)`` covers rounding: the test is close
+only where ``s*dx`` is within ``g`` of a position, and for positions up
+to 2^24 each operation is then off by about 1e-8.  Every float kept is
+that of a search at every step, so segments are bitwise the same.
 """
 
 from __future__ import annotations
@@ -36,6 +49,9 @@ from typing import List, Sequence, Tuple
 from repro.indexes.base import Segment
 
 _INF = float("inf")
+
+#: Relative margin of the PLA skip test (see the module docstring).
+_SKIP_MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +188,9 @@ def optimal_pla_segments(
         hull_b: List[Tuple[float, float]] = [(0.0, float(start + epsilon))]
         s_min = -_INF
         s_max = _INF
+        # Skip thresholds: an infinite slope's test reads inf or nan.
+        skip_b = -_INF
+        skip_a = _INF
         end = start + 1
         while end < n:
             dx = float(keys[end] - x0)
@@ -179,14 +198,27 @@ def optimal_pla_segments(
             b_y = float(end + epsilon)
             # Lower bound on slope: steepest line from an earlier upper
             # point (B) to this point's lower requirement (A).
-            cand_min = _tangent_extreme(hull_b, dx, a_y, want_max=True)
+            if a_y - s_min * dx <= skip_b:
+                new_min = s_min
+            else:
+                cand_min = _tangent_extreme(hull_b, dx, a_y, want_max=True)
+                new_min = s_min if s_min > cand_min else cand_min
             # Upper bound: shallowest line from an earlier lower point
             # (A) to this point's upper allowance (B).
-            cand_max = _tangent_extreme(hull_a, dx, b_y, want_max=False)
-            new_min = s_min if s_min > cand_min else cand_min
-            new_max = s_max if s_max < cand_max else cand_max
+            if b_y - s_max * dx >= skip_a:
+                new_max = s_max
+            else:
+                cand_max = _tangent_extreme(hull_a, dx, b_y, want_max=False)
+                new_max = s_max if s_max < cand_max else cand_max
             if new_min > new_max:
                 break
+            # A slope that moved is a tangent through this point.
+            if new_min != s_min:
+                bound = a_y - new_min * dx
+                skip_b = bound - _SKIP_MARGIN * (1.0 + abs(bound))
+            if new_max != s_max:
+                bound = b_y - new_max * dx
+                skip_a = bound + _SKIP_MARGIN * (1.0 + abs(bound))
             s_min, s_max = new_min, new_max
             _push_upper(hull_a, dx, a_y)
             _push_lower(hull_b, dx, b_y)

@@ -1,6 +1,6 @@
 """The LSM-tree database: LevelDB semantics over the simulated device.
 
-:class:`LSMTree` wires every substrate together: a skip-list memtable
+:class:`LSMTree` wires every substrate together: a sorted-array memtable
 (+ optional WAL), L0 flushes, leveling compaction with partial merges,
 bloom filters, and — the point of the paper — pluggable per-table or
 per-level learned indexes configured by :class:`~repro.lsm.options.Options`.
@@ -812,7 +812,7 @@ class LSMTree:
 
         * the batch is sorted and deduplicated up front, so duplicate
           keys are looked up once;
-        * the memtable is probed per key but the skip-list descent is
+        * the memtable is probed per key but its skip-list descent is
           charged once per batch (an ascending probe sequence keeps the
           upper levels hot);
         * each level is walked with the *whole* remaining key set —

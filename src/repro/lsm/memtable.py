@@ -1,138 +1,92 @@
-"""The write buffer: a skip list keyed by user key.
+"""The write buffer: a sorted key array plus the newest record per key.
 
-LevelDB's memtable is a skip list over internal keys; ours is a skip
-list over user keys holding the *newest* record per key (older
-in-buffer versions are superseded in place, which is equivalent for
-every externally observable behaviour and keeps flushed tables free of
-intra-table duplicates — a requirement for the strictly-increasing key
-arrays learned indexes are trained on).
-
-The implementation is a classic probabilistic skip list with a
-deterministic RNG so tests and benchmarks replay identically.
+LevelDB's memtable is a skip list over internal keys; ours keeps only
+the *newest* record per user key, which is equivalent for every
+externally observable behaviour and keeps flushed tables free of
+intra-table duplicates, as the learned indexes' strictly increasing key
+arrays require.  The simulated clock still charges a skip-list descent,
+computed from the entry count by :meth:`MemTable.comparison_depth`.
 """
 
 from __future__ import annotations
 
-import random
+from bisect import bisect_left, bisect_right, insort
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.lsm.record import Record
 
+# Shape of the skip list whose descent the cost model charges.
 _MAX_HEIGHT = 12
 _BRANCHING = 4
 
 
-class _SkipNode:
-    __slots__ = ("key", "record", "forward")
-
-    def __init__(self, key: int, record: Optional[Record], height: int) -> None:
-        self.key = key
-        self.record = record
-        self.forward: List[Optional["_SkipNode"]] = [None] * height
-
-
 class MemTable:
-    """Skip-list write buffer tracking its approximate on-disk size."""
+    """Sorted-array write buffer tracking its approximate on-disk size."""
 
-    def __init__(self, entry_bytes: int, seed: int = 0x5EED) -> None:
+    def __init__(self, entry_bytes: int) -> None:
         self._entry_bytes = entry_bytes
-        self._head = _SkipNode(-1, None, _MAX_HEIGHT)
-        self._height = 1
-        self._count = 0
-        self._rng = random.Random(seed)
-
-    def _random_height(self) -> int:
-        height = 1
-        while height < _MAX_HEIGHT and self._rng.randrange(_BRANCHING) == 0:
-            height += 1
-        return height
-
-    def _find_greater_or_equal(
-            self, key: int,
-            prev: Optional[List[_SkipNode]] = None) -> Optional[_SkipNode]:
-        node = self._head
-        for level in range(self._height - 1, -1, -1):
-            nxt = node.forward[level]
-            while nxt is not None and nxt.key < key:
-                node = nxt
-                nxt = node.forward[level]
-            if prev is not None:
-                prev[level] = node
-        return node.forward[0]
+        self._keys: List[int] = []
+        self._records: Dict[int, Record] = {}
 
     # -- mutation ----------------------------------------------------------
 
     def add(self, record: Record) -> None:
-        """Insert ``record``; an existing entry for the key is superseded."""
-        prev: List[_SkipNode] = [self._head] * _MAX_HEIGHT
-        node = self._find_greater_or_equal(record.key, prev)
-        if node is not None and node.key == record.key:
-            if record.seq >= node.record.seq:
-                node.record = record
+        """Insert ``record``; an existing entry for the key is superseded
+        unless it carries a newer sequence number."""
+        stored = self._records.get(record.key)
+        if stored is None:
+            insort(self._keys, record.key)
+        elif record.seq < stored.seq:
             return
-        height = self._random_height()
-        if height > self._height:
-            self._height = height
-        new_node = _SkipNode(record.key, record, height)
-        for level in range(height):
-            new_node.forward[level] = prev[level].forward[level]
-            prev[level].forward[level] = new_node
-        self._count += 1
+        self._records[record.key] = record
 
     # -- queries -----------------------------------------------------------
 
     def get(self, key: int) -> Optional[Record]:
         """Newest record for ``key`` in the buffer, or None."""
-        node = self._find_greater_or_equal(key)
-        if node is not None and node.key == key:
-            return node.record
-        return None
+        return self._records.get(key)
 
     def get_many(self, sorted_keys: Iterable[int]) -> Dict[int, Record]:
-        """Records for every present key of an ascending batch.
-
-        Probes descend per key, but callers charge the descent cost once
-        per batch (see :meth:`repro.lsm.db.LSMTree.multi_get`): the hot
-        upper skip-list levels stay cache-resident across an ascending
-        probe sequence, so only the first descent pays full depth.
+        """Records for every present key of an ascending batch; callers
+        charge one descent per batch (:meth:`repro.lsm.db.LSMTree.multi_get`).
         """
-        found: Dict[int, Record] = {}
-        for key in sorted_keys:
-            node = self._find_greater_or_equal(key)
-            if node is not None and node.key == key:
-                found[key] = node.record
-        return found
+        records = self._records
+        return {key: records[key] for key in sorted_keys if key in records}
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._keys)
 
     def approximate_bytes(self) -> int:
         """Flushed size estimate (entries x fixed entry size)."""
-        return self._count * self._entry_bytes
+        return len(self._keys) * self._entry_bytes
 
     def is_empty(self) -> bool:
         """True when no records are buffered."""
-        return self._count == 0
+        return not self._keys
 
     def records(self) -> Iterator[Record]:
         """All records in ascending key order."""
-        node = self._head.forward[0]
-        while node is not None:
-            yield node.record
-            node = node.forward[0]
+        return self.records_from(0)  # keys lie in [0, MAX_KEY]
 
     def records_from(self, key: int) -> Iterator[Record]:
-        """Records with key >= ``key`` in ascending key order."""
-        node = self._find_greater_or_equal(key)
-        while node is not None:
-            yield node.record
-            node = node.forward[0]
+        """Records with key >= ``key`` in ascending key order.
+
+        Each step resumes after the last key yielded, so a cursor held
+        across writes yields keys added ahead of it, and each key's
+        record as it stands when the cursor reaches it.
+        """
+        keys = self._keys
+        pos = bisect_left(keys, key)
+        while pos < len(keys):
+            last = keys[pos]
+            yield self._records[last]
+            pos = bisect_right(keys, last)
 
     def comparison_depth(self) -> int:
         """Approximate comparisons for one lookup (for cost charging)."""
         # A skip list behaves like a balanced structure of height
         # log_b(n); each level costs ~b/2 comparisons.
-        count = max(2, self._count)
+        count = max(2, len(self._keys))
         depth = 1
         while _BRANCHING ** depth < count and depth < _MAX_HEIGHT:
             depth += 1

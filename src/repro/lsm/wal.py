@@ -7,7 +7,7 @@ appends one frame holding *all* of its records — the group commit the
 serving layer relies on to amortize logging.  On reopen,
 :meth:`WriteAheadLog.replay` yields the surviving records so the
 memtable can be reconstructed.  Torn or corrupt tails are detected via
-CRC32 and truncated silently, mirroring LevelDB's recovery semantics;
+CRC32 and truncated, mirroring LevelDB's recovery semantics;
 because the CRC covers the whole frame, a torn group commit drops the
 entire batch, never a prefix of it.
 """
@@ -27,6 +27,8 @@ _PAYLOAD_HEADER = struct.Struct("<QQI")  # key, seq<<8|kind, value length
 
 #: Device file the log lives in.
 WAL_NAME = "wal"
+#: Scratch file a torn log's intact frames are rewritten through.
+WAL_TMP_NAME = "wal.tmp"
 
 
 def _encode_record(record: Record) -> bytes:
@@ -79,7 +81,12 @@ class WriteAheadLog:
         self.device.stats.add(WAL_RECORDS_APPENDED, len(records))
 
     def replay(self) -> Iterator[Record]:
-        """Yield every intact record; stop silently at a corrupt tail.
+        """Yield every intact record, cutting off a torn or corrupt tail.
+
+        Before the first record is yielded, and so before any append, a
+        torn log is rewritten to its intact frames via a renamed scratch
+        file: a frame appended behind torn bytes would be lost to every
+        later replay.  An intact log is left as it is.
 
         Reads bypass any block-cache tier: log blocks are replayed
         once and never read again, so admitting them would only evict
@@ -87,7 +94,11 @@ class WriteAheadLog:
         """
         data = self.device.pread_uncached(WAL_NAME, 0,
                                           self.device.size(WAL_NAME))
-        payloads, _ = parse_frames(data)  # torn tail dropped silently
+        payloads, torn = parse_frames(data)
+        if torn:
+            self.device.create(WAL_TMP_NAME)
+            self.device.append(WAL_TMP_NAME, b"".join(map(frame, payloads)))
+            self.device.rename(WAL_TMP_NAME, WAL_NAME)
         for payload in payloads:
             yield from _decode_records(payload)
 

@@ -30,9 +30,9 @@ def parse_frames(data: bytes) -> Tuple[List[bytes], bool]:
 
     Parsing stops silently at the first short frame, CRC mismatch or
     trailing fragment shorter than a header; ``torn`` reports whether
-    any such bytes were left behind (callers that can repair — the
-    manifest — truncate them; callers that cannot — the WAL — ignore
-    them, as the next reset rewrites the file anyway).
+    any such bytes were left behind.  The WAL and the manifest rewrite
+    their log without them before appending again, since a frame
+    appended behind torn bytes would be invisible to every later parse.
     """
     payloads: List[bytes] = []
     offset = 0

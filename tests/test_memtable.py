@@ -1,4 +1,4 @@
-"""Unit + property tests for the skip-list memtable."""
+"""Unit + property tests for the sorted-array memtable."""
 
 import random
 
@@ -75,13 +75,21 @@ def test_comparison_depth_grows():
     assert big.comparison_depth() >= small.comparison_depth()
 
 
-def test_deterministic_structure():
-    a = MemTable(entry_bytes=8, seed=123)
-    b = MemTable(entry_bytes=8, seed=123)
-    for i in range(200):
-        a.add(make_value(i * 7, i + 1, b""))
-        b.add(make_value(i * 7, i + 1, b""))
-    assert [r.key for r in a.records()] == [r.key for r in b.records()]
+def test_cursor_held_across_writes():
+    """An open ``records_from`` cursor sees writes ahead of it, in order,
+    each key's newest record, and nothing written behind it."""
+    table = MemTable(entry_bytes=8)
+    for seq, key in enumerate((10, 20, 30, 40), start=1):
+        table.add(make_value(key, seq, b"v%d" % key))
+    cursor = table.records_from(15)
+    assert next(cursor).key == 20
+    table.add(make_value(15, 10, b"behind"))
+    table.add(make_value(25, 11, b"ahead"))
+    table.add(make_value(40, 12, b"newer"))
+    table.add(make_value(30, 1, b"older"))  # a stale seq never supersedes
+    assert [(r.key, r.value) for r in cursor] == [
+        (25, b"ahead"), (30, b"v30"), (40, b"newer")]
+    assert [r.key for r in table.records()] == [10, 15, 20, 25, 30, 40]
 
 
 @settings(max_examples=40, deadline=None)

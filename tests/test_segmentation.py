@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.indexes import segmentation
+from repro.indexes.base import Segment
 from repro.indexes.radix_spline import interpolate
 from repro.indexes.segmentation import (
     greedy_corridor_segments,
@@ -147,10 +147,11 @@ def test_huge_keyspace_numerics():
 
 
 # ---------------------------------------------------------------------------
-# The inlined hull loop against the helper-calling one it replaced.  The
-# five functions below are that loop, verbatim: one ``_slope_to`` /
-# ``_cross`` call per evaluation.  Same operands in the same order must
-# give the same floats, so segments are compared by ``repr``.
+# The reference PLA: the loop that searches both hulls at every step,
+# calling one helper per slope or cross product.  ``optimal_pla_segments``
+# inlines those helpers and skips searches whose result it can bound, but
+# performs the same float operations on every value it keeps, so its
+# segments must equal these by ``repr``.
 # ---------------------------------------------------------------------------
 
 _INF = float("inf")
@@ -202,13 +203,50 @@ def _ref_push_lower(hull, x, y):
     hull.append((x, y))
 
 
-def _reference_pla(monkeypatch, keys, epsilon):
-    """``optimal_pla_segments`` driven through the reference helpers."""
-    with monkeypatch.context() as patch:
-        patch.setattr(segmentation, "_tangent_extreme", _ref_tangent_extreme)
-        patch.setattr(segmentation, "_push_upper", _ref_push_upper)
-        patch.setattr(segmentation, "_push_lower", _ref_push_lower)
-        return optimal_pla_segments(keys, epsilon)
+def _reference_pla(keys, epsilon):
+    """Optimal PLA with a tangent search at every step."""
+    n = len(keys)
+    segments = []
+    start = 0
+    while start < n:
+        x0 = keys[start]
+        hull_a = [(0.0, float(start - epsilon))]
+        hull_b = [(0.0, float(start + epsilon))]
+        s_min = -_INF
+        s_max = _INF
+        end = start + 1
+        while end < n:
+            dx = float(keys[end] - x0)
+            a_y = float(end - epsilon)
+            b_y = float(end + epsilon)
+            cand_min = _ref_tangent_extreme(hull_b, dx, a_y, want_max=True)
+            cand_max = _ref_tangent_extreme(hull_a, dx, b_y, want_max=False)
+            new_min = s_min if s_min > cand_min else cand_min
+            new_max = s_max if s_max < cand_max else cand_max
+            if new_min > new_max:
+                break
+            s_min, s_max = new_min, new_max
+            _ref_push_upper(hull_a, dx, a_y)
+            _ref_push_lower(hull_b, dx, b_y)
+            end += 1
+        if end == start + 1:
+            slope = 0.0
+            intercept_dx = float(start)
+        else:
+            if s_min == -_INF:
+                slope = 0.0
+            elif s_max == _INF:
+                slope = s_min
+            else:
+                slope = (s_min + s_max) / 2.0
+            b_low = max(y - slope * x for x, y in hull_a)
+            b_high = min(y - slope * x for x, y in hull_b)
+            intercept_dx = (b_low + b_high) / 2.0
+        segments.append(Segment(first_key=x0, slope=slope,
+                                intercept=intercept_dx,
+                                start=start, length=end - start))
+        start = end
+    return segments, n
 
 
 def _pla_inputs():
@@ -225,6 +263,17 @@ def _pla_inputs():
     # keys 2^63 above it shares one delta and takes the vertical
     # (+inf / -inf / 0) arms of the slope.
     yield "float-colliding", [0] + [(1 << 63) + i for i in range(600)]
+    yield "near-2^64", sorted({(1 << 64) - 1 - rng.randrange(1 << 30)
+                               for _ in range(2000)})
+    yield "near-collinear", sorted({(1 << 40) + 977 * i + rng.randrange(-1, 2)
+                                    for i in range(3000)})
+    key, runs = 1 << 32, []
+    for step in (1, 7, 1 << 20, 3, 1 << 33):
+        for _ in range(400):
+            key += step
+            runs.append(key)
+        key += 1 << 36
+    yield "collinear-runs", runs
     step, key, drifting = 10, 0, []
     for i in range(3000):
         step += 3 * (i % 200 == 0)
@@ -233,20 +282,41 @@ def _pla_inputs():
     yield "drifting", drifting
 
 
+PLA_EPSILONS = [1, 2, 3, 4, 8, 16, 32, 128]
+
+
 @pytest.mark.parametrize("name,keys", list(_pla_inputs()),
                          ids=[name for name, _ in _pla_inputs()])
-@pytest.mark.parametrize("epsilon", [1, 4, 32, 128])
-def test_inlined_hull_matches_helper_calling_loop(monkeypatch, name, keys,
-                                                  epsilon):
-    expected = _reference_pla(monkeypatch, keys, epsilon)
-    assert segmentation._tangent_extreme is not _ref_tangent_extreme
-    assert repr(optimal_pla_segments(keys, epsilon)) == repr(expected)
+@pytest.mark.parametrize("epsilon", PLA_EPSILONS)
+def test_inlined_hull_matches_helper_calling_loop(name, keys, epsilon):
+    assert (repr(optimal_pla_segments(keys, epsilon))
+            == repr(_reference_pla(keys, epsilon)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
-                min_size=1, max_size=400, unique=True).map(sorted), epsilons)
+_MAX_KEY = (1 << 64) - 1
+
+#: Key sets that stress the float arithmetic: uniform 64-bit keys; a key
+#: near zero below a cluster far above it, whose deltas collapse to a few
+#: floats; and arithmetic runs, exact or jittered by one, at any offset.
+pla_keys = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=_MAX_KEY),
+             min_size=1, max_size=400, unique=True).map(sorted),
+    st.tuples(st.integers(min_value=0, max_value=1 << 20),
+              st.sampled_from([1 << 62, 1 << 63, _MAX_KEY - (1 << 16)]),
+              st.lists(st.integers(min_value=0, max_value=1 << 14),
+                       max_size=300)).map(
+        lambda t: sorted({t[0]} | {t[1] + d for d in t[2]})),
+    st.tuples(st.integers(min_value=0, max_value=1 << 63),
+              st.integers(min_value=2, max_value=1 << 40),
+              st.lists(st.integers(min_value=-1, max_value=1),
+                       min_size=1, max_size=400)).map(
+        lambda t: sorted({min(_MAX_KEY, t[0] + t[1] * i + j)
+                          for i, j in enumerate(t[2])})),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pla_keys, st.sampled_from(PLA_EPSILONS))
 def test_property_inlined_hull_matches_helper_calling_loop(keys, epsilon):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        expected = _reference_pla(monkeypatch, keys, epsilon)
-    assert repr(optimal_pla_segments(keys, epsilon)) == repr(expected)
+    assert (repr(optimal_pla_segments(keys, epsilon))
+            == repr(_reference_pla(keys, epsilon)))

@@ -93,6 +93,36 @@ def test_truncated_wal_reopens_with_acknowledged_prefix():
         assert reopened.get(record.key) is None
 
 
+def test_write_after_a_torn_tail_survives_the_next_crash():
+    """A reopen cuts the torn tail off before it appends: a write
+    acknowledged after it must survive a second crash, at every cut."""
+    options = small_test_options(index_kind=IndexKind.PGM,
+                                 enable_wal=True)
+    device = MemoryBlockDevice(block_size=options.block_size)
+    db = LSMTree(options, device=device)
+    batches = _batches(count=3, width=2)
+    for batch in batches:
+        wb = WriteBatch()
+        for record in batch:
+            wb.put(record.key, record.value)
+        db.write(wb)
+    raw = device.pread("wal", 0, device.size("wal"))
+    records = [record for batch in batches for record in batch]
+    prefixes = [records[:2 * count] for count in range(len(batches) + 1)]
+
+    for cut in range(len(raw) + 1):
+        crashed = MemoryBlockDevice(block_size=options.block_size)
+        crashed.create("wal")
+        crashed.append("wal", raw[:cut])
+        LSMTree.reopen(options, crashed).put(1000, b"after")
+        # Crash again (no close) and reopen.
+        again = LSMTree.reopen(options, crashed)
+        assert again.get(1000) == b"after", f"write after cut {cut} lost"
+        recovered = [record for record in records
+                     if again.get(record.key) == record.value]
+        assert recovered in prefixes, f"cut {cut} recovered a non-prefix"
+
+
 @pytest.mark.faults
 @pytest.mark.parametrize("budget", [64, 257, 800, 1501, 3000])
 def test_power_cut_fuzz_never_loses_acknowledged_batches(budget):
