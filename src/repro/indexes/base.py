@@ -129,6 +129,13 @@ class ClusteredIndex(ABC):
         return self._n
 
     @property
+    def places_absent_keys(self) -> bool:
+        """True when ``lookup(key).lo`` is at most ``key``'s insertion
+        point for absent keys too — what a seek relies on.  Every index
+        does, except one that lost the state it needs for it."""
+        return True
+
+    @property
     def train_key_visits(self) -> int:
         """Key visits performed by the last :meth:`build`."""
         return self._train_key_visits

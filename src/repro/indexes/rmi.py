@@ -25,7 +25,7 @@ paper attributes this to the inner index (first stage) dominating.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,6 +98,14 @@ class RMIIndex(ClusteredIndex):
         self._slopes = np.zeros(0)
         self._intercepts = np.zeros(0)
         self._errors = np.zeros(0, dtype=np.int64)
+        #: Per leaf: first position routed to it at build, first key and
+        #: last key (None when empty), and the end position after the
+        #: last leaf.  They place an absent key that falls outside its
+        #: leaf's keys.  Known only to an index built in this process
+        #: (they are not serialised).
+        self._starts: Optional[List[int]] = None
+        self._first_keys: List[Optional[int]] = []
+        self._last_keys: List[Optional[int]] = []
         self._mean_error = 0.0
         self._max_error = 0
 
@@ -122,16 +130,17 @@ class RMIIndex(ClusteredIndex):
         warm = suggestion is not None
 
         best: Optional[Tuple[int, np.ndarray, np.ndarray, np.ndarray,
-                             np.ndarray]] = None
+                             np.ndarray, np.ndarray]] = None
         rounds = 0
         while rounds < self.max_rounds:
             rounds += 1
             fitted = self._fit_layer(t, pos, n, n_leaf)
             self._record_visits(2 * n)  # assignment/fit pass + error pass
-            slopes, intercepts, errors, key_errors = fitted
+            slopes, intercepts, errors, key_errors, starts = fitted
             ok_fraction = float(np.mean(key_errors <= self.target_error))
             if ok_fraction >= self.accept_quantile or n_leaf >= n:
-                best = (n_leaf, slopes, intercepts, errors, key_errors)
+                best = (n_leaf, slopes, intercepts, errors, key_errors,
+                        starts)
                 if warm and rounds == 1:
                     break  # steady state: the cached size passed first try
                 if n_leaf <= 8:
@@ -146,8 +155,13 @@ class RMIIndex(ClusteredIndex):
         if best is None:  # every round failed: keep the last (largest) fit
             best = (n_leaf, *self._fit_layer(t, pos, n, n_leaf))
             self._record_visits(2 * n)
-        self._n_leaf, self._slopes, self._intercepts, self._errors, key_errs \
-            = best
+        (self._n_leaf, self._slopes, self._intercepts, self._errors,
+         key_errs, starts) = best
+        self._starts = starts.tolist()
+        self._first_keys = [keys[lo] if lo < hi else None
+                            for lo, hi in zip(self._starts, self._starts[1:])]
+        self._last_keys = [keys[hi - 1] if lo < hi else None
+                           for lo, hi in zip(self._starts, self._starts[1:])]
         self._mean_error = float(np.mean(key_errs))
         self._max_error = int(key_errs.max()) if len(key_errs) else 0
         if self.cache is not None:
@@ -179,8 +193,10 @@ class RMIIndex(ClusteredIndex):
 
     def _fit_layer(self, t: np.ndarray, pos: np.ndarray, n: int,
                    n_leaf: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                         np.ndarray]:
-        """Fit ``n_leaf`` leaf models; returns per-leaf params and errors."""
+                                         np.ndarray, np.ndarray]:
+        """Fit ``n_leaf`` leaf models; returns per-leaf params, per-leaf
+        and per-key errors, and the ``n_leaf + 1`` leaf start positions
+        (the last one is ``n``)."""
         leaf_idx = self._route(t, n, n_leaf)
         boundaries = np.searchsorted(leaf_idx, np.arange(n_leaf + 1))
         counts = np.diff(boundaries).astype(np.float64)
@@ -212,7 +228,7 @@ class RMIIndex(ClusteredIndex):
             reduced = np.maximum.reduceat(
                 key_errors, np.minimum(boundaries[:-1], n - 1))
             errors = np.where(occupied, np.ceil(reduced).astype(np.int64), 0)
-        return slopes, intercepts, errors, key_errors
+        return slopes, intercepts, errors, key_errors, boundaries
 
     # -- lookup ------------------------------------------------------------
 
@@ -227,12 +243,28 @@ class RMIIndex(ClusteredIndex):
         predicted = self._slopes[leaf] * t + self._intercepts[leaf]
         error = int(self._errors[leaf])
         center = int(predicted)
-        return SearchBound(center - error, center + error + 2)
+        lo = center - error
+        if self._starts is not None:
+            # Seeks need a bound that starts at or before the key's
+            # insertion point.  Inside its leaf's key range the (monotone)
+            # leaf model keeps that; outside it, the insertion point is
+            # the leaf's start or end.  A member key never lies outside.
+            first = self._first_keys[leaf]
+            if first is None or key < first:
+                lo = min(lo, self._starts[leaf])
+            elif key > self._last_keys[leaf]:
+                lo = min(lo, self._starts[leaf + 1])
+        return SearchBound(lo, center + error + 2)
 
     # -- introspection -----------------------------------------------------
 
     def configured_boundary(self) -> int:
         return self.boundary_target
+
+    @property
+    def places_absent_keys(self) -> bool:
+        """Only with the leaf positions, which are not serialised."""
+        return self._starts is not None
 
     def leaf_count(self) -> int:
         """Size of the second layer."""

@@ -103,7 +103,7 @@ def greedy_corridor_segments(
 # Optimal PLA (PGM-index)
 # ---------------------------------------------------------------------------
 
-# The three hull helpers below run once per key with a few slope or
+# The hull code below runs once per key with a few slope or
 # cross-product evaluations each, so the arithmetic is written out on
 # unpacked vertices instead of going through per-evaluation calls.
 #
@@ -140,32 +140,6 @@ def _tangent_extreme(hull: List[Tuple[float, float]], px: float, py: float,
             else _INF if py > hy else -_INF if py < hy else 0.0)
 
 
-def _push_upper(hull: List[Tuple[float, float]], x: float, y: float) -> None:
-    """Append to an upper hull (clockwise turns), popping dominated points.
-
-    The test is the 2D cross product (a - o) x (b - o) of the last two
-    vertices o, a and the new point b.
-    """
-    while len(hull) >= 2:
-        (ox, oy), (ax, ay) = hull[-2], hull[-1]
-        if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) >= 0:
-            hull.pop()
-        else:
-            break
-    hull.append((x, y))
-
-
-def _push_lower(hull: List[Tuple[float, float]], x: float, y: float) -> None:
-    """Append to a lower hull (counter-clockwise turns)."""
-    while len(hull) >= 2:
-        (ox, oy), (ax, ay) = hull[-2], hull[-1]
-        if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) <= 0:
-            hull.pop()
-        else:
-            break
-    hull.append((x, y))
-
-
 def optimal_pla_segments(
         keys: Sequence[int], epsilon: int) -> Tuple[List[Segment], int]:
     """Optimal epsilon-bounded segmentation (O'Rourke / PGM).
@@ -192,10 +166,13 @@ def optimal_pla_segments(
         skip_b = -_INF
         skip_a = _INF
         end = start + 1
+        # Exact running floats for end -/+ epsilon (integers < 2**53).
+        a_y = float(end - epsilon) - 1.0
+        b_y = float(end + epsilon) - 1.0
         while end < n:
             dx = float(keys[end] - x0)
-            a_y = float(end - epsilon)
-            b_y = float(end + epsilon)
+            a_y += 1.0
+            b_y += 1.0
             # Lower bound on slope: steepest line from an earlier upper
             # point (B) to this point's lower requirement (A).
             if a_y - s_min * dx <= skip_b:
@@ -220,8 +197,26 @@ def optimal_pla_segments(
                 bound = b_y - new_max * dx
                 skip_a = bound + _SKIP_MARGIN * (1.0 + abs(bound))
             s_min, s_max = new_min, new_max
-            _push_upper(hull_a, dx, a_y)
-            _push_lower(hull_b, dx, b_y)
+            # Push the point onto both hulls, popping dominated vertices:
+            # the test is the 2D cross product (a - o) x (p - o) of the
+            # last two vertices o, a and the new point p; the upper hull
+            # keeps clockwise turns, the lower counter-clockwise ones.
+            while len(hull_a) > 1:
+                ox, oy = hull_a[-2]
+                ax, ay = hull_a[-1]
+                if (ax - ox) * (a_y - oy) - (ay - oy) * (dx - ox) >= 0:
+                    hull_a.pop()
+                else:
+                    break
+            hull_a.append((dx, a_y))
+            while len(hull_b) > 1:
+                ox, oy = hull_b[-2]
+                ax, ay = hull_b[-1]
+                if (ax - ox) * (b_y - oy) - (ay - oy) * (dx - ox) <= 0:
+                    hull_b.pop()
+                else:
+                    break
+            hull_b.append((dx, b_y))
             end += 1
         if end == start + 1:
             slope = 0.0

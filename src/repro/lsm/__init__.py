@@ -18,7 +18,7 @@ from repro.lsm.iterators import (
     DBIterator,
     KVIterator,
     MemTableIterator,
-    MergingIterator,
+    RunMerge,
 )
 from repro.lsm.level_index import LevelModel, LevelModelManager
 from repro.lsm.memtable import MemTable
@@ -70,7 +70,7 @@ __all__ = [
     "LevelModelManager",
     "KVIterator",
     "MemTableIterator",
-    "MergingIterator",
+    "RunMerge",
     "DBIterator",
     "LevelIterator",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.lsm.iterators import MergingIterator
+from repro.lsm.iterators import RunMerge
 from repro.lsm.options import CompactionPolicy
 from repro.obs.trace import OpType
 from repro.lsm.record import KIND_TOMBSTONE, encode_entry
@@ -169,74 +169,129 @@ class Compactor:
         drop_tombstones = not version.key_range_overlaps_below(
             overlap_from, min_key, max_key)
 
-        merged = MergingIterator([
+        merge = RunMerge([
             meta.table.iterator(refill_stage=Stage.COMPACT_READ)
             for meta in all_inputs])
-        merged.seek_to_first()
+        merge.seek_to_first()
 
         outputs: List[FileMetaData] = []
         target_level = task.target_level
 
         options = self.options
         capacity = options.value_capacity
+        entry_bytes = options.entry_bytes
         # Inputs laid out like the output hand their stored entry bytes
         # straight to the builder; any other layout is re-encoded.
         same_layout = all(
-            meta.table.footer.entry_bytes == options.entry_bytes
+            meta.table.footer.entry_bytes == entry_bytes
             and meta.table.footer.value_capacity == capacity
             for meta in all_inputs)
         # Tiering keeps each merge output as one run (one file) so run
         # counting stays trivial; leveling chops at the SSTable size
         # (the granularity axis).
         cut = (0 if self._tiering
-               else max(1, -(-options.sstable_bytes // options.entry_bytes)))
+               else max(1, -(-options.sstable_bytes // entry_bytes)))
         last_key: Optional[int] = None
-        merge_cost = self.cost.merge_entry_us
-        charge = self.stats.charge
-        entries_in = entries_out = superseded = dropped = 0
-        # The next output's keys, copied entries and largest seq: handed
-        # to its builder in one append when the output is cut.
+        entries_in = superseded = dropped = 0
+        # The next output's keys, copied entries and metas: handed to its
+        # builder in one append once it holds ``full`` entries.
         keys: List[int] = []
         chunks: List[bytes] = []
-        max_seq = 0
-        while merged.valid():
-            # Headers only, and everything read before the child moves
-            # on.  The first entry of a key is its newest version; older
-            # ones and droppable tombstones are never copied.
-            key = merged.key()
-            newest = key != last_key
-            if newest:
-                seq = merged.seq()
-                top = merged.top()
-                keep = not (drop_tombstones and top.kind() == KIND_TOMBSTONE)
-                if keep:
-                    entry = (top.entry() if same_layout
-                             else encode_entry(top.record(), capacity))
-            merged.advance()
-            entries_in += 1
-            # One call per entry, after the advance: the tracer adds every
-            # charge into the open span across stages, in call order.
-            charge(Stage.COMPACT_MERGE, merge_cost)
-            if not newest:
-                superseded += 1
-                continue
-            last_key = key
-            if not keep:
-                dropped += 1
-                continue
-            keys.append(key)
-            chunks.append(entry)
-            if seq > max_seq:
-                max_seq = seq
-            entries_out += 1
-            # Every finished output holds exactly ``cut`` entries.
-            if cut and entries_out % cut == 0:
-                outputs.append(self._output(tree, target_level, keys,
-                                            chunks, max_seq))
-                keys, chunks, max_seq = [], [], 0
+        metas_out: List[int] = []
+        full = cut or sum(meta.entry_count for meta in all_inputs) + 1
+        # One COMPACT_MERGE charge per merged entry, in entry order, each
+        # after the merge moved past its entry: a refill comes before the
+        # charge of the entry that emptied the block, and an output cut
+        # after the charge of the entry that filled it.  The tracer adds
+        # charges into the open span in call order, across stages, so
+        # ``pending`` charges are made in one call right before anything
+        # else can charge.
+        merge_us = self.cost.merge_entry_us
+        charge_each = self.stats.charge_each
+        pending = 0
+        run = merge.next_run()
+        try:
+            while run is not None:
+                # The child's entries [start, end) come next.  All are read
+                # off its block before ``next_run`` may refill it.
+                child, end = run
+                start = child.head
+                run_keys, metas = child.keys, child.metas
+                entries_in += end - start
+                # Tables hold one entry per key, so only the run's first
+                # entry can be an older version of the key emitted last;
+                # every other is the newest version of its key.
+                first = start
+                if run_keys[start] == last_key:
+                    superseded += 1
+                    first += 1
+                last_key = run_keys[end - 1]
+                counted = start  # entries [start, counted) are in pending
+                filled = False  # the run's last entry fills the output
+                if first == end:
+                    pass  # one older version: nothing to copy
+                elif (same_layout and len(keys) + end - first < full
+                        and not (drop_tombstones and any(
+                            meta & 0xFF == KIND_TOMBSTONE
+                            for meta in metas[first:end]))):
+                    # The common run: copied whole, no output cut in it.
+                    keys += run_keys[first:end]
+                    metas_out += metas[first:end]
+                    chunks.append(child.buf[first * entry_bytes:
+                                            end * entry_bytes])
+                else:
+                    # Tombstones to drop, an output cut, or re-encoding.
+                    kept = [(first, end)]
+                    if drop_tombstones:
+                        tombstones = [at for at in range(first, end)
+                                      if metas[at] & 0xFF == KIND_TOMBSTONE]
+                        dropped += len(tombstones)
+                        kept = [(lo, hi) for lo, hi in zip(
+                                    [first] + [at + 1 for at in tombstones],
+                                    tombstones + [end]) if lo < hi]
+                    buf = child.buf
+                    for lo, hi in kept:
+                        while lo < hi:
+                            upto = min(hi, lo + full - len(keys))
+                            keys += run_keys[lo:upto]
+                            metas_out += metas[lo:upto]
+                            chunks.append(
+                                buf[lo * entry_bytes:upto * entry_bytes]
+                                if same_layout else b"".join([
+                                    encode_entry(child.row(at), capacity)
+                                    for at in range(lo, upto)]))
+                            lo = upto
+                            if len(keys) < full:
+                                continue
+                            if upto == end:
+                                filled = True  # cut after the refill
+                                continue
+                            charge_each(Stage.COMPACT_MERGE, merge_us,
+                                        pending + upto - counted)
+                            pending, counted = 0, upto
+                            outputs.append(self._output(
+                                tree, target_level, keys, chunks, metas_out))
+                            keys, chunks, metas_out = [], [], []
+                pending += end - counted
+                if end < len(run_keys):
+                    run = merge.next_run(end)
+                else:  # the child moves on to its next block
+                    charge_each(Stage.COMPACT_MERGE, merge_us, pending - 1)
+                    pending = 0
+                    run = merge.next_run(end)
+                    pending = 1
+                if filled:
+                    charge_each(Stage.COMPACT_MERGE, merge_us, pending)
+                    pending = 0
+                    outputs.append(self._output(tree, target_level, keys,
+                                                chunks, metas_out))
+                    keys, chunks, metas_out = [], [], []
+        finally:
+            charge_each(Stage.COMPACT_MERGE, merge_us, pending)
         if keys:
             outputs.append(self._output(tree, target_level, keys, chunks,
-                                        max_seq))
+                                        metas_out))
+        entries_out = entries_in - superseded - dropped
 
         self._install(tree, task, outputs)
         outcome.outputs = outputs
@@ -251,10 +306,10 @@ class Compactor:
 
     @staticmethod
     def _output(tree: "LSMTree", level: int, keys: List[int],
-                chunks: List[bytes], max_seq: int) -> FileMetaData:
+                chunks: List[bytes], metas: List[int]) -> FileMetaData:
         """Build and seal one output table from its copied entries."""
         builder = tree.new_table(level)
-        builder.append(keys, b"".join(chunks), max_seq)
+        builder.append(keys, b"".join(chunks), max(metas) >> 8)
         return tree.seal(builder)
 
     def _install(self, tree: "LSMTree", task: CompactionTask,

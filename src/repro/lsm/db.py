@@ -41,7 +41,6 @@ from repro.lsm.iterators import (
     DBIterator,
     KVIterator,
     MemTableIterator,
-    MergingIterator,
 )
 from repro.lsm.level_index import LevelModelManager
 from repro.lsm.memtable import MemTable
@@ -1110,7 +1109,7 @@ class LSMTree:
                 children.extend(meta.table.iterator() for meta in files)
             else:
                 children.append(LevelIterator(self, level, files))
-        return DBIterator(MergingIterator(children))
+        return DBIterator(children)
 
     def scan(self, start_key: int, count: int) -> List[Tuple[int, bytes]]:
         """Range lookup: up to ``count`` live entries from ``start_key``."""
@@ -1215,7 +1214,7 @@ class LevelIterator(KVIterator):
     Seeks use the per-table learned index (or the level model when the
     database runs level granularity) for the initial positioning, then
     stream sequentially, hopping to the next file when one is
-    exhausted.
+    exhausted.  Its columns are those of the current file's iterator.
     """
 
     def __init__(self, db: LSMTree, level: int,
@@ -1237,7 +1236,7 @@ class LevelIterator(KVIterator):
         self._open_file(0)
         if self._iter is not None:
             self._iter.seek_to_first()
-            self._skip_exhausted()
+        self._skip_exhausted()
 
     def seek(self, key: int) -> None:
         keys = [meta.min_key for meta in self.files]
@@ -1250,7 +1249,7 @@ class LevelIterator(KVIterator):
             self._open_file(idx + 1)
             if self._iter is not None:
                 self._iter.seek_to_first()
-                self._skip_exhausted()
+            self._skip_exhausted()
             return
         self._open_file(idx)
         assert self._iter is not None
@@ -1259,39 +1258,38 @@ class LevelIterator(KVIterator):
             target = next((bound for meta, bound in pairs
                            if meta.number == self.files[idx].number), None)
             if target is not None:
-                self._iter.seek_to_bound(key, target)
+                model = self.db.level_models.model_for(self.level)
+                self._iter.seek_to_bound(key, target,
+                                         model.index.places_absent_keys)
             else:
                 self._iter.seek_to_first()
-                self._iter._skip_until(key)
+                self._iter.skip_until(key)
         else:
             self._iter.seek(key)
         self._skip_exhausted()
 
     def _skip_exhausted(self) -> None:
-        while self._iter is not None and not self._iter.valid():
+        """Open files until one has an entry; take on its columns."""
+        it = self._iter
+        while it is not None and not it.valid():
             next_idx = self._file_idx + 1
             if next_idx >= len(self.files):
-                self._iter = None
-                return
+                it = self._iter = None
+                break
             self._open_file(next_idx)
-            self._iter.seek_to_first()
+            it = self._iter
+            it.seek_to_first()
+        if it is None:
+            self.keys = self.metas = ()
+            self.head = 0
+        else:
+            self.keys, self.metas, self.head = it.keys, it.metas, it.head
 
-    def valid(self) -> bool:
-        return self._iter is not None and self._iter.valid()
-
-    def key(self) -> int:
+    def advance_to(self, index: int) -> None:
         assert self._iter is not None
-        return self._iter.key()
-
-    def seq(self) -> int:
-        assert self._iter is not None
-        return self._iter.seq()
-
-    def record(self) -> Record:
-        assert self._iter is not None
-        return self._iter.record()
-
-    def advance(self) -> None:
-        assert self._iter is not None
-        self._iter.advance()
+        self._iter.advance_to(index)
         self._skip_exhausted()
+
+    def row(self, index: int) -> Record:
+        assert self._iter is not None
+        return self._iter.row(index)

@@ -1,73 +1,106 @@
-"""Iterator protocol and the merging machinery for reads and compaction.
+"""Iterator protocol and the run merge behind scans and compaction.
 
 LSM reads are iterator compositions (the paper's ``NewIter``):
 
 * each memtable / SSTable / level exposes a :class:`KVIterator` over
-  its records in ascending user-key order;
-* :class:`MergingIterator` heap-merges several of them, surfacing
-  records ordered by (key, newest-first);
-* :class:`DBIterator` collapses versions: per user key only the newest
-  record survives, and tombstones hide older values.
+  its entries in ascending user-key order, one buffered block at a
+  time, as columns;
+* :class:`RunMerge` merges several of them in (key, newest-first)
+  order a *run* at a time: the child with the smallest head emits
+  every entry that precedes all other heads in one step;
+* :class:`DBIterator` collapses versions on top: per user key only the
+  newest entry survives, and tombstones hide older values.
 
-Compaction reuses exactly the same stack (with a different I/O stage
-label), which is how the paper's testbed implements ``BuildTable``'s
-sort-merge input.
+Compaction drives the same :class:`RunMerge` (with a different I/O
+stage label), which is how the paper's testbed implements
+``BuildTable``'s sort-merge input.
 
-The protocol separates *reading a header* from *materialising a
-record*.  ``key()`` and ``seq()`` (and, on a table iterator, ``kind()``
-and ``entry()`` — the stored bytes) are header reads: an SSTable
-iterator serves them from the ``<QQI`` column it decodes once per
-fetched block, without touching a value.  ``record()`` is the only call
-that builds a :class:`~repro.lsm.record.Record` and copies a value.
-The merge orders its heap on ``(key(), -seq(), rank)`` alone, so a
-range scan materialises one record per key it inspects and a compaction
-none at all: it copies ``entry()`` bytes from ``top()`` into the output.
+The protocol separates *reading headers* from *materialising a
+record*.  A child's ``keys`` and ``metas`` (``seq << 8 | kind``) are
+the header columns of its buffered block — an SSTable iterator decodes
+them once per fetched block, without touching a value — and ``head``
+is the column index of its current entry.  :meth:`KVIterator.row` is
+the only call that builds a :class:`~repro.lsm.record.Record` and
+copies a value: a range scan builds one per row it returns, and a
+compaction none unless an input's layout differs from its output's (it
+copies stored entry bytes).
 """
 
 from __future__ import annotations
 
-import heapq
 from abc import ABC, abstractmethod
-from typing import Iterator, List, Optional, Tuple
+from bisect import bisect_left
+from heapq import heapify, heappop, heapreplace
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.lsm.record import Record
+from repro.lsm.record import KIND_TOMBSTONE, Record
 
 
 class KVIterator(ABC):
-    """A forward iterator over records sorted by (key asc, seq desc)."""
+    """A forward cursor over entries sorted by (key asc, seq desc).
+
+    ``keys`` / ``metas`` are the header columns of the buffered block
+    and ``head`` the column index of the current entry; the cursor is
+    valid while ``head < len(keys)``.  Inside the block, moving is
+    setting ``head``; :meth:`advance_to` does just that there, and at
+    the block's end fetches the next block.
+    """
+
+    keys: Sequence[int] = ()
+    metas: Sequence[int] = ()
+    head: int = 0
 
     @abstractmethod
     def seek_to_first(self) -> None:
-        """Position on the first record."""
+        """Position on the first entry."""
 
     @abstractmethod
     def seek(self, key: int) -> None:
-        """Position on the first record with user key >= ``key``."""
+        """Position on the first entry with user key >= ``key``."""
 
     @abstractmethod
+    def advance_to(self, index: int) -> None:
+        """Move to column index ``index`` (``head < index <=
+        len(keys)``); at ``len(keys)``, to the next block, if any."""
+
+    @abstractmethod
+    def row(self, index: int) -> Record:
+        """The entry at column index ``index`` of the buffered block,
+        materialised."""
+
+    # Single-entry views of the columns.
+
     def valid(self) -> bool:
-        """True while positioned on a record."""
+        """True while positioned on an entry."""
+        return self.head < len(self.keys)
 
-    @abstractmethod
     def key(self) -> int:
         """User key at the current position (requires ``valid()``)."""
+        return self.keys[self.head]
 
     def seq(self) -> int:
         """Sequence number at the current position (a header read)."""
-        return self.record().seq
+        return self.metas[self.head] >> 8
 
-    @abstractmethod
+    def kind(self) -> int:
+        """Record kind at the current position (a header read)."""
+        return self.metas[self.head] & 0xFF
+
     def record(self) -> Record:
-        """Record at the current position (requires ``valid()``); the
-        one call that materialises a value."""
+        """Record at the current position (requires ``valid()``)."""
+        return self.row(self.head)
 
-    @abstractmethod
     def advance(self) -> None:
-        """Move to the next record."""
+        """Move to the next entry."""
+        self.advance_to(self.head + 1)
 
 
 class MemTableIterator(KVIterator):
-    """Iterator over the live memtable (snapshot-free, single threaded)."""
+    """Iterator over the live memtable (snapshot-free, single threaded).
+
+    Its block is one record: each step reads the next key's record as
+    it stands when the cursor reaches it.
+    """
 
     def __init__(self, memtable) -> None:
         self._memtable = memtable
@@ -84,112 +117,156 @@ class MemTableIterator(KVIterator):
 
     def _step(self) -> None:
         assert self._iter is not None
-        self._current = next(self._iter, None)
+        record = self._current = next(self._iter, None)
+        if record is None:
+            self.keys = self.metas = ()
+        else:
+            self.keys = (record.key,)
+            self.metas = (record.seq << 8 | record.kind,)
+        self.head = 0
 
-    def valid(self) -> bool:
-        return self._current is not None
-
-    def key(self) -> int:
-        return self._current.key
-
-    def seq(self) -> int:
-        return self._current.seq
-
-    def record(self) -> Record:
-        return self._current
-
-    def advance(self) -> None:
+    def advance_to(self, index: int) -> None:
         self._step()
 
+    def row(self, index: int) -> Record:
+        return self._current
 
-class MergingIterator(KVIterator):
-    """Heap-merge of child iterators ordered by (key, seq desc, rank).
+
+class RunMerge:
+    """Merge of child iterators in (key, seq desc, rank) order, by runs.
 
     ``rank`` breaks ties between sources holding the same (key, seq):
     lower rank (newer source) wins, mirroring LevelDB's source priority
     memtable > L0-newest > ... > deepest level.
+
+    A heap holds each valid child's head.  :meth:`next_run` names the
+    child with the smallest head and the end of its *run*: the entries
+    of its buffered block that precede the runner-up head, found by
+    bisecting the key column.  The caller consumes them, and its next
+    call moves that child past the run — fetching its next block only
+    when the run reached the end of the current one.  So blocks are
+    fetched in merged-entry order: a child's next block right after
+    the merge passes its last buffered entry.
     """
 
     def __init__(self, children: List[KVIterator]) -> None:
-        self._children = children
+        self.children = children
         self._heap: List[Tuple[int, int, int]] = []
 
-    def _push(self, rank: int) -> None:
-        child = self._children[rank]
-        if child.valid():
-            heapq.heappush(self._heap, (child.key(), -child.seq(), rank))
-
-    def _rebuild(self) -> None:
-        self._heap = []
-        for rank in range(len(self._children)):
-            self._push(rank)
-
     def seek_to_first(self) -> None:
-        for child in self._children:
+        for child in self.children:
             child.seek_to_first()
         self._rebuild()
 
     def seek(self, key: int) -> None:
-        for child in self._children:
+        for child in self.children:
             child.seek(key)
         self._rebuild()
 
-    def valid(self) -> bool:
-        return bool(self._heap)
+    def _rebuild(self) -> None:
+        self._heap = [(child.keys[child.head],
+                       -(child.metas[child.head] >> 8), rank)
+                      for rank, child in enumerate(self.children)
+                      if child.head < len(child.keys)]
+        heapify(self._heap)
 
-    def key(self) -> int:
-        return self._heap[0][0]
-
-    def seq(self) -> int:
-        return -self._heap[0][1]
-
-    def top(self) -> KVIterator:
-        """The child standing on the current entry."""
-        return self._children[self._heap[0][2]]
-
-    def record(self) -> Record:
-        return self.top().record()
-
-    def advance(self) -> None:
-        _, _, rank = heapq.heappop(self._heap)
-        self._children[rank].advance()
-        self._push(rank)
+    def next_run(self, end: int = -1) -> Optional[Tuple[KVIterator, int]]:
+        """Consume the current run up to ``end`` (none on the first call
+        after a seek), then return the next: ``(child, end)`` names the
+        child's entries ``[child.head, end)``, or None when every child
+        is exhausted."""
+        heap = self._heap
+        if end >= 0:
+            # Move the run's child past it and re-rank it.
+            rank = heap[0][2]
+            child = self.children[rank]
+            keys = child.keys
+            if end < len(keys):  # inside the block: no fetch, no call
+                child.head = end
+                heapreplace(heap, (keys[end], -(child.metas[end] >> 8),
+                                   rank))
+            else:
+                child.advance_to(end)
+                head = child.head
+                if head < len(child.keys):
+                    heapreplace(heap, (child.keys[head],
+                                       -(child.metas[head] >> 8), rank))
+                else:
+                    heappop(heap)
+        if not heap:
+            return None
+        rank = heap[0][2]
+        child = self.children[rank]
+        keys = child.keys
+        if len(heap) == 1:
+            return child, len(keys)
+        # The runner-up is the smaller child of the heap's root.
+        key, neg_seq, other = (heap[1] if len(heap) == 2 or heap[1] < heap[2]
+                               else heap[2])
+        end = bisect_left(keys, key, child.head)
+        metas = child.metas
+        while (end < len(keys) and keys[end] == key
+               and (-(metas[end] >> 8), rank) < (neg_seq, other)):
+            end += 1
+        return child, end
 
 
 class DBIterator:
-    """User-visible iterator: newest visible value per key, no tombstones."""
+    """User-visible iterator: newest visible value per key, no tombstones.
 
-    def __init__(self, merged: KVIterator) -> None:
-        self._merged = merged
+    It stands on an entry of the current run without consuming it, so
+    a child moves (and fetches) only once the cursor has passed its
+    whole run.
+    """
+
+    def __init__(self, children: List[KVIterator]) -> None:
+        self._merge = RunMerge(children)
+        self._child: Optional[KVIterator] = None
+        self._at = 0  # column index of the current entry in ``_child``
+        self._end = 0  # end of the current run
+        self._last: Optional[int] = None  # key of the last entry passed
         self._key: Optional[int] = None
-        self._value: Optional[bytes] = None
 
     def seek_to_first(self) -> None:
-        self._merged.seek_to_first()
-        self._settle()
+        self._merge.seek_to_first()
+        self._restart()
 
     def seek(self, key: int) -> None:
-        self._merged.seek(key)
+        self._merge.seek(key)
+        self._restart()
+
+    def _restart(self) -> None:
+        self._child = None
+        self._at = self._end = 0
+        self._last = None
         self._settle()
 
     def _settle(self) -> None:
         """Advance until positioned on a live (non-deleted) newest version."""
-        self._key = None
-        self._value = None
-        while self._merged.valid():
-            record = self._merged.record()
-            key = record.key
-            # The first record for a key is its newest version.
-            if record.is_tombstone:
-                self._skip_key(key)
+        merge = self._merge
+        child, at, end, last = self._child, self._at, self._end, self._last
+        while True:
+            if at == end:
+                run = merge.next_run(end if child is not None else -1)
+                if run is None:
+                    self._child = None
+                    self._key = None
+                    return
+                child, end = run
+                at = child.head
+            key = child.keys[at]
+            if key == last:  # an older version of a key already passed
+                at += 1
                 continue
+            # The first entry of a key is its newest version.
+            last = key
+            if child.metas[at] & 0xFF == KIND_TOMBSTONE:
+                at += 1
+                continue
+            self._child, self._at, self._end, self._last = (child, at, end,
+                                                            last)
             self._key = key
-            self._value = record.value
             return
-
-    def _skip_key(self, key: int) -> None:
-        while self._merged.valid() and self._merged.key() == key:
-            self._merged.advance()
 
     def valid(self) -> bool:
         """True while positioned on a live entry."""
@@ -202,19 +279,20 @@ class DBIterator:
 
     def value(self) -> bytes:
         """Current value."""
-        assert self._value is not None
-        return self._value
+        assert self._key is not None
+        return self._child.row(self._at).value
 
     def advance(self) -> None:
         """Move to the next live user key."""
         assert self._key is not None
-        self._skip_key(self._key)
+        self._at += 1
         self._settle()
 
     def take(self, count: int) -> List[Tuple[int, bytes]]:
         """Collect up to ``count`` (key, value) pairs from the cursor."""
         out: List[Tuple[int, bytes]] = []
-        while self.valid() and len(out) < count:
-            out.append((self.key(), self.value()))
-            self.advance()
+        while self._key is not None and len(out) < count:
+            out.append((self._key, self._child.row(self._at).value))
+            self._at += 1
+            self._settle()
         return out

@@ -44,6 +44,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import chain, islice
 from operator import itemgetter, lt
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -705,7 +706,7 @@ class Table:
         _, last_off, last_len, _ = self.handles[last_no]
         length = last_off + last_len - offset
         data, hit_frac = self.options.retry.call(
-            lambda: self.device.pread_cached(self.name, offset, length),
+            partial(self.device.pread_cached, self.name, offset, length),
             self.stats, stage)
         if len(data) != length:
             raise ChecksumError(
@@ -796,6 +797,33 @@ class Table:
             raise self._quarantine_block(exc) from exc
         return b"".join(payloads), None
 
+    def _read_block(self, block_no: int, stage: Stage, seeks: int) -> bytes:
+        """Data block ``block_no``, raw (a verified-raw block read with
+        no data cache keeps its trailer): :meth:`_read_blocks` of a
+        one-block run, in the same steps — quarantine fail-fast, data
+        cache, one retried pread, verify-once, decode — without the run
+        bookkeeping and the join."""
+        state = self._block_state[block_no]
+        if state == _QUARANTINED:
+            raise QuarantinedBlockError(self.name, block_no)
+        cache = self.data_cache
+        try:
+            if cache is not None:
+                payload = cache.get(self.name, block_no)
+                if payload is not None:
+                    self.stats.add(DATA_CACHE_HITS)
+                    self.stats.charge(stage, self.cost.cache_block_us * max(
+                        1, self.cost.blocks_spanned(0, len(payload))))
+                    return payload
+                self.stats.add(DATA_CACHE_MISSES)
+            data = self._pread_run(block_no, block_no, stage, seeks=seeks)
+            if state == _VERIFIED_RAW and cache is None:
+                return data
+            return self._decode_stored(block_no, data,
+                                       self.handles[block_no][3], stage)
+        except ChecksumError as exc:
+            raise self._quarantine_block(exc) from exc
+
     def read_entries(self, lo: int, hi: int, stage: Stage,
                      *, seeks: int = 1) -> bytes:
         """Entries [lo, hi) as one contiguous buffer, charging ``stage``
@@ -805,12 +833,16 @@ class Table:
         per = self.footer.entries_per_block
         first = lo // per
         last = (hi - 1) // per
-        data, base = self._read_blocks(first, last, stage, seeks=seeks)
-        if base is not None and first < last:
-            # Served in place: cut the trailers out from between blocks.
-            data = b"".join([data[blk_off - base:blk_off - base + raw_len]
-                             for _, blk_off, _, raw_len
-                             in self.handles[first:last + 1]])
+        if first == last:  # one block, as every refill reads
+            data = self._read_block(first, stage, seeks)
+        else:
+            data, base = self._read_blocks(first, last, stage, seeks=seeks)
+            if base is not None:
+                # Served in place: cut the trailers out from between
+                # blocks.
+                data = b"".join([data[blk_off - base:blk_off - base + raw_len]
+                                 for _, blk_off, _, raw_len
+                                 in self.handles[first:last + 1]])
         entry_bytes = self.footer.entry_bytes
         start = (lo - first * per) * entry_bytes
         return data[start:start + (hi - lo) * entry_bytes]
@@ -1004,42 +1036,48 @@ class TableIterator(KVIterator):
     """Iterator over one table, streaming one block per refill.
 
     The initial positioning of :meth:`seek` uses the learned index and
-    charges the point-lookup stages; subsequent :meth:`advance` calls
-    stream forward one data block at a time charging ``refill_stage``
-    (SCAN for range queries, COMPACT_READ for compaction inputs),
-    mirroring the paper's range-lookup implementation.
+    charges the point-lookup stages; moving past the end of the
+    buffered block streams forward one data block at a time charging
+    ``refill_stage`` (SCAN for range queries, COMPACT_READ for
+    compaction inputs), mirroring the paper's range-lookup
+    implementation.
 
-    Every fetched buffer's ``<QQI`` headers are decoded in one strided
-    pass into key / meta columns; :meth:`key`, :meth:`seq`, :meth:`kind`
-    and :meth:`entry` read those, and only :meth:`record` builds a
-    :class:`Record` (and copies a value).  The checks ``decode_entry``
-    makes — whole entries, value length within capacity — are made on
-    the whole buffer at fetch time, so a header or an entry handed out
-    has always passed them.
+    Every fetched buffer's ``<QQI`` headers are decoded in one pass into
+    the ``keys`` / ``metas`` columns (one precompiled ``struct`` for a
+    whole block); only :meth:`row` builds a :class:`Record` (and copies
+    a value).  The checks ``decode_entry`` makes — whole entries, value
+    length within capacity — are made on the whole buffer at fetch
+    time, so a header or an entry handed out has always passed them.
     """
 
     def __init__(self, table: Table, refill_stage: Stage) -> None:
         self.table = table
         self.refill_stage = refill_stage
-        self._entry_bytes = table.footer.entry_bytes
-        self._headers = struct.Struct(
-            f"<QQI{self._entry_bytes - ENTRY_HEADER_BYTES}x")
-        self._pos = table.entry_count  # invalid
-        self._buf = b""
-        self._keys: Tuple[int, ...] = ()
-        self._metas: Tuple[int, ...] = ()
+        footer = table.footer
+        self._n = footer.entry_count
+        self._per = footer.entries_per_block
+        self._entry_bytes = footer.entry_bytes
+        self._headers, self._block_headers = _header_structs(
+            footer.entry_bytes, footer.entries_per_block)
+        #: The fetched entries ``[_buf_lo, _buf_lo + len(keys))``, stored
+        #: back to back.
+        self.buf = b""
         self._buf_lo = 0
-        self._buf_hi = 0
 
     # -- buffer management ----------------------------------------------
 
     def _fetch(self, lo: int, hi: int, stage: Stage, seeks: int) -> None:
         table = self.table
-        hi = min(hi, table.entry_count)
+        hi = min(hi, self._n)
         buf = table.read_entries(lo, hi, stage, seeks=seeks)
         capacity = table.footer.value_capacity
         try:
-            keys, metas, lengths = zip(*self._headers.iter_unpack(buf))
+            if len(buf) == self._block_headers.size:  # one whole block
+                columns = self._block_headers.unpack(buf)
+                keys, metas, lengths = (columns[0::3], columns[1::3],
+                                        columns[2::3])
+            else:
+                keys, metas, lengths = zip(*self._headers.iter_unpack(buf))
         except (struct.error, ValueError):  # ragged or empty
             keys = ()
         if len(keys) != hi - lo or max(lengths) > capacity:
@@ -1047,89 +1085,97 @@ class TableIterator(KVIterator):
                 f"table {table.name}: {len(buf)} bytes fetched for entries "
                 f"[{lo}, {hi}) are not {hi - lo} whole {self._entry_bytes}"
                 f"-byte entries with values within capacity {capacity}")
-        self._buf = buf
-        self._keys = keys
-        self._metas = metas
+        self.buf = buf
+        self.keys = keys
+        self.metas = metas
         self._buf_lo = lo
-        self._buf_hi = hi
 
-    def _index(self) -> int:
-        """Column index of the current entry, refilling when needed."""
-        pos = self._pos
-        if not self._buf_lo <= pos < self._buf_hi:
-            per = self.table.footer.entries_per_block
-            # Align refills to data blocks so sequential scans read each
-            # block exactly once regardless of where the initial seek
-            # landed.
-            lo = pos - (pos % per)
-            self._fetch(lo, lo + per, self.refill_stage, seeks=0)
-        return pos - self._buf_lo
+    def _goto(self, pos: int) -> None:
+        """Stand on entry ``pos``, fetching its block (at the refill
+        stage) unless the buffer holds it."""
+        if pos >= self._n:
+            self.head = len(self.keys)  # exhausted
+            return
+        if not self._buf_lo <= pos < self._buf_lo + len(self.keys):
+            # Refills are block-aligned, so sequential scans read each
+            # block exactly once regardless of where the seek landed.
+            lo = pos - pos % self._per
+            self._fetch(lo, lo + self._per, self.refill_stage, seeks=0)
+        self.head = pos - self._buf_lo
 
     # -- KVIterator ---------------------------------------------------------
 
+    def advance_to(self, index: int) -> None:
+        self.head = index
+        if index == len(self.keys):
+            # Buffers end on a block boundary (or the table's end).
+            lo = self._buf_lo + index
+            if lo < self._n:
+                self._fetch(lo, lo + self._per, self.refill_stage, seeks=0)
+                self.head = 0
+
+    def row(self, index: int) -> Record:
+        return decode_entry(self.buf, index * self._entry_bytes,
+                            self.table.footer.value_capacity)
+
+    def entry(self) -> bytes:
+        """The stored ``entry_bytes`` encoding of the current entry."""
+        offset = self.head * self._entry_bytes
+        return self.buf[offset:offset + self._entry_bytes]
+
     def seek_to_first(self) -> None:
-        self._pos = 0
-        if self.table.entry_count:
-            self._fetch(0, self.table.footer.entries_per_block,
-                        self.refill_stage, seeks=1)
+        if self._n:
+            self._fetch(0, self._per, self.refill_stage, seeks=1)
+        self.head = 0
 
     def seek(self, key: int) -> None:
         if self.table.index is None:
             # Level-model tables: the caller narrows with seek_to_bound.
             self.seek_to_first()
-            self._skip_until(key)
+            self.skip_until(key)
             return
-        self.seek_to_bound(key, self.table._bound_for(key))
+        self.seek_to_bound(key, self.table._bound_for(key),
+                           self.table.index.places_absent_keys)
 
-    def seek_to_bound(self, key: int, bound: SearchBound) -> None:
-        """Seek using an externally supplied position bound."""
+    def seek_to_bound(self, key: int, bound: SearchBound,
+                      exact: bool = True) -> None:
+        """Seek using an externally supplied position bound; ``exact``
+        says its index places absent keys (see
+        :attr:`~repro.indexes.base.ClusteredIndex.places_absent_keys`)."""
         table = self.table
-        bound = bound.clamped(table.entry_count)
+        bound = bound.clamped(self._n)
+        if not exact:
+            # Start no later than the block holding the insertion point:
+            # the last block whose first key is <= ``key``.
+            floor = max(0, bisect_right(table.handles, key,
+                                        key=_FIRST_KEY) - 1) * self._per
+            if bound.lo > floor:
+                bound = SearchBound(floor, bound.hi)
         if bound.width <= 0:
-            self._pos = min(bound.lo, table.entry_count)
-            if self._pos < table.entry_count:
-                self._skip_until(key)
+            self._goto(bound.lo)
+            self.skip_until(key)
             return
         bound = table.block_bound(bound)
         self._fetch(bound.lo, bound.hi, Stage.IO, seeks=1)
         table.stats.add(SEGMENTS_FETCHED)
         table.stats.charge(Stage.SEARCH,
                            table.cost.segment_search_us(bound.width))
-        self._pos = self._buf_lo + bisect_left(self._keys, key)
-        self._skip_until(key)
+        self.head = bisect_left(self.keys, key)
+        if self.head == len(self.keys):
+            self.advance_to(self.head)
+        self.skip_until(key)
 
-    def _skip_until(self, key: int) -> None:
-        """Safety net: step forward while positioned before ``key``."""
-        while self.valid() and self.key() < key:
-            self.advance()
+    def skip_until(self, key: int) -> None:
+        """Safety net: step forward, a block at a time, while positioned
+        before ``key``."""
+        while self.head < len(self.keys) and self.keys[self.head] < key:
+            self.advance_to(bisect_left(self.keys, key, self.head))
 
-    def valid(self) -> bool:
-        return 0 <= self._pos < self.table.entry_count
 
-    # ``_index()`` may refill, so it runs before the columns are read.
-
-    def key(self) -> int:
-        index = self._index()
-        return self._keys[index]
-
-    def seq(self) -> int:
-        index = self._index()
-        return self._metas[index] >> 8
-
-    def kind(self) -> int:
-        """Record kind at the current position (a header read)."""
-        index = self._index()
-        return self._metas[index] & 0xFF
-
-    def entry(self) -> bytes:
-        """The stored ``entry_bytes`` encoding of the current entry."""
-        offset = self._index() * self._entry_bytes
-        return self._buf[offset:offset + self._entry_bytes]
-
-    def record(self) -> Record:
-        offset = self._index() * self._entry_bytes
-        return decode_entry(self._buf, offset,
-                            self.table.footer.value_capacity)
-
-    def advance(self) -> None:
-        self._pos += 1
+@lru_cache(maxsize=None)
+def _header_structs(entry_bytes: int,
+                    per: int) -> Tuple[struct.Struct, struct.Struct]:
+    """The ``<QQI`` header of one entry, and of a whole block of ``per``
+    entries, skipping the value bytes."""
+    entry = f"QQI{entry_bytes - ENTRY_HEADER_BYTES}x"
+    return struct.Struct("<" + entry), struct.Struct("<" + entry * per)

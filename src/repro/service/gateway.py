@@ -186,6 +186,8 @@ class CircuitBreaker:
         self.stats = stats
         self.state = self.CLOSED
         self.window: Deque[bool] = deque(maxlen=BREAKER_WINDOW)
+        #: Failed completions in ``window``, kept as entries come and go.
+        self._errors = 0
         self.opened_at_us = 0.0
         self.reason = ""
         self._probe_successes = 0
@@ -212,7 +214,7 @@ class CircuitBreaker:
                 self._probe_successes += 1
                 if self._probe_successes >= BREAKER_HALF_OPEN_PROBES:
                     self.state = self.CLOSED
-                    self.window.clear()
+                    self._clear_window()
                     self.reason = ""
                     self.stats.add(BREAKER_CLOSES)
             else:
@@ -222,12 +224,16 @@ class CircuitBreaker:
             # A straggler completing after the breaker opened changes
             # nothing; the cooldown clock is already running.
             return
-        self.window.append(ok)
-        if len(self.window) >= BREAKER_MIN_SAMPLES:
-            errors = sum(1 for entry in self.window if not entry)
-            if errors / len(self.window) >= BREAKER_ERROR_THRESHOLD:
-                self._open(now_us,
-                           f"error rate {errors}/{len(self.window)}")
+        window = self.window
+        if len(window) == window.maxlen and not window[0]:
+            self._errors -= 1  # the append below evicts that error
+        window.append(ok)
+        if not ok:
+            self._errors += 1
+        if len(window) >= BREAKER_MIN_SAMPLES:
+            errors = self._errors
+            if errors / len(window) >= BREAKER_ERROR_THRESHOLD:
+                self._open(now_us, f"error rate {errors}/{len(window)}")
 
     def force_open(self, now_us: float, reason: str) -> None:
         """Open immediately (shard ``health()`` says it is sick)."""
@@ -238,8 +244,12 @@ class CircuitBreaker:
         self.state = self.OPEN
         self.opened_at_us = now_us
         self.reason = reason
-        self.window.clear()
+        self._clear_window()
         self.stats.add(BREAKER_OPENS)
+
+    def _clear_window(self) -> None:
+        self.window.clear()
+        self._errors = 0
 
 
 class Request:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.indexes.registry import IndexKind
 from repro.lsm.compaction import CompactionOutcome, Compactor
 from repro.lsm.db import LSMTree
-from repro.lsm.iterators import MergingIterator
+from merge_reference import MergingIterator
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import Granularity, small_test_options
 from repro.lsm.record import KIND_TOMBSTONE, encode_entry, make_value

@@ -145,7 +145,7 @@ def _reference_do_run(self, tree, task):
     entry decoded into a ``Record`` and re-encoded by ``TableBuilder.add``,
     outputs cut on the builder's payload size."""
     from repro.lsm.compaction import CompactionOutcome
-    from repro.lsm.iterators import MergingIterator
+    from merge_reference import MergingIterator
 
     version = tree.version
     outcome = CompactionOutcome(task=task)

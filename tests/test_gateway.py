@@ -193,6 +193,37 @@ def test_breaker_stays_closed_below_threshold_or_min_samples():
     assert few.state == CircuitBreaker.OPEN
 
 
+def test_breaker_error_count_follows_its_sliding_window():
+    """The running error count is the window's: errors that slide out
+    of it no longer count, so a breaker whose early errors scrolled away
+    stays closed, and it opens exactly when a recount would say so."""
+    from collections import deque
+
+    rng = random.Random(17)
+    b = breaker()
+    window = deque(maxlen=b.window.maxlen)
+    opened = 0
+    for step in range(3_000):
+        now = 50.0 * step
+        b.allow(now)  # lets an open breaker cool down into half-open
+        closed = b.state == CircuitBreaker.CLOSED
+        ok = rng.random() > 0.42
+        b.record(ok, now)
+        if not closed:
+            window.clear()
+            continue
+        window.append(ok)
+        errors = sum(1 for entry in window if not entry)
+        should_open = (len(window) >= BREAKER_MIN_SAMPLES
+                       and errors / len(window) >= BREAKER_ERROR_THRESHOLD)
+        assert (b.state == CircuitBreaker.OPEN) == should_open, step
+        if should_open:
+            assert b.reason == f"error rate {errors}/{len(window)}"
+            opened += 1
+            window.clear()
+    assert opened > 3
+
+
 def test_breaker_half_open_failure_reopens():
     b = breaker()
     for _ in range(BREAKER_MIN_SAMPLES):

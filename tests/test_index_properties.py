@@ -11,6 +11,9 @@ array and any configured boundary:
 4. clamping — bounds always fall inside ``[0, n)``.
 """
 
+import random
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,16 +95,48 @@ def test_size_and_cost_reported(kind, uniform_keys):
     assert index.expected_lookup_cost_us(DEFAULT_COST_MODEL) > 0.0
 
 
+def _seek_key_sets(uniform_keys):
+    """Key sets for the seek contract: 2,000 uniform keys, then small
+    uniform, clustered and equal-gap sets of 16 to 500 keys."""
+    yield uniform_keys[:2000]
+    rng = random.Random(0x5EEC)
+    for n in (16, 64, 128, 500):
+        for _ in range(6):
+            yield sorted(rng.sample(range(n * 10), n))
+        for _ in range(3):
+            keys = set()
+            while len(keys) < n:
+                base = rng.randrange(1 << 40)
+                keys.update(base + rng.randrange(n) for _ in range(8))
+            yield sorted(keys)[:n]
+        for _ in range(3):
+            # Runs of equal gaps, with a jump between runs.
+            keys, key = [], rng.randrange(100)
+            while len(keys) < n:
+                gap = rng.choice((1, 2, 7))
+                for _ in range(rng.randrange(2, 12)):
+                    key += gap
+                    keys.append(key)
+                key += rng.randrange(50, 5000)
+            yield keys[:n]
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_insertion_point_for_absent_keys_between_members(kind, uniform_keys):
-    """For seeks: absent keys inside a segment bracket their neighbours."""
-    keys = uniform_keys[:2000]
-    index = IndexFactory(kind, 32).build(keys)
-    for i in range(50, 1950, 97):
-        probe = keys[i] + 1  # between keys[i] and keys[i+1]
-        if probe == keys[i + 1]:
-            continue
-        bound = index.lookup(probe)
-        # The bound must allow finding the successor position i+1 by
-        # scanning forward from bound.lo.
-        assert bound.lo <= i + 1
+    """For seeks: an absent key's bound starts at or before the position
+    it would be inserted at, so scanning forward from ``bound.lo`` finds
+    its successor."""
+    rng = random.Random(kind.value)
+    for keys in _seek_key_sets(uniform_keys):
+        members = set(keys)
+        probes = [key + 1 for key in keys[::max(1, len(keys) // 40)]]
+        probes += [rng.randrange(keys[0] - 5, keys[-1] + 5)
+                   for _ in range(20)]
+        probes = [probe for probe in probes
+                  if probe >= 0 and probe not in members]
+        for boundary in (8, 32):
+            index = IndexFactory(kind, boundary).build(keys)
+            for probe in probes:
+                bound = index.lookup(probe)
+                assert bound.lo <= bisect_left(keys, probe), (
+                    boundary, len(keys), probe)

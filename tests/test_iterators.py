@@ -1,46 +1,15 @@
-"""Tests for merging iterators and user-visible version collapsing."""
+"""Tests for the merge and user-visible version collapsing.
+
+The heap merge (``merge_reference.MergingIterator``) is the reference
+order; ``RunMerge`` must emit the same entries, a run at a time.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm.iterators import DBIterator, KVIterator, MergingIterator
-from repro.lsm.record import Record, make_tombstone, make_value
-
-
-class ListIterator(KVIterator):
-    """Reference iterator over an in-memory, pre-sorted record list."""
-
-    def __init__(self, records) -> None:
-        self._records = records
-        self._pos = len(records)
-
-    def seek_to_first(self) -> None:
-        self._pos = 0
-
-    def seek(self, key: int) -> None:
-        lo, hi = 0, len(self._records)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._records[mid].key < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._pos = lo
-
-    def valid(self) -> bool:
-        return 0 <= self._pos < len(self._records)
-
-    def key(self) -> int:
-        return self._records[self._pos].key
-
-    def seq(self) -> int:
-        return self._records[self._pos].seq
-
-    def record(self) -> Record:
-        return self._records[self._pos]
-
-    def advance(self) -> None:
-        self._pos += 1
+from merge_reference import ListIterator, MergingIterator
+from repro.lsm.iterators import DBIterator, RunMerge
+from repro.lsm.record import make_tombstone, make_value
 
 
 def drain(it):
@@ -98,14 +67,14 @@ def test_merging_iterator_seek():
 def test_db_iterator_hides_tombstones():
     records = [make_value(1, 1, b"a"), make_tombstone(2, 5),
                make_value(2, 3, b"dead"), make_value(3, 2, b"c")]
-    cursor = DBIterator(_list_iter(records))
+    cursor = DBIterator([_list_iter(records)])
     cursor.seek_to_first()
     assert cursor.take(10) == [(1, b"a"), (3, b"c")]
 
 
 def test_db_iterator_takes_newest_version():
     records = [make_value(7, 9, b"new"), make_value(7, 2, b"old")]
-    cursor = DBIterator(_list_iter(records))
+    cursor = DBIterator([_list_iter(records)])
     cursor.seek_to_first()
     assert cursor.take(10) == [(7, b"new")]
 
@@ -114,7 +83,7 @@ def test_db_iterator_resurrected_key():
     """Delete then re-insert: the newest value wins."""
     records = [make_value(4, 10, b"back"), make_tombstone(4, 6),
                make_value(4, 2, b"orig")]
-    cursor = DBIterator(_list_iter(records))
+    cursor = DBIterator([_list_iter(records)])
     cursor.seek_to_first()
     assert cursor.take(10) == [(4, b"back")]
 
@@ -122,14 +91,14 @@ def test_db_iterator_resurrected_key():
 def test_db_iterator_seek_lands_on_live_key():
     records = [make_value(1, 1, b"a"), make_tombstone(5, 2),
                make_value(9, 3, b"c")]
-    cursor = DBIterator(_list_iter(records))
+    cursor = DBIterator([_list_iter(records)])
     cursor.seek(2)
     assert cursor.key() == 9
 
 
 def test_db_iterator_take_limit():
     records = [make_value(k, 1, b"") for k in range(50)]
-    cursor = DBIterator(_list_iter(records))
+    cursor = DBIterator([_list_iter(records)])
     cursor.seek_to_first()
     assert len(cursor.take(7)) == 7
     assert cursor.key() == 7  # cursor advanced past the taken entries
@@ -170,7 +139,7 @@ def test_property_db_iterator_newest_wins(key_versions):
             seq += 1
             records.append(make_value(key, seq, b"s%d" % seq))
             expected[key] = b"s%d" % seq
-    cursor = DBIterator(_list_iter(records))
+    cursor = DBIterator([_list_iter(records)])
     cursor.seek_to_first()
     assert cursor.take(1000) == sorted(expected.items())
 
@@ -185,9 +154,9 @@ class _CountingIterator(ListIterator):
         super().__init__(records)
         self.materialised = 0
 
-    def record(self):
+    def row(self, index):
         self.materialised += 1
-        return super().record()
+        return super().row(index)
 
 
 def _versions():
@@ -220,23 +189,105 @@ def test_merge_orders_headers_without_materialising_records():
     assert sum(child.materialised for child in children) == 1
 
 
-def test_db_iterator_materialises_one_record_per_key_it_inspects():
+def test_db_iterator_materialises_one_record_per_row_it_returns():
     children = _versions()
-    cursor = DBIterator(MergingIterator(children))
+    cursor = DBIterator(children)
     cursor.seek_to_first()
     assert cursor.take(100) == [
         (1, b"m1"), (3, b"o3"), (4, b"o4"), (5, b"n5"), (6, b"o6"),
         (7, b"o7"), (8, b"o8"), (9, b"n9"), (10, b"o10")]
-    # Ten distinct keys, one of them (2) hidden by its tombstone.
-    assert sum(child.materialised for child in children) == 10
+    # Ten distinct keys, one of them (2) hidden by its tombstone: kinds
+    # and versions are read off the header columns.
+    assert sum(child.materialised for child in children) == 9
 
 
-def test_seq_defaults_to_the_record_for_iterators_without_headers():
-    from repro.lsm.iterators import KVIterator
-
-    class Bare(ListIterator):
-        seq = KVIterator.seq
-
-    it = Bare([make_value(4, 17, b"x")])
+def test_single_entry_views_read_the_header_columns():
+    it = ListIterator([make_tombstone(4, 17), make_value(6, 3, b"x")])
     it.seek_to_first()
-    assert it.seq() == 17
+    assert (it.key(), it.seq(), it.kind()) == (4, 17, 1)
+    it.advance()
+    assert (it.key(), it.seq(), it.kind()) == (6, 3, 0)
+    assert it.record() == make_value(6, 3, b"x")
+    it.advance()
+    assert not it.valid()
+
+
+# -- runs ---------------------------------------------------------------------
+
+
+def _runs(merge):
+    """Every run of ``merge`` as ``(child index, [keys])``."""
+    out = []
+    run = merge.next_run()
+    while run is not None:
+        child, end = run
+        out.append((merge.children.index(child),
+                    list(child.keys[child.head:end])))
+        run = merge.next_run(end)
+    return out
+
+
+def test_a_run_ends_at_the_runner_up_head_or_the_block_end():
+    a = ListIterator([make_value(k, 1, b"") for k in (1, 2, 3, 7, 8)],
+                     block=4)
+    b = ListIterator([make_value(k, 2, b"") for k in (3, 5, 9)])
+    merge = RunMerge([a, b])
+    merge.seek_to_first()
+    # Key 3 is in both: b's is newer (seq 2), so a's run stops before
+    # it; a's block [1, 2, 3, 7] ends a run, then 8 comes from a refill.
+    assert _runs(merge) == [(0, [1, 2]), (1, [3]), (0, [3]), (1, [5]),
+                            (0, [7]), (0, [8]), (1, [9])]
+    assert a.fetches == 2
+
+
+def test_equal_key_and_seq_go_to_the_lower_rank():
+    a = ListIterator([make_value(4, 5, b"a")])
+    b = ListIterator([make_value(4, 5, b"b"), make_value(6, 1, b"")])
+    merge = RunMerge([b, a])
+    merge.seek_to_first()
+    assert _runs(merge) == [(0, [4]), (1, [4]), (0, [6])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=60),
+                         max_size=30), min_size=1, max_size=5),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=70))
+def test_property_runs_are_the_heap_order(sources, block, start):
+    """Concatenated runs are the heap merge's entry order, and each child
+    fetches its blocks at the same points of that order."""
+    def children():
+        out, seq = [], 0
+        for source in sources:
+            records = []
+            for key in sorted(set(source)):
+                seq += 1
+                records.append(make_value(key, seq % 7, b"%d" % seq))
+            out.append(ListIterator(records, block=block))
+        return out
+
+    heap_children = children()
+    heap = MergingIterator(heap_children)
+    heap.seek(start)
+    want = []
+    while heap.valid():
+        top = heap.top()
+        want.append((heap.key(), heap.seq(), heap_children.index(top),
+                     [child.fetches for child in heap_children]))
+        heap.advance()
+    run_children = children()
+    merge = RunMerge(run_children)
+    merge.seek(start)
+    got = []
+    run = merge.next_run()
+    while run is not None:
+        child, end = run
+        rank = run_children.index(child)
+        fetches = [c.fetches for c in run_children]
+        for at in range(child.head, end):
+            got.append((child.keys[at], child.metas[at] >> 8, rank,
+                        list(fetches)))
+        run = merge.next_run(end)
+    assert got == want
+    assert [c.fetches for c in run_children] == [
+        c.fetches for c in heap_children]

@@ -35,6 +35,32 @@ def test_negative_charge_rejected():
         stats.charge(Stage.IO, -1.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(start=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+       us=st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+       n=st.integers(min_value=-1, max_value=40))
+def test_charge_each_is_n_charges(start, us, n):
+    class Recorder:
+        def __init__(self):
+            self.charges = []
+
+        def on_charge(self, stage, amount):
+            self.charges.append((stage, amount))
+
+    one, many = Stats(), Stats()
+    one.attach_tracer(Recorder())
+    many.attach_tracer(Recorder())
+    for stats in (one, many):
+        stats.charge(Stage.COMPACT_MERGE, start)
+    for _ in range(n):
+        one.charge(Stage.COMPACT_MERGE, us)
+    many.charge_each(Stage.COMPACT_MERGE, us, n)
+    assert many.stage_us == one.stage_us
+    assert many.tracer.charges == one.tracer.charges
+    with pytest.raises(ValueError):
+        many.charge_each(Stage.IO, -1.0, 2)
+
+
 def test_read_time_covers_only_read_stages():
     stats = Stats()
     for stage in READ_STAGES:
