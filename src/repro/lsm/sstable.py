@@ -45,9 +45,9 @@ import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from operator import itemgetter, lt
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import (
     ChecksumError,
@@ -97,6 +97,7 @@ _MAGIC = 0x4C49545F4C534D33  # "LIT_LSM3"
 
 #: Point-read stages as globals: a global read, not an enum lookup.
 _PREDICTION, _IO, _SEARCH = Stage.PREDICTION, Stage.IO, Stage.SEARCH
+_SCAN, _DECOMPRESS = Stage.SCAN, Stage.DECOMPRESS
 
 #: File header: magic, format_version, entry_bytes, CRC-32 of the rest.
 _HEADER = struct.Struct("<QIII")
@@ -120,6 +121,9 @@ _KEY = struct.Struct("<Q")
 
 #: A sparse-index row's first key: what a point search bisects blocks by.
 _FIRST_KEY = itemgetter(0)
+
+#: A batched lookup's ``(key, lo, hi)``: what its bounds are sorted by.
+_BOUNDS = itemgetter(1, 2)
 
 # magic, format_version, entry_count, entry_bytes, value_capacity,
 # entries_per_block, block_count, block_index (offset, len, crc),
@@ -456,6 +460,20 @@ class Table:
         #: index and the cost model, both fixed for this object's life.
         self._prediction_us = (index.expected_lookup_cost_us(cost)
                                if index is not None else 0.0)
+        #: Data-cache hit charge of a block, fixed by its raw length:
+        #: every block but the last holds ``entries_per_block`` entries.
+        self._hit_us = cost.cache_block_us * max(1, cost.blocks_spanned(
+            0, footer.entries_per_block * footer.entry_bytes))
+        self._tail_hit_us = cost.cache_block_us * max(1, cost.blocks_spanned(
+            0, handles[-1][3] if handles else 0))
+        #: Largest entry gap a batched read reads through instead of
+        #: re-seeking: two predicted segments closer than this are
+        #: cheaper as one sequential pread (paying the extra transfer
+        #: blocks) than as two (paying a second seek),
+        #: ``gap_blocks * block_read_us < seek_us``.
+        self._coalesce_gap = int(
+            cost.seek_us // max(cost.block_read_us, 1e-9)) * (
+                device.block_size // footer.entry_bytes)
         #: Kept only while needed by level-model rebuilds; dropped via
         #: :meth:`release_keys` otherwise.
         self.cached_keys = keys
@@ -649,48 +667,6 @@ class Table:
                     device_quarantine(self.name, index)
         return QuarantinedBlockError(self.name, block_no)
 
-    def _decode_stored(self, block_no: int, data: bytes, raw_len: int,
-                       stage: Stage) -> bytes:
-        """Verify + decode one stored data block (trailer included).
-
-        Checksum verification happens on the first fetch by this table
-        (memoised per block, successes only); decoded blocks are
-        admitted to the data cache when one is attached.
-        """
-        payload = data[:-BLOCK_TRAILER_BYTES]
-        codec_id, stored_crc = _BLOCK_TRAILER.unpack(
-            data[-BLOCK_TRAILER_BYTES:])
-        if self._block_state[block_no] == _UNVERIFIED:
-            if crc32c(data[:-4]) != stored_crc:
-                self.stats.add(CHECKSUM_FAILURES)
-                raise ChecksumError(self.name, "data", block=block_no)
-            self._block_state[block_no] = (
-                _VERIFIED_RAW if codec_id == 0 and len(payload) == raw_len
-                else _VERIFIED_CODED)
-            self.stats.add(BLOCKS_VERIFIED)
-            self.stats.charge(stage, self.cost.checksum_us(len(data)))
-        if codec_id == 0:
-            if len(payload) != raw_len:
-                raise ChecksumError(
-                    self.name, "data", block=block_no,
-                    detail=f"{len(payload)} stored bytes, expected "
-                           f"{raw_len} raw")
-            raw = payload
-        else:
-            raw = decode_block(codec_id, payload, raw_len,
-                               file=self.name, block=block_no)
-            decompress_stage = (Stage.DECOMPRESS
-                                if stage in (Stage.IO, Stage.SCAN)
-                                else stage)
-            self.stats.charge(decompress_stage,
-                              self.cost.decompress_us(raw_len))
-            self.stats.add(DECOMPRESS_BYTES, raw_len)
-        if self.data_cache is not None:
-            evicted = self.data_cache.put(self.name, block_no, raw)
-            if evicted:
-                self.stats.add(DATA_CACHE_EVICTIONS, evicted)
-        return raw
-
     def _pread_run(self, first_no: int, last_no: int, stage: Stage,
                    *, seeks: int) -> bytes:
         """The stored bytes of data blocks [first_no, last_no], read with
@@ -727,30 +703,90 @@ class Table:
         self.stats.charge(stage, us)
         return data
 
-    def _decode_run(self, data: bytes, first_no: int, last_no: int,
-                    stage: Stage) -> List[bytes]:
-        """Verify and decode every block of a :meth:`_pread_run` buffer."""
-        offset = self.handles[first_no][1]
-        return [self._decode_stored(
-                    block_no, data[blk_off - offset:
-                                   blk_off - offset + stored_len],
-                    raw_len, stage)
-                for block_no, (_, blk_off, stored_len, raw_len)
-                in enumerate(self.handles[first_no:last_no + 1], first_no)]
+    def _fill_run(self, data: bytes, first: int, last: int,
+                  stage: Stage) -> List[bytes]:
+        """Verify, decode and admit data blocks [first, last] of one
+        :meth:`_pread_run` buffer; returns their raw payloads.
+
+        Block by block, in order: the CRC on the block's first fetch by
+        this table (memoised per block, successes only), then the codec.
+        Consecutive equal ``(stage, µs)`` charges are made by one
+        :meth:`~repro.storage.stats.Stats.charge_each`, counters by one
+        ``add`` each, and the decoded blocks are admitted to the data
+        cache (when one is attached) by one ``put_run`` — the same
+        totals, in the same order, as one block at a time.  A block that
+        fails raises :class:`~repro.errors.ChecksumError` with the
+        blocks before it charged, counted and admitted.
+        """
+        state = self._block_state
+        handles = self.handles
+        stats = self.stats
+        cost = self.cost
+        name = self.name
+        decompress_stage = _DECOMPRESS if stage in (_IO, _SCAN) else stage
+        base = handles[first][1]
+        raws: List[bytes] = []
+        charges: List[Tuple[Stage, float]] = []
+        verified = decoded = 0
+        try:
+            for block_no, (_, offset, stored_len, raw_len) in enumerate(
+                    handles[first:last + 1], first):
+                start = offset - base
+                end = start + stored_len - BLOCK_TRAILER_BYTES
+                codec_id, stored_crc = _BLOCK_TRAILER.unpack_from(data, end)
+                if state[block_no] == _UNVERIFIED:
+                    # The CRC covers the payload and the codec byte.
+                    if crc32c(data[start:end + 1]) != stored_crc:
+                        stats.add(CHECKSUM_FAILURES)
+                        raise ChecksumError(name, "data", block=block_no)
+                    state[block_no] = (
+                        _VERIFIED_RAW if codec_id == 0 and end - start == raw_len
+                        else _VERIFIED_CODED)
+                    verified += 1
+                    charges.append((stage, cost.checksum_us(stored_len)))
+                if codec_id == 0:
+                    if end - start != raw_len:
+                        raise ChecksumError(
+                            name, "data", block=block_no,
+                            detail=f"{end - start} stored bytes, expected "
+                                   f"{raw_len} raw")
+                    raws.append(data[start:end])
+                else:
+                    raws.append(decode_block(codec_id, data[start:end],
+                                             raw_len, file=name,
+                                             block=block_no))
+                    charges.append((decompress_stage,
+                                    cost.decompress_us(raw_len)))
+                    decoded += raw_len
+        finally:
+            for (charge_stage, us), group in groupby(charges):
+                stats.charge_each(charge_stage, us, len(list(group)))
+            if verified:
+                stats.add(BLOCKS_VERIFIED, verified)
+            if decoded:
+                stats.add(DECOMPRESS_BYTES, decoded)
+            cache = self.data_cache
+            if cache is not None and raws:
+                evicted = cache.put_run(name, first, raws)
+                if evicted:
+                    stats.add(DATA_CACHE_EVICTIONS, evicted)
+        return raws
 
     def _read_blocks(self, first: int, last: int, stage: Stage,
-                     *, seeks: int = 1) -> Tuple[bytes, Optional[int]]:
-        """Data blocks [first, last] in one buffer: ``(buf, base)``.
+                     *, seeks: int = 1,
+                     ) -> Tuple[Union[bytes, List[bytes]], Optional[int]]:
+        """Data blocks [first, last]: ``(buf, base)`` or ``(blocks, None)``.
 
         A run that is all verified-raw, read with no data cache, is the
         pread buffer itself, trailers and all: ``base`` is its file
         offset and block ``b`` starts at byte ``handles[b][1] - base``.
-        Any other run is resolved block by block — data cache, then
-        device (verify + decode on miss) — and joined: ``base`` is None
-        and block ``b`` starts at ``(b - first) * per * entry_bytes``.
-        At most ``seeks`` seeks are charged: misses coalesce into
-        contiguous runs of one pread each.  Blocks served by a cache tier
-        are charged at memory-copy cost instead of seek + transfer.
+        Any other run comes back as the list of its raw blocks: the data
+        cache looks the whole run up in one call, hits are counted and
+        charged once per run, and each contiguous run of misses is read
+        with one pread and verified, decoded and admitted by
+        :meth:`_fill_run`.  At most ``seeks`` seeks are charged.  Blocks
+        served by a cache tier are charged at memory-copy cost instead
+        of seek + transfer.
         """
         if _QUARANTINED in self._block_state:
             # Fail fast before touching the device: a quarantined block
@@ -765,44 +801,42 @@ class Table:
                 if last - first + 1 == self._block_state.count(
                         _VERIFIED_RAW, first, last + 1):
                     return data, self.handles[first][1]
-                payloads = self._decode_run(data, first, last, stage)
-            else:
-                payloads = [None] * (last - first + 1)
-                pending: List[int] = []
-                for block_no in range(first, last + 1):
-                    payload = cache.get(self.name, block_no)
-                    if payload is not None:
-                        self.stats.add(DATA_CACHE_HITS)
-                        self.stats.charge(
-                            stage, self.cost.cache_block_us * max(
-                                1, self.cost.blocks_spanned(0, len(payload))))
-                        payloads[block_no - first] = payload
-                        continue
-                    self.stats.add(DATA_CACHE_MISSES)
-                    pending.append(block_no)
+                return self._fill_run(data, first, last, stage), None
+            stats = self.stats
+            blocks = cache.get_run(self.name, first, last)
+            misses = blocks.count(None)
+            hits = len(blocks) - misses
+            if hits:
+                stats.add(DATA_CACHE_HITS, hits)
+                tail = last == len(self.handles) - 1 and blocks[-1] is not None
+                stats.charge_each(stage, self._hit_us, hits - tail)
+                if tail:
+                    stats.charge(stage, self._tail_hit_us)
+            if misses:
+                stats.add(DATA_CACHE_MISSES, misses)
                 seek_budget = seeks
-                run: List[int] = []
-                for block_no in pending + [-1]:
-                    if run and block_no != run[-1] + 1:
-                        payloads[run[0] - first:run[-1] - first + 1] = (
-                            self._decode_run(
-                                self._pread_run(run[0], run[-1], stage,
-                                                seeks=seek_budget),
-                                run[0], run[-1], stage))
-                        seek_budget = 0
-                        run = []
-                    if block_no >= 0:
-                        run.append(block_no)
+                at = 0
+                while misses:
+                    at = blocks.index(None, at)
+                    end = at + 1
+                    while end < len(blocks) and blocks[end] is None:
+                        end += 1
+                    blocks[at:end] = self._fill_run(
+                        self._pread_run(first + at, first + end - 1, stage,
+                                        seeks=seek_budget),
+                        first + at, first + end - 1, stage)
+                    seek_budget = 0
+                    misses -= end - at
+            return blocks, None
         except ChecksumError as exc:
             raise self._quarantine_block(exc) from exc
-        return b"".join(payloads), None
 
     def _read_block(self, block_no: int, stage: Stage, seeks: int) -> bytes:
         """Data block ``block_no``, raw (a verified-raw block read with
         no data cache keeps its trailer): :meth:`_read_blocks` of a
         one-block run, in the same steps — quarantine fail-fast, data
-        cache, one retried pread, verify-once, decode — without the run
-        bookkeeping and the join."""
+        cache, one retried pread, :meth:`_fill_run` — without the run
+        bookkeeping."""
         state = self._block_state[block_no]
         if state == _QUARANTINED:
             raise QuarantinedBlockError(self.name, block_no)
@@ -812,15 +846,15 @@ class Table:
                 payload = cache.get(self.name, block_no)
                 if payload is not None:
                     self.stats.add(DATA_CACHE_HITS)
-                    self.stats.charge(stage, self.cost.cache_block_us * max(
-                        1, self.cost.blocks_spanned(0, len(payload))))
+                    self.stats.charge(stage, self._tail_hit_us
+                                      if block_no == len(self.handles) - 1
+                                      else self._hit_us)
                     return payload
                 self.stats.add(DATA_CACHE_MISSES)
             data = self._pread_run(block_no, block_no, stage, seeks=seeks)
             if state == _VERIFIED_RAW and cache is None:
                 return data
-            return self._decode_stored(block_no, data,
-                                       self.handles[block_no][3], stage)
+            return self._fill_run(data, block_no, block_no, stage)[0]
         except ChecksumError as exc:
             raise self._quarantine_block(exc) from exc
 
@@ -836,13 +870,14 @@ class Table:
         if first == last:  # one block, as every refill reads
             data = self._read_block(first, stage, seeks)
         else:
-            data, base = self._read_blocks(first, last, stage, seeks=seeks)
+            blocks, base = self._read_blocks(first, last, stage, seeks=seeks)
             if base is not None:
                 # Served in place: cut the trailers out from between
                 # blocks.
-                data = b"".join([data[blk_off - base:blk_off - base + raw_len]
-                                 for _, blk_off, _, raw_len
-                                 in self.handles[first:last + 1]])
+                blocks = [blocks[blk_off - base:blk_off - base + raw_len]
+                          for _, blk_off, _, raw_len
+                          in self.handles[first:last + 1]]
+            data = b"".join(blocks)
         entry_bytes = self.footer.entry_bytes
         start = (lo - first * per) * entry_bytes
         return data[start:start + (hi - lo) * entry_bytes]
@@ -873,22 +908,21 @@ class Table:
         per = footer.entries_per_block
         first = lo // per
         last = (hi - 1) // per
-        buf, base = self._read_blocks(first, last, _IO)
+        blocks, base = self._read_blocks(first, last, _IO)
         self.stats.add(SEGMENTS_FETCHED)
         lo = first * per
         hi = min(last * per + per, n)
-        at = self._search(buf, first, base, lo, hi, key)
+        record = self._search(blocks, first, base, lo, hi, key)
         self.stats.charge(_SEARCH, self.cost.segment_search_us(hi - lo))
-        if at is None:
-            return None
-        return decode_entry(buf, at, footer.value_capacity)
+        return record
 
-    def _search(self, buf: bytes, first: int, base: Optional[int],
-                lo: int, hi: int, key: int) -> Optional[int]:
-        """Byte offset of ``key`` among entries [lo, hi) (``lo`` block
-        aligned) of the :meth:`_read_blocks` buffer of the run from block
-        ``first``, or None: bisect the block index by first key, then
-        binary-search that one block in place."""
+    def _search(self, blocks: Union[bytes, List[bytes]], first: int,
+                base: Optional[int], lo: int, hi: int,
+                key: int) -> Optional[Record]:
+        """The entry of ``key`` among entries [lo, hi) (``lo`` block
+        aligned) of the :meth:`_read_blocks` result for the run from
+        block ``first``, or None: bisect the block index by first key,
+        then binary-search that one block where it lies."""
         per = self.footer.entries_per_block
         block_no = bisect_right(self.handles, key, lo // per,
                                 (hi - 1) // per + 1, key=_FIRST_KEY) - 1
@@ -896,9 +930,11 @@ class Table:
             return None
         entry_bytes = self.footer.entry_bytes
         if base is not None:  # in place: the block lies at its file offset
+            buf = blocks
             at = self.handles[block_no][1] - base
-        else:  # joined: whole raw blocks back to back
-            at = (block_no - first) * per * entry_bytes
+        else:  # the run's list of raw blocks
+            buf = blocks[block_no - first]
+            at = 0
         lo = 0
         hi = min(per, hi - block_no * per)
         unpack = _KEY.unpack_from
@@ -911,7 +947,8 @@ class Table:
                 elif probe > key:
                     hi = mid
                 else:
-                    return at + mid * entry_bytes
+                    return decode_entry(buf, at + mid * entry_bytes,
+                                        self.footer.value_capacity)
         except struct.error as exc:
             raise CorruptionError(
                 f"table {self.name}: entry {block_no * per + mid} lies "
@@ -919,17 +956,6 @@ class Table:
         return None
 
     # -- batched reads ----------------------------------------------------
-
-    def _coalesce_gap_entries(self) -> int:
-        """Largest entry gap worth reading through instead of re-seeking.
-
-        Two predicted segments separated by fewer than this many entries
-        are cheaper to fetch as one sequential pread (paying the extra
-        transfer blocks) than as two preads (paying a second seek):
-        ``gap_blocks * block_read_us < seek_us``.
-        """
-        blocks = int(self.cost.seek_us // max(self.cost.block_read_us, 1e-9))
-        return blocks * (self.device.block_size // self.footer.entry_bytes)
 
     def multi_get(self, keys: Sequence[int], coalesce: bool = True,
                   errors: Optional[Dict[int, QuarantinedBlockError]] = None,
@@ -957,13 +983,13 @@ class Table:
         clamped, widened to whole data blocks, sorted by position and
         coalesced into maximal runs: a bound that overlaps, adjoins, or
         sits within a cheaper-than-a-seek gap of the current run (see
-        :meth:`_coalesce_gap_entries`) extends it instead of opening a
-        new pread, so runs cover whole-block spans.  Each run costs
-        **one seek plus its sequential blocks**; every key is then
-        binary-searched inside its own bound within the shared
-        buffer.  With ``coalesce=False`` every bound is its
-        own run (the per-key cost shape, batched only in control flow) —
-        the knob the ``multiget`` experiment sweeps.
+        ``_coalesce_gap``) extends it instead of opening a new pread, so
+        runs cover whole-block spans.  Each run costs **one seek plus
+        its sequential blocks**; every key is then binary-searched
+        inside its own bound within the shared run.  With
+        ``coalesce=False`` every bound is its own run (the per-key cost
+        shape, batched only in control flow) — the knob the
+        ``multiget`` experiment sweeps.
 
         Failure isolation is per *key*, not per batch: when a run's
         fetch hits a quarantined block, its members are retried
@@ -971,60 +997,66 @@ class Table:
         fail — those land in the ``errors`` out-dict when one is given,
         and re-raise otherwise.
         """
-        n = self.footer.entry_count
-        clamped: List[Tuple[int, SearchBound]] = []
+        footer = self.footer
+        n = footer.entry_count
+        per = footer.entries_per_block
+        # ``bound.clamped(n)`` then ``block_bound`` on plain integers:
+        # one ``(key, lo, hi)`` per key whose bound is not empty.
+        aligned: List[Tuple[int, int, int]] = []
         for key, bound in items:
-            bound = bound.clamped(n)
-            if bound.width > 0:
-                clamped.append((key, self.block_bound(bound)))
-        if not clamped:
+            lo = max(0, min(bound.lo, n))
+            hi = min(bound.hi, n)
+            if hi > lo:
+                aligned.append((key, lo - lo % per,
+                                min(-(-hi // per) * per, n)))
+        if not aligned:
             return {}
-        clamped.sort(key=lambda item: (item[1].lo, item[1].hi))
-        gap = self._coalesce_gap_entries()
-        runs: List[List] = []  # [run_lo, run_hi, [(key, bound), ...]]
-        for key, bound in clamped:
-            if coalesce and runs and bound.lo <= runs[-1][1] + gap:
-                runs[-1][1] = max(runs[-1][1], bound.hi)
-                runs[-1][2].append((key, bound))
+        aligned.sort(key=_BOUNDS)
+        gap = self._coalesce_gap
+        runs: List[List] = []  # [run_lo, run_hi, [(key, lo, hi), ...]]
+        for item in aligned:
+            if coalesce and runs and item[1] <= runs[-1][1] + gap:
+                if item[2] > runs[-1][1]:
+                    runs[-1][1] = item[2]
+                runs[-1][2].append(item)
             else:
-                runs.append([bound.lo, bound.hi, [(key, bound)]])
+                runs.append([item[1], item[2], [item]])
         found: Dict[int, Record] = {}
-        per = self.footer.entries_per_block
-        value_capacity = self.footer.value_capacity
+        stats = self.stats
+        segment_search_us = self.cost.segment_search_us
         # A stack, so a failed run's per-member retries go next.
         todo = [(run_lo, run_hi, members, False)
                 for run_lo, run_hi, members in reversed(runs)]
         while todo:
             run_lo, run_hi, members, retried = todo.pop()
-            seeks_before = self.stats.get(SEEKS)
+            first = run_lo // per
+            seeks_before = stats.get(SEEKS)
             try:
-                buf, base = self._read_blocks(
-                    run_lo // per, (run_hi - 1) // per, _IO)
+                blocks, base = self._read_blocks(first, (run_hi - 1) // per,
+                                                  _IO)
             except QuarantinedBlockError as exc:
                 if not retried:
                     # Each member re-fetches only its own bound, so keys
                     # whose blocks are healthy still resolve.
-                    todo.extend((bound.lo, bound.hi, [(key, bound)], True)
-                                for key, bound in reversed(members))
+                    todo.extend((lo, hi, [(key, lo, hi)], True)
+                                for key, lo, hi in reversed(members))
                     continue
                 if errors is None:
                     raise
                 errors[members[0][0]] = exc  # a retried run is one key
                 continue
-            self.stats.add(SEGMENTS_FETCHED)
-            if len(members) > 1 and self.stats.get(SEEKS) > seeks_before:
+            stats.add(SEGMENTS_FETCHED)
+            if len(members) > 1 and stats.get(SEEKS) > seeks_before:
                 # Only a run that actually paid a seek saved the others;
                 # a cache-served run would have cost no seeks per key
                 # either, so claiming savings there would overstate it.
-                self.stats.add(MULTIGET_COALESCED)
-                self.stats.add(MULTIGET_SEEKS_SAVED, len(members) - 1)
-            for key, bound in members:
-                at = self._search(buf, run_lo // per, base, bound.lo,
-                                  bound.hi, key)
-                self.stats.charge(_SEARCH,
-                                  self.cost.segment_search_us(bound.width))
-                if at is not None:
-                    found[key] = decode_entry(buf, at, value_capacity)
+                stats.add(MULTIGET_COALESCED)
+                stats.add(MULTIGET_SEEKS_SAVED, len(members) - 1)
+            for key, lo, hi in members:
+                record = self._search(blocks, first, base, lo, hi, key)
+                stats.charge(_SEARCH, segment_search_us(hi - lo))
+                if record is not None:
+                    found[key] = record
         return found
 
     def iterator(self, refill_stage: Stage = Stage.SCAN) -> "TableIterator":

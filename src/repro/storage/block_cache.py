@@ -158,9 +158,11 @@ class DataBlockCache:
     bytes because decompressed blocks vary in size (the tail block of a
     table is short).
 
-    Tables call :meth:`get`/:meth:`put` directly and account hits and
-    misses themselves; eviction counts are returned from :meth:`put`
-    like :class:`LRUBlockCache` does, so all ``cache.data_*`` counters
+    Tables look up and admit whole runs of consecutive blocks
+    (:meth:`get_run`, :meth:`put_run`) — one-block refills use
+    :meth:`get` — and account hits and misses themselves; eviction
+    counts are returned from :meth:`put_run` like
+    :meth:`LRUBlockCache.put` does, so all ``cache.data_*`` counters
     land in one :class:`~repro.storage.stats.Stats` registry.
     """
 
@@ -181,30 +183,64 @@ class DataBlockCache:
             self._blocks.move_to_end((name, block_no))
         return payload
 
-    def put(self, name: str, block_no: int, payload: bytes) -> int:
-        """Admit one decoded block; returns how many blocks were evicted."""
-        if len(payload) > self.capacity_bytes:
-            return 0  # an oversized block would evict the whole cache
-        key = (name, block_no)
-        if key in self._blocked:
-            return 0  # quarantined blocks are never re-admitted
-        old = self._blocks.get(key)
-        if old is not None:
-            self._used_bytes -= len(old)
-        self._blocks[key] = payload
-        self._blocks.move_to_end(key)
-        self._used_bytes += len(payload)
-        self._by_file.setdefault(name, set()).add(block_no)
+    def get_run(self, name: str, first: int,
+                last: int) -> List[Optional[bytes]]:
+        """The decoded payloads of blocks ``[first, last]`` of ``name``,
+        None for each one not held; the hits become most recently used
+        in block order, as :meth:`get` block by block would leave them."""
+        get = self._blocks.get
+        move_to_end = self._blocks.move_to_end
+        payloads = []
+        for block_no in range(first, last + 1):
+            key = (name, block_no)
+            payload = get(key)
+            if payload is not None:
+                move_to_end(key)
+            payloads.append(payload)
+        return payloads
+
+    def put_run(self, name: str, first: int, payloads: List[bytes]) -> int:
+        """Admit decoded blocks ``first, first + 1, ...`` in order;
+        returns how many blocks were evicted.
+
+        Evicting once after the whole run leaves the same blocks, in the
+        same order, as evicting after each admission: both drop the
+        least recently used blocks until the rest fit.  (Tables admit
+        blocks that just missed; a block already held has its payload
+        replaced and becomes most recently used.)
+        """
+        blocks = self._blocks
+        blocked = self._blocked
+        capacity = self.capacity_bytes
+        by_file = self._by_file
+        indexes = by_file.setdefault(name, set())
+        used = self._used_bytes
+        for block_no, payload in enumerate(payloads, first):
+            if len(payload) > capacity:
+                continue  # an oversized block would evict the whole cache
+            key = (name, block_no)
+            if blocked and key in blocked:
+                continue  # quarantined blocks are never re-admitted
+            old = blocks.pop(key, None)
+            if old is not None:
+                used -= len(old)
+            blocks[key] = payload
+            used += len(payload)
+            indexes.add(block_no)
+        if not indexes:
+            del by_file[name]
         evicted = 0
-        while self._used_bytes > self.capacity_bytes:
-            (old_name, old_no), old_payload = self._blocks.popitem(last=False)
-            self._used_bytes -= len(old_payload)
-            indexes = self._by_file.get(old_name)
+        popitem = blocks.popitem
+        while used > capacity:
+            (old_name, old_no), old_payload = popitem(last=False)
+            used -= len(old_payload)
+            indexes = by_file.get(old_name)
             if indexes is not None:
                 indexes.discard(old_no)
                 if not indexes:
-                    del self._by_file[old_name]
+                    del by_file[old_name]
             evicted += 1
+        self._used_bytes = used
         return evicted
 
     def invalidate_file(self, name: str) -> int:

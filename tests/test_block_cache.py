@@ -245,10 +245,9 @@ def test_cache_bytes_option_validation():
 def test_data_block_cache_lru_and_byte_capacity():
     from repro.storage.block_cache import DataBlockCache
     cache = DataBlockCache(100)
-    assert cache.put("f", 0, b"x" * 40) == 0
-    assert cache.put("f", 1, b"y" * 40) == 0
+    assert cache.put_run("f", 0, [b"x" * 40, b"y" * 40]) == 0
     assert cache.get("f", 0) == b"x" * 40  # touch: 0 is now MRU
-    assert cache.put("f", 2, b"z" * 40) == 1  # evicts block 1 (LRU)
+    assert cache.put_run("f", 2, [b"z" * 40]) == 1  # evicts block 1 (LRU)
     assert cache.get("f", 1) is None
     assert cache.get("f", 0) is not None
     assert cache.used_bytes() == 80
@@ -258,7 +257,7 @@ def test_data_block_cache_lru_and_byte_capacity():
 def test_data_block_cache_rejects_oversized_payloads():
     from repro.storage.block_cache import DataBlockCache
     cache = DataBlockCache(10)
-    assert cache.put("f", 0, b"a" * 11) == 0  # dropped, not admitted
+    assert cache.put_run("f", 0, [b"a" * 11]) == 0  # dropped, not admitted
     assert cache.get("f", 0) is None
     assert len(cache) == 0
 
@@ -266,8 +265,8 @@ def test_data_block_cache_rejects_oversized_payloads():
 def test_data_block_cache_replacement_updates_bytes():
     from repro.storage.block_cache import DataBlockCache
     cache = DataBlockCache(100)
-    cache.put("f", 0, b"a" * 60)
-    cache.put("f", 0, b"b" * 20)  # same key, smaller payload
+    cache.put_run("f", 0, [b"a" * 60])
+    cache.put_run("f", 0, [b"b" * 20])  # same key, smaller payload
     assert cache.used_bytes() == 20
     assert cache.get("f", 0) == b"b" * 20
 
@@ -275,9 +274,8 @@ def test_data_block_cache_replacement_updates_bytes():
 def test_data_block_cache_file_invalidation():
     from repro.storage.block_cache import DataBlockCache
     cache = DataBlockCache(1000)
-    cache.put("f", 0, b"a" * 10)
-    cache.put("f", 1, b"b" * 10)
-    cache.put("g", 0, b"c" * 10)
+    cache.put_run("f", 0, [b"a" * 10, b"b" * 10])
+    cache.put_run("g", 0, [b"c" * 10])
     assert cache.invalidate_file("f") == 2
     assert cache.get("f", 0) is None
     assert cache.get("g", 0) == b"c" * 10
@@ -319,10 +317,11 @@ def test_lru_cache_quarantine_blocks_readmission():
 def test_data_block_cache_quarantine_blocks_readmission():
     from repro.storage.block_cache import DataBlockCache
     cache = DataBlockCache(1024)
-    cache.put("f", 0, b"decoded")
+    cache.put_run("f", 0, [b"decoded"])
     cache.quarantine("f", 0)
     assert cache.get("f", 0) is None
-    assert cache.put("f", 0, b"decoded") == 0
+    assert cache.put_run("f", 0, [b"decoded"]) == 0
+    assert cache.get("f", 0) is None
     assert cache.is_quarantined("f", 0)
     cache.invalidate_file("f")
     assert not cache.is_quarantined("f", 0)

@@ -26,6 +26,8 @@ from repro.lsm.options import (
 )
 from repro.service.sharded import ShardedDB
 from repro.storage.stats import (
+    DATA_CACHE_EVICTIONS,
+    DECOMPRESS_BYTES,
     MULTIGET_BATCHES,
     MULTIGET_COALESCED,
     MULTIGET_KEYS,
@@ -265,26 +267,32 @@ def _charges(db):
 
 _CHARGE_CASES = [
     pytest.param(granularity, kind, caches, CompactionPolicy.LEVELING,
+                 "none",
                  id=f"{granularity.value}-{kind.value}-caches{caches}")
     for granularity in (Granularity.FILE, Granularity.LEVEL)
     for kind in (IndexKind.FP, IndexKind.PGM)
     for caches in (0, 1 << 14)
 ] + [pytest.param(Granularity.FILE, IndexKind.PGM, 0,
-                  CompactionPolicy.TIERING, id="file-tiering")]
+                  CompactionPolicy.TIERING, "none", id="file-tiering"),
+     pytest.param(Granularity.FILE, IndexKind.PGM, 1 << 14,
+                  CompactionPolicy.LEVELING, "zlib-1",
+                  id="file-PGM-caches16384-zlib-1")]
 
 
-@pytest.mark.parametrize("granularity,kind,caches,policy", _CHARGE_CASES)
+@pytest.mark.parametrize("granularity,kind,caches,policy,codec",
+                         _CHARGE_CASES)
 def test_single_key_multi_get_charges_exactly_what_get_charges(
-        granularity, kind, caches, policy):
+        granularity, kind, caches, policy, codec):
     """``multi_get([k])`` and ``get(k)`` cost the same, to the last bit.
 
     Two identical trees answer the same ~600 present and absent keys,
     one through ``get`` and one through one-key batches; only the
-    ``multiget.*`` counters may differ.
+    ``multiget.*`` counters may differ.  The ``zlib-1`` case adds
+    decompression and data-cache admission to both paths.
     """
     options = small_test_options(kind, granularity=granularity,
                                  cache_bytes=caches, data_cache_bytes=caches,
-                                 compaction_policy=policy)
+                                 compaction_policy=policy, block_codec=codec)
     by_get, universe = _charged_tree(options)
     by_batch, _ = _charged_tree(options)
     rng = random.Random(0xBEEF)
@@ -296,6 +304,9 @@ def test_single_key_multi_get_charges_exactly_what_get_charges(
         assert any(answer is not None for answer in answers)
         assert None in answers
         assert _charges(by_batch) == _charges(by_get)
+        if codec != "none":
+            assert by_get.stats.get(DECOMPRESS_BYTES)
+            assert by_get.stats.get(DATA_CACHE_EVICTIONS)
     finally:
         by_get.close()
         by_batch.close()

@@ -73,7 +73,7 @@ def _reference_multi_get_in_bounds(self, items, coalesce=True, errors=None):
         ((key, self.block_bound(bound.clamped(n))) for key, bound in items
          if bound.clamped(n).width > 0),
         key=lambda item: (item[1].lo, item[1].hi))
-    gap = self._coalesce_gap_entries()
+    gap = self._coalesce_gap
     runs = []
     for key, bound in clamped:
         if coalesce and runs and bound.lo <= runs[-1][1] + gap:
